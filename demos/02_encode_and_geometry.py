@@ -15,7 +15,7 @@ ext = code.ext
 
 print("the", code.size, "codewords of the smallest spread code:")
 for cw in code.codeword_list():
-    coords = " : ".join(ext.to_str(v) for v in cw.point)
+    coords = " : ".join(" ".join(map(str, v)) for v in cw.point)
     rows = ["".join(str(x) for x in row) for row in cw.subspace.basis.data]
     print(f"    [{coords}]  basis rows {rows}")
 

@@ -51,10 +51,11 @@ def _random_matrix(rng, field, nrows: int, ncols: int) -> Matrix:
 
 def random_codeword(code: SpreadCode, rng) -> Codeword:
     """Uniformly random codeword, via a uniform nonzero projective point."""
+    ext = code.ext
     while True:
-        coords = [tuple(int(x) for x in rng.integers(0, code.q, size=code.k))
+        coords = [ext.element(rng.integers(0, code.q, size=code.k).tolist())
                   for _ in range(code.r)]
-        if any(v != code.ext.zero for v in map(code.ext.element, coords)):
+        if any(coords):
             return code.encode(coords)
 
 

@@ -12,6 +12,9 @@ File formats
                     space-separated base-q digits, lowest first
     subspace file   header line "q k r p_0 ... p_{k-1}", then
                     "rows cols", then one basis row per line
+
+Every digit must lie in 0..q-1; anything else is an input error that
+names its line.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .channel import simulate, trial_rng, random_codeword, corrupt, ChannelSpec
 from .decoder import ReceivedSpace, decode
 from .gf import OpCount, is_prime
 from .linalg import Matrix
-from .spread import SpreadCode, Subspace, format_subspace
+from .spread import SpreadCode, Subspace, format_subspace, parse_header
 
 
 class UsageError(Exception):
@@ -99,10 +102,10 @@ def _parse_subspace(lines: list[str], code: SpreadCode) -> Subspace:
         raise InputError("line 1: empty subspace file")
     lineno, header = idx[0]
     try:
-        file_code = SpreadCode.from_header(header)
+        fields = parse_header(header)
     except ValueError as exc:
         raise InputError(f"line {lineno}: {exc}") from exc
-    if file_code.header() != code.header():
+    if fields != code.header_fields():
         raise InputError(f"line {lineno}: file header {header!r} does not "
                          f"match the requested code {code.header()!r}")
     if len(idx) < 2:

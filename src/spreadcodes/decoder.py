@@ -370,7 +370,7 @@ def decode(received: ReceivedSpace, code: SpreadCode) -> DecodeResult:
         res = decode_pair(p1, p2, code)
         if not res.ok:
             return _fail(res.reason)
-        lead, tail = res.codeword.point
+        lead, tail = map(ext.element, res.codeword.point)
         if lead != ext.one:
             return _fail(REASON_NO_CODEWORD)
         point[i] = tail

@@ -1,8 +1,27 @@
 """Exact arithmetic in prime fields F_q and extension fields F_{q^k}.
 
-Element values are plain Python objects: an int in 0..q-1 for the prime
-field, and a length-k tuple of such ints (lowest coefficient first) for
-the extension field F_q[x]/(p).  The field objects own the arithmetic.
+Every element is a plain int.  In F_q it is the residue 0..q-1.  In
+F_{q^k} = F_q[x]/(p) the polynomial a_0 + a_1 x + ... + a_{k-1} x^(k-1)
+is the int a_0 + a_1 q + ... + a_{k-1} q^(k-1): its base-q digits,
+lowest first.  The base field therefore sits inside the extension as
+0..q-1, the residue class of x is the int q, and ``ExtField.elements()``
+is ``range(q**k)``.  Digit tuples appear only at the text boundary
+(``to_str``/``from_str``, point and subspace files) and in the public
+``Codeword.point``.
+
+Extension-field multiplication uses one of three kernels, fixed when
+the field is built:
+
+* q^k <= TABLE_LIMIT (2^16): exp/log tables over a primitive element,
+  held in ``array`` storage.  ``mul``, ``inv`` and ``frobenius`` are
+  lookups; for odd q, addition goes through a table of Zech logarithms
+  (Huber, *Some comments on Zech's logarithms*, IEEE Trans. IT 1990).
+* larger fields with q = 2: carry-less shift/xor multiplication of the
+  packed ints, reduced by the modulus.
+* larger fields with odd q: schoolbook multiplication of digit lists.
+
+For q = 2, addition and subtraction are XOR in every case.
+
 Multiplications and inversions are tallied on the innermost active
 :class:`OpCount` of the current thread, separately per field layer, so
 decoding costs can be profiled in field operations rather than wall time.
@@ -12,12 +31,26 @@ from __future__ import annotations
 
 import itertools
 import threading
+from array import array
 
-_ACTIVE = threading.local()
+# Fields with at most this many elements multiply through exp/log tables.
+# Filling them takes about a microsecond per element in pure Python, so
+# the limit keeps construction cheap: 0.05 s at 2^16 elements, where
+# 2^20 would take about a second.
+TABLE_LIMIT = 1 << 16
+# Array type code for table entries: signed, at least 32 bits.
+_TYPECODE = "i" if array("i").itemsize >= 4 else "l"
 
 
-def _counter():
-    return getattr(_ACTIVE, "current", None)
+class _Local(threading.local):
+    current = None
+
+
+_ACTIVE = _Local()
+_LOCK = threading.Lock()
+# OpCount contexts open in any thread.  While it is 0 the field kernels
+# skip the thread-local lookup; the counter itself stays per thread.
+_open_counters = 0
 
 
 class OpCount:
@@ -41,13 +74,19 @@ class OpCount:
         self._prev = None
 
     def __enter__(self):
-        self._prev = _counter()
+        global _open_counters
+        with _LOCK:
+            _open_counters += 1
+        self._prev = _ACTIVE.current
         _ACTIVE.current = self
         return self
 
     def __exit__(self, *exc):
+        global _open_counters
         _ACTIVE.current = self._prev
         self._prev = None
+        with _LOCK:
+            _open_counters -= 1
         return False
 
     @property
@@ -76,6 +115,13 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def _parse_digit(s: str, q: int) -> int:
+    d = int(s)
+    if not 0 <= d < q:
+        raise ValueError(f"digit {d} is outside 0..{q - 1}")
+    return d
 
 
 class PrimeField:
@@ -112,17 +158,19 @@ class PrimeField:
         return (-a) % self.q
 
     def mul(self, a: int, b: int) -> int:
-        c = _counter()
-        if c is not None:
-            c.base_mul += 1
+        if _open_counters:
+            c = _ACTIVE.current
+            if c is not None:
+                c.base_mul += 1
         return (a * b) % self.q
 
     def inv(self, a: int) -> int:
         if a % self.q == 0:
             raise ZeroDivisionError("inverse of zero in F_q")
-        c = _counter()
-        if c is not None:
-            c.base_inv += 1
+        if _open_counters:
+            c = _ACTIVE.current
+            if c is not None:
+                c.base_inv += 1
         return pow(a, self.q - 2, self.q)
 
     def pow(self, a: int, e: int) -> int:
@@ -144,7 +192,8 @@ class PrimeField:
         return str(a % self.q)
 
     def from_str(self, s: str) -> int:
-        return int(s) % self.q
+        """Parse one digit; anything outside 0..q-1 is a ValueError."""
+        return _parse_digit(s, self.q)
 
 
 # ---------------------------------------------------------------------------
@@ -233,15 +282,49 @@ def find_irreducible(q: int, k: int) -> tuple[int, ...]:
     raise RuntimeError("no irreducible polynomial found")  # unreachable
 
 
+def _prime_factors(n: int) -> list[int]:
+    out = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _to_digits(a: int, q: int, k: int) -> list[int]:
+    out = []
+    for _ in range(k):
+        a, d = divmod(a, q)
+        out.append(d)
+    return out
+
+
+def _from_digits(digits, q: int) -> int:
+    n = 0
+    for d in reversed(digits):
+        n = n * q + d
+    return n
+
+
 class ExtField:
     """The extension field F_{q^k} = F_q[x]/(p) for monic irreducible p.
 
-    Element values are length-k tuples of ints, lowest coefficient
-    first; the residue class of x is :meth:`gen`.
+    Element values are ints in 0..q^k-1 whose base-q digits, lowest
+    first, are the polynomial coefficients; :meth:`gen`, the residue
+    class of x, is the int q.  :meth:`element` accepts such an int or a
+    digit sequence, and :meth:`digits` gives the digits back.  Fields
+    with at most TABLE_LIMIT elements multiply through exp/log tables,
+    larger ones through a packed kernel (see the module docstring).
     """
 
-    __slots__ = ("base", "q", "k", "modulus", "zero", "one",
-                 "_red", "_frob_tables")
+    __slots__ = ("base", "q", "k", "modulus", "order", "zero", "one",
+                 "_char2", "_bits", "_red", "_exp", "_log", "_zech",
+                 "_half", "_frob")
 
     def __init__(self, base: PrimeField, modulus):
         modulus = tuple(c % base.q for c in modulus)
@@ -250,38 +333,123 @@ class ExtField:
             raise ValueError("modulus must be monic of degree >= 2")
         if not poly_is_irreducible(modulus, base.q):
             raise ValueError(f"modulus {modulus} is reducible over F_{base.q}")
+        q = base.q
         self.base = base
-        self.q = base.q
+        self.q = q
         self.k = k
         self.modulus = modulus
-        self.zero = (0,) * k
-        self.one = (1,) + (0,) * (k - 1)
-        # _red[i] = coefficients of x^(k+i) reduced mod p, for i in 0..k-2
-        q = self.q
-        red = []
-        cur = [(-c) % q for c in modulus[:k]]  # x^k mod p
-        red.append(tuple(cur))
-        for _ in range(k - 2):
-            nxt = [0] + cur[:k - 1]
-            top = cur[k - 1]
-            if top:
-                for j in range(k):
-                    nxt[j] = (nxt[j] + top * red[0][j]) % q
-            cur = nxt
-            red.append(tuple(cur))
-        self._red = red
-        # _frob_tables[j][i] = coefficients of (x^i)^(q^j), for j in 0..k-1
-        identity = tuple(tuple(1 if c == i else 0 for c in range(k))
-                         for i in range(k))
-        lam_q = self._pow_raw(self.gen(), q)
-        table1 = [self.one]
+        self.order = q ** k
+        self.zero = 0
+        self.one = 1
+        self._char2 = q == 2
+        # The packed kernels reduce by p: as a bit pattern for q = 2;
+        # for odd q as _red[i] = digits of x^(k+i) mod p, i in 0..k-2.
+        self._bits = self._red = None
+        if self._char2:
+            self._bits = sum(c << i for i, c in enumerate(modulus))
+        else:
+            red = [[(-c) % q for c in modulus[:k]]]
+            for _ in range(k - 2):
+                cur = red[-1]
+                nxt = [0] + cur[:k - 1]
+                top = cur[k - 1]
+                if top:
+                    nxt = [(x + top * y) % q for x, y in zip(nxt, red[0])]
+                red.append(nxt)
+            self._red = red
+        self._exp = self._log = self._zech = self._frob = None
+        self._half = 0
+        if self.order <= TABLE_LIMIT:
+            self._build_tables()
+        else:
+            self._build_frobenius_maps()
+
+    def _build_tables(self):
+        """exp/log over a primitive element g: exp[i] = g^i, stored twice
+        so that a sum of two logs needs no reduction, and log[g^i] = i.
+        For odd q also zech[d] = log(1 + g^d), or -1 where 1 + g^d = 0.
+
+        Multiplying by x is a shift plus a fold of the top digit, so the
+        tables are filled along the cosets of the subgroup <x>: coset b
+        starts at g^b and steps by x.  With c = n / ord(x), g^c generates
+        <x>, so x = g^(c*w) for some w and g^b * x^j = g^(b + c*j*w)."""
+        q, k = self.q, self.k
+        n = self.order - 1
+        if self._char2:
+            bits = self._bits
+
+            def times_x(e):
+                e <<= 1
+                return e ^ bits if e >> k else e
+        else:
+            top = q ** (k - 1)
+            terms = [(q ** j, r) for j, r in enumerate(self._red[0]) if r]
+
+            def times_x(e):
+                t, s = divmod(e, top)
+                s *= q
+                if t:
+                    for qj, r in terms:
+                        d = s // qj % q
+                        s += ((d + t * r) % q - d) * qj
+                return s
+
+        primes = _prime_factors(n)
+        m = n                                  # the order of x
+        for p in primes:
+            while m % p == 0 and self._pow_raw(q, m // p) == 1:
+                m //= p
+        c = n // m
+        g = next(g for g in range(q, self.order)
+                 if all(self._pow_raw(g, n // p) != 1 for p in primes))
+        h, e, steps = self._pow_raw(g, c), 1, 0
+        while e != h:                          # h = g^c = x^steps
+            e = times_x(e)
+            steps += 1
+        exp = array(_TYPECODE, [0]) * (2 * n)
+        log = array(_TYPECODE, [0]) * self.order
+        w = pow(steps, -1, m)                  # x = g^(c*w)
+        start = 1
+        for b in range(c):
+            e, a = start, 0
+            for _ in range(m):
+                i = b + c * a
+                exp[i] = exp[i + n] = e
+                log[e] = i
+                e = times_x(e)
+                a += w
+                if a >= m:
+                    a -= m
+            start = self._mul_raw(start, g)
+        self._exp, self._log = exp, log
+        if not self._char2:
+            self._half = half = n // 2         # g^(n/2) = -1
+            # 1 + e changes only the lowest digit of e.
+            self._zech = array(_TYPECODE, (
+                -1 if d == half else
+                log[e + 1 if e % q != q - 1 else e - (q - 1)]
+                for d, e in enumerate(exp[:n])))
+
+    def _build_frobenius_maps(self):
+        """For the packed kernels: _frob[j][i] is (x^i)^(q^j), an int for
+        q = 2 and a digit list for odd q."""
+        q, k = self.q, self.k
+        xq = self._pow_raw(q, q)
+        images = [1]
         for _ in range(1, k):
-            table1.append(self._mul_raw(table1[-1], lam_q))
-        tables = [identity, tuple(table1)]
+            images.append(self._mul_raw(images[-1], xq))
+
+        def stored(values):
+            if self._char2:
+                return values
+            return [_to_digits(v, q, k) for v in values]
+
+        first = stored(images)
+        maps = [None, first]
         for _ in range(k - 2):
-            prev = tables[-1]
-            tables.append(tuple(self._apply_table(v, tables[1]) for v in prev))
-        self._frob_tables = tables[:k]
+            images = [self._apply(v, first) for v in images]
+            maps.append(stored(images))
+        self._frob = maps
 
     def __repr__(self):
         return f"ExtField(q={self.q}, k={self.k}, p={self.modulus})"
@@ -293,42 +461,94 @@ class ExtField:
     def __hash__(self):
         return hash(("ExtField", self.q, self.modulus))
 
-    def gen(self) -> tuple[int, ...]:
+    def gen(self) -> int:
         """The residue class of x, a root of the modulus."""
-        return tuple(1 if i == 1 else 0 for i in range(self.k))
+        return self.q
 
-    def element(self, coeffs) -> tuple[int, ...]:
-        if isinstance(coeffs, int):
-            return self.embed(coeffs)
-        coeffs = tuple(c % self.q for c in coeffs)
-        if len(coeffs) > self.k:
+    def element(self, value) -> int:
+        """An element from its int encoding, or from a sequence of at
+        most k base-q digits, lowest first, each reduced mod q."""
+        if isinstance(value, int):
+            if not 0 <= value < self.order:
+                raise ValueError(f"{value} does not encode an element of "
+                                 f"F_{self.q}^{self.k}")
+            return value
+        digits = [c % self.q for c in value]
+        if len(digits) > self.k:
             raise ValueError(f"too many coefficients for degree {self.k}")
-        return coeffs + (0,) * (self.k - len(coeffs))
+        return _from_digits(digits, self.q)
 
-    def embed(self, a: int) -> tuple[int, ...]:
-        return (a % self.q,) + (0,) * (self.k - 1)
+    def digits(self, a: int) -> tuple[int, ...]:
+        """The k base-q digits of a, lowest first."""
+        return tuple(_to_digits(a, self.q, self.k))
 
-    def in_base(self, a: tuple[int, ...]) -> bool:
-        return all(c == 0 for c in a[1:])
+    def in_base(self, a: int) -> bool:
+        return a < self.q
+
+    # -- addition ------------------------------------------------------------
+
+    def _digitwise(self, a: int, b: int, sign: int) -> int:
+        """a + sign*b digit by digit, for the packed odd-q kernel."""
+        q = self.q
+        out, scale = 0, 1
+        while a or b:
+            a, x = divmod(a, q)
+            b, y = divmod(b, q)
+            out += (x + sign * y) % q * scale
+            scale *= q
+        return out
 
     def add(self, a, b):
-        q = self.q
-        return tuple((x + y) % q for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        q = self.q
-        return tuple((x - y) % q for x, y in zip(a, b))
+        if self._char2:
+            return a ^ b
+        log = self._log
+        if log is None:
+            return self._digitwise(a, b, 1)
+        if not a:
+            return b
+        if not b:
+            return a
+        la = log[a]
+        z = self._zech[log[b] - la]
+        return self._exp[la + z] if z >= 0 else 0
 
     def neg(self, a):
-        q = self.q
-        return tuple((-x) % q for x in a)
+        if self._char2 or not a:
+            return a
+        log = self._log
+        if log is None:
+            return self._digitwise(0, a, -1)
+        return self._exp[log[a] + self._half]
+
+    def sub(self, a, b):
+        if self._char2:
+            return a ^ b
+        if self._log is None:
+            return self._digitwise(a, b, -1)
+        return self.add(a, self.neg(b))
+
+    # -- multiplication --------------------------------------------------------
 
     def _mul_raw(self, a, b):
-        k, q = self.k, self.q
+        """Uncounted product by the packed kernel of this characteristic."""
+        k = self.k
+        if self._char2:
+            r = 0
+            while b:
+                low = b & -b
+                r ^= a * low
+                b ^= low
+            top = r.bit_length() - 1
+            while top >= k:
+                r ^= self._bits << (top - k)
+                top = r.bit_length() - 1
+            return r
+        q = self.q
+        da, db = _to_digits(a, q, k), _to_digits(b, q, k)
         prod = [0] * (2 * k - 1)
-        for i, ai in enumerate(a):
+        for i, ai in enumerate(da):
             if ai:
-                for j, bj in enumerate(b):
+                for j, bj in enumerate(db):
                     prod[i + j] += ai * bj
         for i in range(2 * k - 2, k - 1, -1):
             c = prod[i] % q
@@ -336,32 +556,55 @@ class ExtField:
                 row = self._red[i - k]
                 for j in range(k):
                     prod[j] += c * row[j]
-        return tuple(prod[j] % q for j in range(k))
+        return _from_digits([prod[j] % q for j in range(k)], q)
 
     def mul(self, a, b):
-        c = _counter()
-        if c is not None:
-            c.ext_mul += 1
+        if _open_counters:
+            c = _ACTIVE.current
+            if c is not None:
+                c.ext_mul += 1
+        if not (a and b):
+            return 0
+        log = self._log
+        if log is not None:
+            return self._exp[log[a] + log[b]]
         return self._mul_raw(a, b)
 
     def inv(self, a):
-        if all(x % self.q == 0 for x in a):
+        if not a:
             raise ZeroDivisionError("inverse of zero in F_{q^k}")
-        c = _counter()
-        if c is not None:
-            c.ext_inv += 1
+        if _open_counters:
+            c = _ACTIVE.current
+            if c is not None:
+                c.ext_inv += 1
+        log = self._log
+        if log is not None:
+            return self._exp[self.order - 1 - log[a]]
+        return self._inv_raw(a)
+
+    def _inv_raw(self, a):
+        """Uncounted inverse by the extended Euclidean algorithm."""
+        if self._char2:
+            # Invariants g1*a = u and g2*a = v mod p (Hankerson, Menezes
+            # and Vanstone, Guide to Elliptic Curve Cryptography, 2.48).
+            u, v, g1, g2 = a, self._bits, 1, 0
+            while u != 1:
+                j = u.bit_length() - v.bit_length()
+                if j < 0:
+                    u, v, g1, g2 = v, u, g2, g1
+                    j = -j
+                u ^= v << j
+                g1 ^= g2 << j
+            return g1
         q = self.q
-        r0, r1 = list(self.modulus), _poly_trim([x % q for x in a])
+        r0, r1 = list(self.modulus), _poly_trim(_to_digits(a, q, self.k))
         s0, s1 = [], [1]
         while len(r1) > 1:
             quo, rem = _poly_divmod(r0, r1, q)
             r0, r1 = r1, rem
             s0, s1 = s1, _poly_sub(s0, _poly_mul(quo, s1, q), q)
-        if not r1:
-            raise ZeroDivisionError("element shares a factor with the modulus")
         scale = pow(r1[0], q - 2, q)
-        out = [x * scale % q for x in s1]
-        return tuple(out + [0] * (self.k - len(out)))[:self.k]
+        return _from_digits([x * scale % q for x in s1], q)
 
     def _pow_raw(self, a, e: int):
         out = self.one
@@ -385,53 +628,68 @@ class ExtField:
             e >>= 1
         return out
 
-    def _apply_table(self, a, table):
-        k, q = self.k, self.q
-        out = [0] * k
-        for i, ai in enumerate(a):
+    # -- Frobenius and trace ---------------------------------------------------
+
+    def _apply(self, a: int, images) -> int:
+        """The F_q-linear map sending x^i to images[i] (see _frob)."""
+        if self._char2:
+            out = 0
+            i = 0
+            while a:
+                if a & 1:
+                    out ^= images[i]
+                a >>= 1
+                i += 1
+            return out
+        q, k = self.q, self.k
+        acc = [0] * k
+        for ai, image in zip(_to_digits(a, q, k), images):
             if ai:
-                row = table[i]
-                for j in range(k):
-                    out[j] += ai * row[j]
-        return tuple(x % q for x in out)
+                for j, v in enumerate(image):
+                    acc[j] += ai * v
+        return _from_digits([x % q for x in acc], q)
 
     def frobenius(self, a, j: int):
         """a raised to the q^j power.  An F_q-linear map; charges k*k
         base multiplications, no extension-field ops."""
         j %= self.k
         if j == 0:
-            return tuple(a)
-        c = _counter()
-        if c is not None:
-            c.base_mul += self.k * self.k
-        return self._apply_table(a, self._frob_tables[j])
+            return a
+        if _open_counters:
+            c = _ACTIVE.current
+            if c is not None:
+                c.base_mul += self.k * self.k
+        log = self._log
+        if log is not None:
+            if not a:
+                return 0
+            n = self.order - 1
+            return self._exp[log[a] * pow(self.q, j, n) % n]
+        return self._apply(a, self._frob[j])
 
     def trace(self, a) -> int:
         """Trace down to F_q: the sum of all Frobenius conjugates."""
-        acc = tuple(a)
-        conj = tuple(a)
+        acc = conj = a
         for _ in range(self.k - 1):
             conj = self.frobenius(conj, 1)
             acc = self.add(acc, conj)
         if not self.in_base(acc):
             raise ArithmeticError("trace left the base field")
-        return acc[0]
+        return acc
+
+    # -- enumeration and text ----------------------------------------------------
 
     def elements(self):
-        """All q^k elements, ordered by integer value of the digit tuple."""
-        q, k = self.q, self.k
-        for n in range(q ** k):
-            digits = []
-            for _ in range(k):
-                digits.append(n % q)
-                n //= q
-            yield tuple(digits)
+        """All q^k elements in increasing int order."""
+        return range(self.order)
 
     def to_str(self, a) -> str:
-        return " ".join(str(c) for c in a)
+        return " ".join(str(c) for c in self.digits(a))
 
-    def from_str(self, s: str) -> tuple[int, ...]:
+    def from_str(self, s: str) -> int:
+        """Parse k space-separated digits, lowest first; a digit outside
+        0..q-1 is a ValueError."""
         parts = s.split()
         if len(parts) != self.k:
             raise ValueError(f"expected {self.k} coefficients, got {len(parts)}")
-        return self.element(int(p) for p in parts)
+        return _from_digits([_parse_digit(p, self.q) for p in parts], self.q)

@@ -1,7 +1,8 @@
 """Dense exact linear algebra over the fields in :mod:`spreadcodes.gf`.
 
 A single :class:`Matrix` type serves both F_q and F_{q^k}; entries are
-whatever values the field object operates on.  Matrices are immutable
+the fields' int elements, and a base-field entry 0..q-1 is already its
+own embedding in the extension field.  Matrices are immutable
 and every operation returns a fresh matrix, so they can be shared
 freely between threads.
 
@@ -142,10 +143,12 @@ class Matrix:
                    for j, a in enumerate(row) if i != j)
 
     def lift(self, ext) -> "Matrix":
-        """Reinterpret a base-field matrix over the extension field."""
+        """Reinterpret a base-field matrix over the extension field.  The
+        entries stay as they are: 0..q-1 encode the same elements in
+        both fields."""
         if ext.base != self.field:
             raise ValueError("extension field does not extend this field")
-        return Matrix(ext, [[ext.embed(a) for a in row] for row in self.data])
+        return Matrix(ext, self.data)
 
 
 def vstack(*mats: Matrix) -> Matrix:

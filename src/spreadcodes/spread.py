@@ -16,6 +16,7 @@ where M is the coefficient-wise isomorphism onto F_q[P].
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -75,7 +76,9 @@ def subspace_distance(U: Subspace, V: Subspace) -> int:
 @dataclass(frozen=True)
 class Codeword:
     """A spread codeword: a normalized projective point over F_{q^k}
-    together with the subspace it encodes."""
+    together with the subspace it encodes.  Each coordinate of ``point``
+    is the tuple of its k base-q digits, lowest first, as in point
+    files; ``code.ext.element`` turns one back into a field element."""
     point: tuple
     subspace: Subspace
 
@@ -136,9 +139,8 @@ class SpreadCode:
 
     def _build_diagonalizer(self):
         ext, k = self.ext, self.k
-        col = [ext.one]
-        for _ in range(k - 1):
-            col.append(ext._mul_raw(col[-1], self.alpha))
+        # alpha^i = x^i is already reduced for i < k: the int q^i.
+        col = [self.q ** i for i in range(k)]
         cols = [col]
         for _ in range(k - 1):
             cols.append([ext.frobenius(v, 1) for v in cols[-1]])
@@ -158,14 +160,18 @@ class SpreadCode:
 
     def pairwise(self) -> "SpreadCode":
         """The two-block code with the same fields and companion matrix,
-        used for pairwise decoding instances."""
+        used for pairwise decoding instances.  It shares this code's
+        fields, powers of P and diagonalizer instead of rebuilding them."""
         if self.r == 2:
             return self
         return self._pairwise_cache
 
     @cached_property
     def _pairwise_cache(self) -> "SpreadCode":
-        return SpreadCode(self.q, self.k, 2, self.modulus)
+        pair = copy.copy(self)
+        pair.__dict__.pop("_codeword_cache", None)
+        pair.r, pair.n = 2, 2 * self.k
+        return pair
 
     @property
     def size(self) -> int:
@@ -175,21 +181,17 @@ class SpreadCode:
     def min_distance(self) -> int:
         return 2 * self.k
 
+    def header_fields(self) -> tuple[int, ...]:
+        """The integers of the header line: q, k, r, p_0 ... p_{k-1}."""
+        return (self.q, self.k, self.r) + self.modulus[:self.k]
+
     def header(self) -> str:
-        return " ".join(str(x) for x in
-                        (self.q, self.k, self.r) + self.modulus[:self.k])
+        return " ".join(str(x) for x in self.header_fields())
 
     @classmethod
     def from_header(cls, line: str) -> "SpreadCode":
-        parts = [int(x) for x in line.split()]
-        if len(parts) < 4:
-            raise ValueError(f"bad code header {line!r}")
-        q, k, r = parts[:3]
-        modulus = tuple(parts[3:])
-        if len(modulus) != k:
-            raise ValueError(f"header lists {len(modulus)} coefficients, "
-                             f"expected {k}")
-        return cls(q, k, r, modulus)
+        q, k, r, *modulus = parse_header(line)
+        return cls(q, k, r, tuple(modulus))
 
     # -- the matrix field F_q[P] --------------------------------------------
 
@@ -198,7 +200,7 @@ class SpreadCode:
         a_i P^i.  A ring isomorphism from F_{q^k}; its first row equals
         the coefficient vector, which :meth:`element_of` reads back."""
         f = self.base
-        a = self.ext.element(a)
+        a = self.ext.digits(self.ext.element(a))
         rows = [[f.zero] * self.k for _ in range(self.k)]
         for i, ai in enumerate(a):
             if ai:
@@ -211,9 +213,10 @@ class SpreadCode:
                             row[cc] = f.add(row[cc], f.mul(ai, prow[cc]))
         return Matrix(f, rows)
 
-    def element_of(self, A: Matrix) -> tuple:
-        """Coefficient vector of a matrix in F_q[P] (its first row)."""
-        return tuple(A.row(0))
+    def element_of(self, A: Matrix) -> int:
+        """The field element of a matrix in F_q[P]: its first row read as
+        the coefficient vector."""
+        return self.ext.element(A.row(0))
 
     def commutes_with_companion(self, A: Matrix) -> bool:
         return A @ self.P == self.P @ A
@@ -247,11 +250,12 @@ class SpreadCode:
 
     def encode(self, point) -> Codeword:
         """Codeword of a projective point: the row space of the block
-        matrix whose i-th block is matrix_rep(v_i), canonicalized."""
+        matrix whose i-th block is matrix_rep(v_i), canonicalized.  The
+        coordinates may be field elements or digit sequences."""
         coords = self.normalize_point(point)
         blocks = [self.matrix_rep(v) for v in coords]
         sub = Subspace.from_generators(hstack(*blocks))
-        return Codeword(coords, sub)
+        return Codeword(tuple(self.ext.digits(v) for v in coords), sub)
 
     def codewords(self):
         """All (q^n - 1)/(q^k - 1) codewords, one per projective point."""
@@ -319,6 +323,21 @@ def _tuples(ext: ExtField, length: int):
 # Subspace file format: the code header line, then the basis matrix in
 # the linalg text format over F_q.
 
+def parse_header(line: str) -> tuple[int, ...]:
+    """The integers of a code header "q k r p_0 ... p_{k-1}", checked
+    for shape only; ValueError when the line is malformed."""
+    try:
+        parts = tuple(int(x) for x in line.split())
+    except ValueError as exc:
+        raise ValueError(f"bad code header {line!r}") from exc
+    if len(parts) < 4:
+        raise ValueError(f"bad code header {line!r}")
+    if len(parts) != 3 + parts[1]:
+        raise ValueError(f"header lists {len(parts) - 3} coefficients, "
+                         f"expected {parts[1]}")
+    return parts
+
+
 def format_subspace(code: SpreadCode, sub: Subspace) -> str:
     from .linalg import format_matrix
     return code.header() + "\n" + format_matrix(sub.basis)
@@ -329,9 +348,9 @@ def parse_subspace(text: str, code: SpreadCode | None = None):
     lines = text.splitlines()
     if not lines:
         raise ValueError("empty subspace file")
-    file_code = SpreadCode.from_header(lines[0])
-    if code is not None and file_code.header() != code.header():
+    if code is None:
+        code = SpreadCode.from_header(lines[0])
+    elif parse_header(lines[0]) != code.header_fields():
         raise ValueError("file header does not match the requested code")
-    code = code or file_code
     M = parse_matrix(code.base, "\n".join(lines[1:]))
     return code, Subspace.from_generators(M)

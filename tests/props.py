@@ -23,7 +23,7 @@ def random_element(rnd: random.Random, field):
     width = getattr(field, "k", 1)
     if width == 1:
         return rnd.randrange(field.q)
-    return tuple(rnd.randrange(field.q) for _ in range(width))
+    return field.element([rnd.randrange(field.q) for _ in range(width)])
 
 
 def random_matrix(rnd: random.Random, field, nrows: int, ncols: int) -> Matrix:

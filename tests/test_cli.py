@@ -1,5 +1,7 @@
 import pytest
 
+from spreadcodes.channel import (ChannelSpec, corrupt, random_codeword,
+                                 trial_rng)
 from spreadcodes.cli import main
 from spreadcodes.spread import SpreadCode, format_subspace
 
@@ -65,8 +67,8 @@ class TestEncodeDecode:
             point = tmp_path / f"p{idx}.txt"
             out = tmp_path / f"s{idx}.txt"
             back = tmp_path / f"d{idx}.txt"
-            point.write_text("".join(ref.ext.to_str(v) + "\n"
-                                     for v in cw.point))
+            point.write_text("".join(ref.ext.to_str(ref.ext.element(v))
+                                     + "\n" for v in cw.point))
             assert main(["encode", "--q", qs, "--k", ks, "--r", "2",
                          "--in", str(point), "--out", str(out)]) == 0
             assert main(["decode", "--q", qs, "--k", ks, "--r", "2",
@@ -99,6 +101,49 @@ class TestEncodeDecode:
         code, _, err = run(capsys, "decode", "--q", "2", "--k", "2",
                            "--r", "2", "--in", str(space))
         assert code == 1 and "line 1" in err
+
+    @pytest.mark.parametrize("digit", ["5", "-1", "2"])
+    def test_out_of_range_digit_in_subspace_file(self, tmp_path, capsys,
+                                                 digit):
+        space = tmp_path / "bad.txt"
+        space.write_text(f"2 2 2 1 1\n2 4\n1 0 0 0\n0 1 {digit} 0\n")
+        code, _, err = run(capsys, "decode", "--q", "2", "--k", "2",
+                           "--r", "2", "--in", str(space))
+        assert code == 1 and "line 4" in err
+
+    @pytest.mark.parametrize("digit", ["5", "-1", "2"])
+    def test_out_of_range_digit_in_point_file(self, tmp_path, capsys, digit):
+        point = tmp_path / "point.txt"
+        point.write_text(f"1 0\n0 {digit}\n")
+        code, _, err = run(capsys, "encode", "--q", "2", "--k", "2",
+                           "--r", "2", "--in", str(point))
+        assert code == 1 and "line 2" in err
+
+    def test_malformed_header_is_line_numbered(self, tmp_path, capsys):
+        space = tmp_path / "bad.txt"
+        space.write_text("\n2 2 x 1 1\n1 4\n1 0 0 0\n")
+        code, _, err = run(capsys, "decode", "--q", "2", "--k", "2",
+                           "--r", "2", "--in", str(space))
+        assert code == 1 and "line 2" in err
+
+    def test_decode_builds_one_code(self, tmp_path, capsys, monkeypatch):
+        ref = SpreadCode(3, 3, 4)
+        rng = trial_rng(5)
+        received = corrupt(random_codeword(ref, rng),
+                           ChannelSpec(erasures=1, errors=1), ref, rng)
+        space = tmp_path / "space.txt"
+        space.write_text(format_subspace(ref, received.subspace))
+        built = []
+        init = SpreadCode.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SpreadCode, "__init__", counting_init)
+        code, _, _ = run(capsys, "decode", "--q", "3", "--k", "3",
+                         "--r", "4", "--in", str(space))
+        assert code == 0 and len(built) == 1
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "decode", "--q", "2", "--k", "2",

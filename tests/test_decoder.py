@@ -184,7 +184,7 @@ class TestCandidateRoots:
             mus = mu_characterization(blocks[0], blocks[1], code32)
             result = decode(received, code32)
             assert result.ok and result.codeword == cw
-            lead, tail = result.codeword.point
+            lead, tail = map(code32.ext.element, result.codeword.point)
             if lead == code32.ext.one:
                 assert mus == [tail]
 

@@ -1,0 +1,123 @@
+"""Differential tests: the int-encoded ExtField against the digit-tuple
+reference in ``tuple_field``, through the digit conversion.
+
+The fields cover every multiplication kernel: exp/log tables at
+(2,2..9), (3,2..5) and (5,3), the packed q = 2 kernel at (2,24) and
+the packed odd-q kernel at (3,13).
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from spreadcodes.gf import (TABLE_LIMIT, ExtField, OpCount, PrimeField,
+                            find_irreducible)
+
+from tuple_field import TupleExtField
+
+TABLE_FIELDS = ([(2, k) for k in range(2, 10)]
+                + [(3, k) for k in range(2, 6)] + [(5, 3)])
+PACKED_FIELDS = [(2, 24), (3, 13)]
+FIELDS = TABLE_FIELDS + PACKED_FIELDS
+
+_built = {}
+
+
+def fields(q, k):
+    """The field under test and its oracle, built once per module."""
+    if (q, k) not in _built:
+        p = find_irreducible(q, k)
+        _built[q, k] = ExtField(PrimeField(q), p), TupleExtField(q, p)
+    return _built[q, k]
+
+
+def element_values(ext, nonzero=False):
+    return st.integers(1 if nonzero else 0, ext.order - 1)
+
+
+@pytest.mark.parametrize("q,k", FIELDS)
+def test_kernel_choice(q, k):
+    ext, _ = fields(q, k)
+    assert (ext._log is not None) == ((q, k) in TABLE_FIELDS)
+    assert ((q, k) in TABLE_FIELDS) == (q ** k <= TABLE_LIMIT)
+
+
+@pytest.mark.parametrize("q,k", FIELDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_ring_operations(q, k, data):
+    ext, ref = fields(q, k)
+    a = data.draw(element_values(ext))
+    b = data.draw(element_values(ext))
+    da, db = ext.digits(a), ext.digits(b)
+    assert da == ref.element(da) and ext.element(da) == a
+    assert ext.digits(ext.add(a, b)) == ref.add(da, db)
+    assert ext.digits(ext.sub(a, b)) == ref.sub(da, db)
+    assert ext.digits(ext.neg(a)) == ref.neg(da)
+    assert ext.digits(ext.mul(a, b)) == ref.mul(da, db)
+    e = data.draw(st.integers(-3, 3 * q))
+    if a or e >= 0:
+        assert ext.digits(ext.pow(a, e)) == ref.pow(da, e)
+
+
+@pytest.mark.parametrize("q,k", FIELDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_inverse(q, k, data):
+    ext, ref = fields(q, k)
+    a = data.draw(element_values(ext, nonzero=True))
+    inv = ext.inv(a)
+    assert ext.digits(inv) == ref.inv(ext.digits(a))
+    assert ext.mul(a, inv) == ext.one
+
+
+@pytest.mark.parametrize("q,k", FIELDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_frobenius_and_trace(q, k, data):
+    ext, ref = fields(q, k)
+    a = data.draw(element_values(ext))
+    j = data.draw(st.integers(0, 2 * k))
+    assert ext.digits(ext.frobenius(a, j)) == ref.frobenius(ext.digits(a), j)
+    assert ext.trace(a) == ref.trace(ext.digits(a))
+
+
+@pytest.mark.parametrize("q,k", FIELDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_text_round_trip(q, k, data):
+    ext, ref = fields(q, k)
+    a = data.draw(element_values(ext))
+    text = ext.to_str(a)
+    assert text == ref.to_str(ext.digits(a))
+    assert ext.from_str(text) == a
+
+
+@pytest.mark.parametrize("q,k", TABLE_FIELDS)
+def test_element_order(q, k):
+    ext, ref = fields(q, k)
+    assert [ext.digits(a) for a in ext.elements()] == list(ref.elements())
+
+
+@pytest.mark.parametrize("q,k", FIELDS)
+def test_counts_match_the_cost_model(q, k):
+    # one ext op per mul/inv whatever the kernel; Frobenius is charged
+    # as k*k base multiplications
+    ext, _ = fields(q, k)
+    a = ext.gen()
+    with OpCount() as c:
+        ext.mul(a, a)
+        ext.inv(a)
+        ext.frobenius(a, 1)
+        ext.add(a, a)
+    assert (c.ext_mul, c.ext_inv, c.base_mul, c.base_inv) == (1, 1, k * k, 0)
+
+
+@pytest.mark.parametrize("q,k", [(2, 3), (3, 2), (2, 24), (3, 13)])
+@pytest.mark.parametrize("bad", ["q", "-1", "x", "1.0"])
+def test_from_str_rejects_bad_digits(q, k, bad):
+    ext, _ = fields(q, k)
+    digit = str(q) if bad == "q" else bad
+    with pytest.raises(ValueError):
+        ext.from_str(" ".join(["0"] * (k - 1) + [digit]))
+    with pytest.raises(ValueError):
+        ext.base.from_str(digit)
