@@ -25,8 +25,7 @@ import sys
 from .channel import simulate, trial_rng, random_codeword, corrupt, ChannelSpec
 from .decoder import ReceivedSpace, decode
 from .gf import OpCount, is_prime
-from .linalg import Matrix
-from .spread import SpreadCode, Subspace, format_subspace, parse_header
+from .spread import SpreadCode, format_subspace, parse_subspace
 
 
 class UsageError(Exception):
@@ -66,10 +65,10 @@ def _make_code(args, k=None) -> SpreadCode:
     return SpreadCode(q, k, args.r, tuple(args.p) if args.p else None)
 
 
-def _read_lines(path: str) -> list[str]:
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read().splitlines()
+            return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
@@ -96,46 +95,6 @@ def _parse_point(lines: list[str], code: SpreadCode) -> list[tuple]:
     return point
 
 
-def _parse_subspace(lines: list[str], code: SpreadCode) -> Subspace:
-    idx = [(i + 1, ln) for i, ln in enumerate(lines) if ln.strip()]
-    if not idx:
-        raise InputError("line 1: empty subspace file")
-    lineno, header = idx[0]
-    try:
-        fields = parse_header(header)
-    except ValueError as exc:
-        raise InputError(f"line {lineno}: {exc}") from exc
-    if fields != code.header_fields():
-        raise InputError(f"line {lineno}: file header {header!r} does not "
-                         f"match the requested code {code.header()!r}")
-    if len(idx) < 2:
-        raise InputError(f"line {lineno}: missing matrix size line")
-    lineno, size = idx[1]
-    try:
-        nrows, ncols = map(int, size.split())
-    except ValueError as exc:
-        raise InputError(f"line {lineno}: bad size line {size!r}") from exc
-    if ncols != code.n:
-        raise InputError(f"line {lineno}: expected {code.n} columns")
-    if len(idx) != 2 + nrows:
-        raise InputError(f"line {lineno}: expected {nrows} basis rows, "
-                         f"found {len(idx) - 2}")
-    rows = []
-    for lineno, ln in idx[2:]:
-        digits = ln.split()
-        if len(digits) != ncols:
-            raise InputError(f"line {lineno}: expected {ncols} entries, "
-                             f"found {len(digits)}")
-        try:
-            rows.append([code.base.from_str(d) for d in digits])
-        except ValueError as exc:
-            raise InputError(f"line {lineno}: {exc}") from exc
-    sub = Subspace.from_generators(Matrix(code.base, rows))
-    if sub.dim < 1:
-        raise InputError(f"line {lineno}: basis spans only the zero space")
-    return sub
-
-
 def _cmd_params(args) -> int:
     code = _make_code(args)
     print(code.header())
@@ -145,7 +104,7 @@ def _cmd_params(args) -> int:
 
 def _cmd_encode(args) -> int:
     code = _make_code(args)
-    point = _parse_point(_read_lines(args.infile), code)
+    point = _parse_point(_read_text(args.infile).splitlines(), code)
     cw = code.encode(point)
     _write(args.outfile, format_subspace(code, cw.subspace))
     return 0
@@ -153,7 +112,7 @@ def _cmd_encode(args) -> int:
 
 def _cmd_decode(args) -> int:
     code = _make_code(args)
-    sub = _parse_subspace(_read_lines(args.infile), code)
+    _, sub = parse_subspace(_read_text(args.infile), code)
     result = decode(ReceivedSpace(sub, code.k), code)
     if not result.ok:
         print(f"decoding failed: {result.reason}", file=sys.stderr)

@@ -20,8 +20,10 @@ pairwise instances on two blocks (:func:`decode`), each solved by
   structure is the identity and :func:`decode_pair_nonsingular` reads a
   single candidate straight from one minor ratio.
 
-Every decoded answer is re-verified against the subspace distance, so
-out-of-contract inputs surface as failures rather than miscorrections.
+Each pair is solved from its canonical RREF and the block ranks
+:func:`decode` already holds, and every answer is encoded and
+re-verified against the subspace distance once, so out-of-contract
+inputs surface as failures rather than miscorrections.
 All functions are pure; concurrent calls are safe and their operation
 counts (see :class:`spreadcodes.gf.OpCount`) tally independently.
 """
@@ -169,11 +171,10 @@ def pair_support(R1: Matrix, R2: Matrix, code: SpreadCode) -> PairSupport | None
     k = code.k
     ext = code.ext
     S = code.diagonalizer
-    r1 = rank(R1)
-    W = hstack(R1.lift(ext) @ S, R2.lift(ext) @ S)
-    res = rref(W)
+    res = rref(hstack(R1.lift(ext) @ S, R2.lift(ext) @ S))
     piv1 = [c for c in res.pivot_cols if c <= k]
     piv2 = [c - k for c in res.pivot_cols if c > k]
+    r1 = len(piv1)  # rank(R1), as S is invertible
     if piv1 != list(range(1, r1 + 1)):
         raise AssertionError("pivots escaped the leading columns")
     coeff = res.matrix.columns_slice(0, k)
@@ -198,53 +199,47 @@ def pair_support(R1: Matrix, R2: Matrix, code: SpreadCode) -> PairSupport | None
     return PairSupport(pencil, rows, cols, tuple(avail[:n_free]))
 
 
-def _checked(code: SpreadCode, received: Subspace, cw: Codeword) -> DecodeResult:
+def _checked(code: SpreadCode, received: Subspace, found) -> DecodeResult:
+    """Encode a found point and accept it only within distance k - 1 of
+    the received space.  A string is a failure reason, passed on."""
+    if isinstance(found, str):
+        return _fail(found)
+    cw = code.encode(found)
     if subspace_distance(received, cw.subspace) >= code.k:
         return _fail(REASON_NO_CODEWORD)
     return DecodeResult(cw)
 
 
-def _membership_point(code: SpreadCode, R1: Matrix, R2: Matrix,
-                      r1: int, r2: int):
-    """Step-1 acceptance: the input itself is a codeword.  Detected over
-    F_q through commutation with the companion matrix."""
-    if r1 == code.k:
-        A = inverse(R1) @ R2
-        if code.commutes_with_companion(A):
-            return (code.ext.one, code.element_of(A))
-    elif r1 == 0 and r2 == code.k:
-        return (code.ext.zero, code.ext.one)
+def _membership_point(code: SpreadCode, A: Matrix):
+    """Step-1 acceptance: the input itself is a codeword, detected over
+    F_q through commutation of A = R1^(-1) R2 with the companion matrix."""
+    if code.commutes_with_companion(A):
+        return (code.ext.one, code.element_of(A))
     return None
 
 
-def _decode_pair_ordered(R1: Matrix, R2: Matrix, code: SpreadCode,
-                         received: Subspace, use_fast: bool) -> DecodeResult:
-    """Pairwise decoding with rank(R1) >= rank(R2) already arranged."""
+def _ordered_point(R1: Matrix, R2: Matrix, r1: int, r2: int,
+                   code: SpreadCode, use_fast: bool):
+    """The pairwise step with rank(R1) = r1 >= rank(R2) = r2: the
+    codeword point, or the failure reason."""
     ktil = R1.nrows
-    k = code.k
     ext = code.ext
-    r1, r2 = rank(R1), rank(R2)
-
-    if ktil == k:
-        point = _membership_point(code, R1, R2, r1, r2)
+    A = None  # R1^(-1) R2, set exactly when R1 is square and invertible
+    if ktil == code.k and r1 == code.k:
+        A = inverse(R1) @ R2
+        point = _membership_point(code, A)
         if point is not None:
-            return _checked(code, received, code.encode(point))
-
-    small1 = 2 * r1 <= ktil - 1
-    small2 = 2 * r2 <= ktil - 1
-    if small1 and small2:
-        return _fail(REASON_NO_CODEWORD)
-    if small1:
-        return _checked(code, received, code.encode((ext.zero, ext.one)))
-    if small2:
-        return _checked(code, received, code.encode((ext.one, ext.zero)))
-
-    if use_fast and ktil == k and r1 == k:
-        return _nonsingular_core(R1, R2, code, received)
+            return point
+    if 2 * r1 <= ktil - 1:
+        return REASON_NO_CODEWORD
+    if 2 * r2 <= ktil - 1:
+        return (ext.one, ext.zero)
+    if use_fast and A is not None:
+        return _nonsingular_core(A, code)
 
     support = pair_support(R1, R2, code)
     if support is None:
-        return _fail(REASON_NO_CODEWORD)
+        return REASON_NO_CODEWORD
     passing = []
     for _, mu in candidate_roots(support.pencil, support.rows,
                                  support.cols, support.free):
@@ -253,20 +248,20 @@ def _decode_pair_ordered(R1: Matrix, R2: Matrix, code: SpreadCode,
         if 2 * rank(support.pencil.at(mu)) <= ktil - 1:
             passing.append(mu)
     if not passing:
-        return _fail(REASON_NO_CODEWORD)
+        return REASON_NO_CODEWORD
     if len(passing) > 1:
-        return _fail(REASON_AMBIGUOUS)
-    return _checked(code, received,
-                    code.encode((ext.one, passing[0])))
+        return REASON_AMBIGUOUS
+    return (ext.one, passing[0])
 
 
-def _nonsingular_core(R1: Matrix, R2: Matrix, code: SpreadCode,
-                      received: Subspace) -> DecodeResult:
+def _nonsingular_core(A: Matrix, code: SpreadCode):
+    """Closed-form candidate for A = R1^(-1) R2 with R1 invertible: the
+    codeword point, or the failure reason."""
     k = code.k
     ext = code.ext
-    D = code.conjugate(inverse(R1) @ R2)
+    D = code.conjugate(A)
     if D.is_diagonal():
-        return _checked(code, received, code.encode((ext.one, D[0, 0])))
+        return (ext.one, D[0, 0])
     R0 = -D
     c = (k - 1) // 2
     corner = R0.submatrix(range(c), range(k - c, k))
@@ -275,20 +270,28 @@ def _nonsingular_core(R1: Matrix, R2: Matrix, code: SpreadCode,
     cols = tuple(range(k - s + 1, k + 1))
     den = minor(R0, rows, cols)
     if den == ext.zero:
-        return _fail(REASON_NO_CODEWORD)
+        return REASON_NO_CODEWORD
     num = minor(R0, (1,) + rows, (1,) + cols)
     mu = ext.neg(ext.mul(num, ext.inv(den)))
     if 2 * rank(code.frobenius_diag(mu) - D) <= k - 1:
-        return _checked(code, received, code.encode((ext.one, mu)))
-    return _fail(REASON_NO_CODEWORD)
+        return (ext.one, mu)
+    return REASON_NO_CODEWORD
 
 
-def _swap_point(code: SpreadCode, result: DecodeResult,
-                received: Subspace) -> DecodeResult:
-    if not result.ok:
-        return result
-    a, b = result.codeword.point
-    return _checked(code, received, code.encode((b, a)))
+def _decode_pair(pair: Subspace, r1: int, r2: int, code: SpreadCode,
+                 use_fast: bool) -> DecodeResult:
+    """Decode a canonical two-block pair with known block ranks r1, r2
+    over the pairwise ``code``, putting the blocks in rank order."""
+    k = code.k
+    R1 = pair.basis.columns_slice(0, k)
+    R2 = pair.basis.columns_slice(k, 2 * k)
+    if r1 >= r2:
+        found = _ordered_point(R1, R2, r1, r2, code, use_fast)
+    else:
+        found = _ordered_point(R2, R1, r2, r1, code, use_fast)
+        if not isinstance(found, str):
+            found = found[::-1]
+    return _checked(code, pair, found)
 
 
 def decode_pair(R1: Matrix, R2: Matrix, code: SpreadCode,
@@ -301,18 +304,13 @@ def decode_pair(R1: Matrix, R2: Matrix, code: SpreadCode,
     two are equivalent and tested as such.
     """
     code = code.pairwise()
-    stacked = hstack(R1, R2)
     ktil = R1.nrows
-    if ktil < 1 or rank(stacked) != ktil:
+    pair = Subspace.from_generators(hstack(R1, R2))
+    if ktil < 1 or pair.dim != ktil:
         raise ValueError("pair blocks must stack to a full-row-rank basis")
     if ktil > code.k:
         return _fail(REASON_DIMENSION)
-    received = Subspace.from_generators(stacked)
-    if rank(R1) >= rank(R2):
-        return _decode_pair_ordered(R1, R2, code, received, use_fast)
-    swapped = Subspace.from_generators(hstack(R2, R1))
-    result = _decode_pair_ordered(R2, R1, code, swapped, use_fast)
-    return _swap_point(code, result, received)
+    return _decode_pair(pair, rank(R1), rank(R2), code, use_fast)
 
 
 def decode_pair_nonsingular(R1: Matrix, R2: Matrix,
@@ -329,12 +327,11 @@ def decode_pair_nonsingular(R1: Matrix, R2: Matrix,
         raise ValueError("first block must be square and invertible")
     if 2 * rank(R2) <= k - 1:
         raise ValueError("second block rank too small for this path")
-    received = Subspace.from_generators(hstack(R1, R2))
-    r2 = rank(R2)
-    point = _membership_point(code, R1, R2, k, r2)
-    if point is not None:
-        return _checked(code, received, code.encode(point))
-    return _nonsingular_core(R1, R2, code, received)
+    A = inverse(R1) @ R2
+    found = _membership_point(code, A)
+    if found is None:
+        found = _nonsingular_core(A, code)
+    return _checked(code, Subspace.from_generators(hstack(R1, R2)), found)
 
 
 def decode(received: ReceivedSpace, code: SpreadCode) -> DecodeResult:
@@ -359,19 +356,21 @@ def decode(received: ReceivedSpace, code: SpreadCode) -> DecodeResult:
         return _fail(REASON_NO_CODEWORD)
     j = high[0]
     ext = code.ext
+    pair_code = code.pairwise()
     point = [ext.zero] * r
     point[j] = ext.one
-    for i in range(j + 1, r):
-        if 2 * ranks[i] <= ktil - 1:
-            continue
+    for i in high[1:]:
+        # A column slice of any basis of the pair space has the rank of
+        # the same slice of the received basis, so the ranks carry over.
         pair = Subspace.from_generators(hstack(blocks[j], blocks[i]))
-        p1 = pair.basis.columns_slice(0, k)
-        p2 = pair.basis.columns_slice(k, 2 * k)
-        res = decode_pair(p1, p2, code)
+        res = _decode_pair(pair, ranks[j], ranks[i], pair_code, True)
         if not res.ok:
             return _fail(res.reason)
         lead, tail = map(ext.element, res.codeword.point)
         if lead != ext.one:
             return _fail(REASON_NO_CODEWORD)
+        if r == 2:
+            # The pair spans the received space, so its check is final.
+            return res
         point[i] = tail
-    return _checked(code, received.subspace, code.encode(point))
+    return _checked(code, received.subspace, point)

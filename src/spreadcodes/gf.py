@@ -29,6 +29,7 @@ decoding costs can be profiled in field operations rather than wall time.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 from array import array
@@ -245,9 +246,13 @@ def _poly_sub(f, g, q: int) -> list[int]:
     return _poly_trim(out)
 
 
+@functools.lru_cache(maxsize=1)
 def poly_is_irreducible(p: tuple[int, ...], q: int) -> bool:
     """Trial-divide a monic polynomial by every monic divisor of degree
-    at most deg(p)/2.  Exact, intended for small q and degree."""
+    at most deg(p)/2.  Exact, intended for small q and degree.  The last
+    answer is kept, so the ExtField built on the modulus that
+    :func:`find_irreducible` has just returned does not test it again,
+    while a later search still runs in full."""
     p = tuple(c % q for c in p)
     k = len(p) - 1
     if k < 1 or p[-1] != 1:

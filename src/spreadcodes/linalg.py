@@ -6,6 +6,9 @@ own embedding in the extension field.  Matrices are immutable
 and every operation returns a fresh matrix, so they can be shared
 freely between threads.
 
+One elimination loop, :func:`_eliminate`, serves :func:`rref`,
+:func:`det`, :func:`inverse` and :func:`rank` (bit-packed over F_2).
+
 Row and column tuples for minors are 1-based and order-sensitive: the
 minor of rows (2, 1) is the negative of the minor of rows (1, 2), and a
 repeated index makes the minor vanish.  The empty minor is 1.
@@ -179,42 +182,68 @@ def hstack(*mats: Matrix) -> Matrix:
 
 @dataclass(frozen=True)
 class RrefResult:
-    """Reduced row echelon form R with a recorded transform T, T @ M = R."""
+    """Reduced row echelon form of a matrix, with its rank and pivots."""
     matrix: Matrix
-    transform: Matrix
     rank: int
     pivot_cols: tuple[int, ...]  # 1-based, ascending
 
 
+def _clear(f, row: list, g, prow: list, col: int):
+    """row -= g * prow in place, where that zeroes row[col] and both rows
+    are zero left of col."""
+    row[col:] = [f.zero] + [f.sub(x, f.mul(g, y))
+                            for x, y in zip(row[col + 1:], prow[col + 1:])]
+
+
+def _eliminate(f, R: list, ncols: int, stop_at_gap: bool = False):
+    """Forward elimination of the row lists R, in place, to row echelon
+    form.  Returns one (column, pivot inverse or None if no row below
+    needed it) pair per pivot row and the number of row swaps;
+    ``stop_at_gap`` stops at the first column without a pivot."""
+    z, one = f.zero, f.one
+    pivots, swaps = [], 0
+    for col in range(ncols):
+        r = len(pivots)
+        if r == len(R):
+            break
+        p = next((i for i in range(r, len(R)) if R[i][col] != z), None)
+        if p is None:
+            if stop_at_gap:
+                break
+            continue
+        if p != r:
+            R[r], R[p] = R[p], R[r]
+            swaps += 1
+        piv = R[r][col]
+        inv = one if piv == one else None
+        for row in R[r + 1:]:
+            if row[col] != z:
+                if inv is None:
+                    inv = f.inv(piv)
+                g = row[col] if inv == one else f.mul(row[col], inv)
+                _clear(f, row, g, R[r], col)
+        pivots.append((col, inv))
+    return pivots, swaps
+
+
 def rref(M: Matrix) -> RrefResult:
     f = M.field
-    z = f.zero
     R = [list(row) for row in M.data]
-    T = [[f.one if i == j else z for j in range(M.nrows)]
-         for i in range(M.nrows)]
-    pivots = []
-    pr = 0
-    for col in range(M.ncols):
-        pivot_row = next((r for r in range(pr, M.nrows) if R[r][col] != z), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != pr:
-            R[pr], R[pivot_row] = R[pivot_row], R[pr]
-            T[pr], T[pivot_row] = T[pivot_row], T[pr]
-        if R[pr][col] != f.one:
-            inv = f.inv(R[pr][col])
-            R[pr] = [f.mul(inv, a) for a in R[pr]]
-            T[pr] = [f.mul(inv, a) for a in T[pr]]
-        for r in range(M.nrows):
-            if r != pr and R[r][col] != z:
-                g = R[r][col]
-                R[r] = [f.sub(a, f.mul(g, b)) for a, b in zip(R[r], R[pr])]
-                T[r] = [f.sub(a, f.mul(g, b)) for a, b in zip(T[r], T[pr])]
-        pivots.append(col + 1)
-        pr += 1
-        if pr == M.nrows:
-            break
-    return RrefResult(Matrix(f, R), Matrix(f, T), pr, tuple(pivots))
+    pivots, _ = _eliminate(f, R, M.ncols)
+    # Bottom up, so each pivot row is already clear in the later pivot
+    # columns when it is scaled and subtracted from the rows above.
+    for r in range(len(pivots) - 1, -1, -1):
+        col, inv = pivots[r]
+        prow = R[r]
+        if prow[col] != f.one:
+            if inv is None:
+                inv = f.inv(prow[col])
+            prow[col:] = [f.one] + [f.mul(inv, a) for a in prow[col + 1:]]
+        for row in R[:r]:
+            if row[col] != f.zero:
+                _clear(f, row, row[col], prow, col)
+    return RrefResult(Matrix(f, R), len(pivots),
+                      tuple(col + 1 for col, _ in pivots))
 
 
 def _rank_gf2(M: Matrix) -> int:
@@ -241,65 +270,32 @@ def rank(M: Matrix) -> int:
     f = M.field
     if isinstance(f, PrimeField) and f.q == 2:
         return _rank_gf2(M)
-    z = f.zero
-    R = [list(row) for row in M.data]
-    r = 0
-    for col in range(M.ncols):
-        pivot_row = next((i for i in range(r, M.nrows) if R[i][col] != z), None)
-        if pivot_row is None:
-            continue
-        R[r], R[pivot_row] = R[pivot_row], R[r]
-        inv = None
-        for i in range(r + 1, M.nrows):
-            if R[i][col] != z:
-                if inv is None:
-                    piv = R[r][col]
-                    inv = f.inv(piv) if piv != f.one else f.one
-                g = f.mul(R[i][col], inv)
-                R[i] = [f.sub(a, f.mul(g, b)) for a, b in zip(R[i], R[r])]
-        r += 1
-        if r == M.nrows:
-            break
-    return r
+    return len(_eliminate(f, [list(row) for row in M.data], M.ncols)[0])
 
 
 def det(M: Matrix):
     if M.nrows != M.ncols:
         raise ValueError("determinant needs a square matrix")
     f = M.field
-    z = f.zero
-    n = M.nrows
-    if n == 0:
-        return f.one
     R = [list(row) for row in M.data]
-    sign_flip = False
-    acc = f.one
-    for col in range(n):
-        pivot_row = next((i for i in range(col, n) if R[i][col] != z), None)
-        if pivot_row is None:
-            return z
-        if pivot_row != col:
-            R[col], R[pivot_row] = R[pivot_row], R[col]
-            sign_flip = not sign_flip
-        piv = R[col][col]
-        acc = f.mul(acc, piv)
-        inv = None
-        for i in range(col + 1, n):
-            if R[i][col] != z:
-                if inv is None:
-                    inv = f.inv(piv) if piv != f.one else f.one
-                g = f.mul(R[i][col], inv)
-                R[i] = [f.sub(a, f.mul(g, b)) for a, b in zip(R[i], R[col])]
-    return f.neg(acc) if sign_flip else acc
+    pivots, swaps = _eliminate(f, R, M.ncols, stop_at_gap=True)
+    if len(pivots) < M.nrows:
+        return f.zero
+    acc = R[0][0] if R else f.one
+    for i in range(1, len(R)):
+        acc = f.mul(acc, R[i][i])
+    return f.neg(acc) if swaps % 2 else acc
 
 
 def inverse(M: Matrix) -> Matrix:
+    """The right half of the RREF of (M | I)."""
     if M.nrows != M.ncols:
         raise ValueError("inverse needs a square matrix")
-    res = rref(M)
-    if res.rank != M.nrows:
+    n = M.nrows
+    res = rref(hstack(M, Matrix.identity(M.field, n)))
+    if n and res.pivot_cols[n - 1] != n:
         raise ZeroDivisionError("matrix is singular")
-    return res.transform
+    return res.matrix.columns_slice(n, 2 * n)
 
 
 def minor(M: Matrix, rows: tuple, cols: tuple):
@@ -399,25 +395,35 @@ def format_matrix(M: Matrix) -> str:
 
 
 def parse_matrix(field, text: str) -> Matrix:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1)
+             if ln.strip()]
     if not lines:
-        raise ValueError("empty matrix text")
+        raise ValueError("line 1: empty matrix text")
+    return parse_matrix_lines(field, lines)
+
+
+def parse_matrix_lines(field, lines) -> Matrix:
+    """Parse the text format from its non-blank lines, given as
+    (line number, text) pairs: the size line, then the rows.  Every
+    ValueError starts with "line N:" for the line at fault."""
+    size_no, size = lines[0]
     try:
-        nrows, ncols = map(int, lines[0].split())
+        nrows, ncols = map(int, size.split())
     except ValueError as exc:
-        raise ValueError(f"bad size line {lines[0]!r}") from exc
-    width = getattr(field, "k", 1)
+        raise ValueError(f"line {size_no}: bad size line {size!r}") from exc
     if len(lines) != nrows + 1:
-        raise ValueError(f"expected {nrows} rows, got {len(lines) - 1}")
+        raise ValueError(f"line {size_no}: expected {nrows} rows, "
+                         f"found {len(lines) - 1}")
+    width = getattr(field, "k", 1)
     rows = []
-    for ln in lines[1:]:
+    for lineno, ln in lines[1:]:
         digits = ln.split()
         if len(digits) != ncols * width:
-            raise ValueError(f"expected {ncols * width} digits per row, "
-                             f"got {len(digits)}")
-        row = []
-        for c in range(ncols):
-            chunk = " ".join(digits[c * width:(c + 1) * width])
-            row.append(field.from_str(chunk))
-        rows.append(row)
+            raise ValueError(f"line {lineno}: expected {ncols * width} "
+                             f"digits, found {len(digits)}")
+        try:
+            rows.append([field.from_str(" ".join(digits[c:c + width]))
+                         for c in range(0, len(digits), width)])
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from exc
     return Matrix(field, rows)

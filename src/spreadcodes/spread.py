@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .gf import ExtField, PrimeField, find_irreducible
-from .linalg import Matrix, hstack, inverse, rank, rref, vstack
+from .linalg import (Matrix, hstack, inverse, parse_matrix_lines, rank,
+                     rref, vstack)
 
 
 class Subspace:
@@ -344,13 +345,31 @@ def format_subspace(code: SpreadCode, sub: Subspace) -> str:
 
 
 def parse_subspace(text: str, code: SpreadCode | None = None):
-    from .linalg import parse_matrix
-    lines = text.splitlines()
+    """(code, subspace) of a subspace file; the header builds the code,
+    or must match ``code``.  Blank lines are skipped.  Every malformed
+    line, a width other than n, or a basis spanning only the zero space
+    raises a ValueError starting "line N:" for the line at fault."""
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1)
+             if ln.strip()]
     if not lines:
-        raise ValueError("empty subspace file")
-    if code is None:
-        code = SpreadCode.from_header(lines[0])
-    elif parse_header(lines[0]) != code.header_fields():
-        raise ValueError("file header does not match the requested code")
-    M = parse_matrix(code.base, "\n".join(lines[1:]))
-    return code, Subspace.from_generators(M)
+        raise ValueError("line 1: empty subspace file")
+    head_no, header = lines[0]
+    try:
+        if code is None:
+            code = SpreadCode.from_header(header)
+        elif parse_header(header) != code.header_fields():
+            raise ValueError(f"file header {header!r} does not match the "
+                             f"requested code {code.header()!r}")
+    except ValueError as exc:
+        raise ValueError(f"line {head_no}: {exc}") from exc
+    if len(lines) < 2:
+        raise ValueError(f"line {head_no}: missing matrix size line")
+    size_no = lines[1][0]
+    M = parse_matrix_lines(code.base, lines[1:])
+    sub = Subspace.from_generators(M)
+    if sub.dim < 1:
+        raise ValueError(f"line {size_no}: basis spans only the zero space")
+    if M.ncols != code.n:
+        raise ValueError(f"line {size_no}: expected {code.n} columns, "
+                         f"found {M.ncols}")
+    return code, sub

@@ -1,11 +1,15 @@
+import collections
 import random
 
 import pytest
+
+import spreadcodes.decoder as decoder_module
 
 from spreadcodes.channel import ChannelSpec, corrupt, random_codeword, trial_rng
 from spreadcodes.decoder import (AffinePencil, ReceivedSpace,
                                  REASON_DIMENSION, candidate_roots, decode,
                                  decode_pair, decode_pair_nonsingular)
+from spreadcodes.gf import PrimeField
 from spreadcodes.linalg import Matrix, hstack, rank
 from spreadcodes.oracle import brute_force_decode, mu_characterization
 from spreadcodes.spread import SpreadCode, Subspace, subspace_distance
@@ -296,3 +300,75 @@ class TestMultiBlock:
                 assert not result.ok
                 found += 1
         assert found > 0
+
+
+class TestWorkDoneOnce:
+    """The pair path reuses what its caller holds: one rank per input
+    block, one canonical RREF per pair, one encode and one distance
+    check per answer, also when the blocks are swapped."""
+
+    @staticmethod
+    def tally(monkeypatch):
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        real_rank = decoder_module.rank
+
+        def rank_of_blocks(M):
+            if isinstance(M.field, PrimeField):
+                calls["base rank"] += 1
+            return real_rank(M)
+
+        monkeypatch.setattr(decoder_module, "rank", rank_of_blocks)
+        monkeypatch.setattr(decoder_module, "subspace_distance", counted(
+            "distance", decoder_module.subspace_distance))
+        monkeypatch.setattr(SpreadCode, "encode",
+                            counted("encode", SpreadCode.encode))
+        monkeypatch.setattr(Subspace, "from_generators", classmethod(
+            counted("from_generators", Subspace.from_generators.__func__)))
+        return calls
+
+    @staticmethod
+    def swap_case():
+        """A decodable pair whose second block has the higher rank."""
+        code = SpreadCode(2, 5, 2)
+        rng = trial_rng(6)
+        cw = random_codeword(code, rng)
+        received = corrupt(cw, ChannelSpec(erasures=2, errors=2), code, rng)
+        low, high = received.blocks[1], received.blocks[0]
+        assert rank(low) < rank(high)
+        return code, cw, low, high
+
+    @pytest.mark.parametrize("use_fast", [True, False])
+    def test_decode_pair_swap(self, monkeypatch, use_fast):
+        code, cw, low, high = self.swap_case()
+        want = code.encode((cw.point[1], cw.point[0]))
+        calls = self.tally(monkeypatch)
+        result = decode_pair(low, high, code, use_fast=use_fast)
+        assert result.ok and result.codeword == want
+        # One RREF for the pair, one inside the encode.
+        assert calls == {"base rank": 2, "from_generators": 2,
+                         "encode": 1, "distance": 1}
+
+    def test_decode_two_blocks(self, monkeypatch):
+        code, cw, low, high = self.swap_case()
+        received = ReceivedSpace(Subspace.from_generators(hstack(high, low)),
+                                 code.k)
+        calls = self.tally(monkeypatch)
+        result = decode(received, code)
+        assert result.ok and result.codeword == cw
+        assert calls == {"base rank": 2, "from_generators": 2,
+                         "encode": 1, "distance": 1}
+
+    def test_decode_pair_nonsingular(self, monkeypatch):
+        code, cw, low, high = self.swap_case()
+        calls = self.tally(monkeypatch)
+        result = decode_pair_nonsingular(high, low, code)
+        assert result.ok and result.codeword == cw
+        assert calls == {"base rank": 2, "from_generators": 2,
+                         "encode": 1, "distance": 1}

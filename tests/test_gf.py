@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from spreadcodes import gf
 from spreadcodes.gf import (ExtField, OpCount, PrimeField, find_irreducible,
                             is_prime, poly_is_irreducible)
 
@@ -73,6 +74,29 @@ class TestFindIrreducible:
             find_irreducible(4, 2)
         with pytest.raises(ValueError):
             find_irreducible(2, 1)
+
+    def test_found_modulus_is_tested_once(self, monkeypatch):
+        divisions = []
+        real = gf._poly_divmod
+
+        def counting(*args):
+            divisions.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(gf, "_poly_divmod", counting)
+        p = find_irreducible(2, 8)
+        assert divisions
+        divisions.clear()
+        ExtField(PrimeField(2), p)
+        assert not divisions
+        # A modulus given by the caller is still tested, and a repeated
+        # search runs in full.
+        ExtField(PrimeField(2), (1, 0, 1, 1, 1, 0, 0, 0, 1))
+        assert divisions
+        divisions.clear()
+        assert find_irreducible(2, 8) == p and divisions
+        with pytest.raises(ValueError):
+            ExtField(PrimeField(2), (1, 0, 0, 0, 0, 0, 0, 0, 1))
 
 
 class TestPrimeField:

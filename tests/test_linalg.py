@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -10,24 +11,61 @@ from spreadcodes.linalg import (Matrix, det, disjoint_pivot_tuples,
 
 from props import (matched_extension_trials, minor_expansion_trials,
                    factor_relation_trials, pivot_postcondition_trials,
-                   random_matrix)
+                   random_element, random_matrix)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
+F9 = ExtField(F3, find_irreducible(3, 2))  # exp/log table kernel
+KERNEL_FIELDS = [F2, F3, F5, F9]
+
+
+def sparse_matrix(rnd, field, nrows, ncols):
+    """Random matrix with about half its entries zero, so that rank
+    deficient and singular cases come up often."""
+    return Matrix(field, [[random_element(rnd, field) if rnd.random() < 0.5
+                           else field.zero for _ in range(ncols)]
+                          for _ in range(nrows)])
+
+
+def leibniz_det(M):
+    """Determinant as the signed sum over all permutations."""
+    f = M.field
+    n = M.nrows
+    acc = f.zero
+    for perm in itertools.permutations(range(n)):
+        term = f.one
+        for i, j in enumerate(perm):
+            term = f.mul(term, M[i, j])
+        inversions = sum(perm[a] > perm[b]
+                         for a in range(n) for b in range(a + 1, n))
+        acc = f.sub(acc, term) if inversions % 2 else f.add(acc, term)
+    return acc
+
+
+def assert_reduced(res, field):
+    """Pivot entries are 1, alone in their columns, with zeros to their
+    left; rows past the rank are zero."""
+    R = res.matrix
+    for i, c in enumerate(res.pivot_cols):
+        assert R[i, c - 1] == field.one
+        assert all(R[i, j] == field.zero for j in range(c - 1))
+        assert all(R[h, c - 1] == field.zero
+                   for h in range(R.nrows) if h != i)
+    assert all(a == field.zero for row in R.data[res.rank:] for a in row)
 
 
 class TestRref:
     def test_identity(self):
         I = Matrix.identity(F3, 3)
         res = rref(I)
-        assert res.matrix == I and res.transform == I
+        assert res.matrix == I
         assert res.rank == 3 and res.pivot_cols == (1, 2, 3)
 
     def test_zero(self):
         Z = Matrix.zeros(F3, 2, 3)
         res = rref(Z)
-        assert res.matrix == Z and res.transform == Matrix.identity(F3, 2)
+        assert res.matrix == Z
         assert res.rank == 0 and res.pivot_cols == ()
 
     def test_hand_elimination_over_f2(self):
@@ -36,18 +74,44 @@ class TestRref:
         assert res.rank == 1 and res.pivot_cols == (1,)
         assert res.matrix.data == ((1, 1), (0, 0))
 
-    @pytest.mark.parametrize("field", [F2, F3, F5])
-    def test_transform_and_idempotence(self, field):
+    @pytest.mark.parametrize("field", KERNEL_FIELDS)
+    def test_row_space_and_idempotence(self, field):
         rnd = random.Random(field.q)
         for _ in range(50):
-            M = random_matrix(rnd, field, rnd.randrange(1, 5),
+            M = sparse_matrix(rnd, field, rnd.randrange(1, 5),
                               rnd.randrange(1, 6))
             res = rref(M)
-            assert res.transform @ M == res.matrix
-            assert rank(res.transform) == M.nrows
-            again = rref(res.matrix)
-            assert again.matrix == res.matrix
-            assert rank(M) == res.rank
+            assert_reduced(res, field)
+            assert rank(vstack(M, res.matrix)) == rank(M) == res.rank
+            assert rref(res.matrix).matrix == res.matrix
+
+
+class TestKernel:
+    """det and inverse against definitions that share no code with the
+    elimination kernel."""
+
+    @pytest.mark.parametrize("field", KERNEL_FIELDS)
+    def test_det_matches_leibniz(self, field):
+        rnd = random.Random(17 * field.q + getattr(field, "k", 1))
+        for n in range(5):
+            for _ in range(25):
+                M = sparse_matrix(rnd, field, n, n)
+                assert det(M) == leibniz_det(M)
+
+    @pytest.mark.parametrize("field", KERNEL_FIELDS)
+    def test_inverse_exactly_when_det_nonzero(self, field):
+        rnd = random.Random(29 * field.q + getattr(field, "k", 1))
+        singular = 0
+        for n in range(1, 5):
+            for _ in range(25):
+                M = sparse_matrix(rnd, field, n, n)
+                if det(M) == field.zero:
+                    singular += 1
+                    with pytest.raises(ZeroDivisionError):
+                        inverse(M)
+                    continue
+                assert inverse(M) @ M == Matrix.identity(field, n)
+        assert 0 < singular < 100
 
 
 class TestMinor:

@@ -280,6 +280,29 @@ class TestHeadersAndFiles:
         with pytest.raises(ValueError):
             parse_subspace(text, SpreadCode(2, 2, 2))
 
+    def test_blank_lines_are_skipped(self, code32):
+        cw = code32.encode((code32.ext.one, code32.alpha))
+        text = format_subspace(code32, cw.subspace)
+        spaced = "\n" + text.replace("\n", "\n\n")
+        assert parse_subspace(spaced, code32)[1] == cw.subspace
+        assert parse_subspace(spaced)[0].header() == code32.header()
+
+    @pytest.mark.parametrize("text,line", [
+        ("", 1),
+        ("\n2 3 x 1 1 0\n1 6\n1 0 0 0 0 0\n", 2),           # header digits
+        ("2 2 2 1 1\n1 4\n1 0 0 0\n", 1),                   # other code
+        ("2 3 2 1 1 0\n", 1),                               # no size line
+        ("2 3 2 1 1 0\n1 6 1\n1 0 0 0 0 0\n", 2),           # size line
+        ("2 3 2 1 1 0\n2 6\n1 0 0 0 0 0\n", 2),             # row count
+        ("2 3 2 1 1 0\n\n1 4\n1 0 0 0\n", 3),               # code length
+        ("2 3 2 1 1 0\n1 6\n1 0 0 0 0\n", 3),               # row width
+        ("2 3 2 1 1 0\n1 6\n\n1 0 0 0 0 2\n", 4),           # digit range
+        ("2 3 2 1 1 0\n2 6\n0 0 0 0 0 0\n0 0 0 0 0 0\n", 2),  # zero
+    ])
+    def test_malformed_file_names_its_line(self, code32, text, line):
+        with pytest.raises(ValueError, match=rf"^line {line}:"):
+            parse_subspace(text, code32)
+
     def test_construction_validation(self):
         with pytest.raises(ValueError):
             SpreadCode(2, 2, 1)
