@@ -354,6 +354,9 @@ def decode(received: ReceivedSpace, code: SpreadCode) -> DecodeResult:
     high = [i for i, t in enumerate(ranks) if 2 * t > ktil - 1]
     if not high:
         return _fail(REASON_NO_CODEWORD)
+    if r == 2 and len(high) == 2:
+        # The pair is the received space itself, so its check is final.
+        return _decode_pair(received.subspace, *ranks, code, True)
     j = high[0]
     ext = code.ext
     pair_code = code.pairwise()
@@ -369,8 +372,5 @@ def decode(received: ReceivedSpace, code: SpreadCode) -> DecodeResult:
         lead, tail = map(ext.element, res.codeword.point)
         if lead != ext.one:
             return _fail(REASON_NO_CODEWORD)
-        if r == 2:
-            # The pair spans the received space, so its check is final.
-            return res
         point[i] = tail
     return _checked(code, received.subspace, point)

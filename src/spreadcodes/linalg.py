@@ -8,6 +8,12 @@ freely between threads.
 
 One elimination loop, :func:`_eliminate`, serves :func:`rref`,
 :func:`det`, :func:`inverse` and :func:`rank` (bit-packed over F_2).
+Its row updates, the back pass of :func:`rref` and every product
+``A @ B`` (each output row a sum of rows of B scaled by the entries of
+A) run through the field's row kernel ``axpy``.  The kernel charges
+nothing for a product by 0 or +-1, so a product with a base-field
+matrix of 0/+-1 entries, such as a lifted F_2 or F_3 matrix, costs no
+multiplication at all.
 
 Row and column tuples for minors are 1-based and order-sensitive: the
 minor of rows (2, 1) is the negative of the minor of rows (1, 2), and a
@@ -28,13 +34,10 @@ class Matrix:
     __slots__ = ("field", "nrows", "ncols", "data")
 
     def __init__(self, field, rows):
-        data = tuple(tuple(row) for row in rows)
-        if data:
-            width = len(data[0])
-            if any(len(r) != width for r in data):
-                raise ValueError("ragged rows")
-        else:
-            width = 0
+        data = tuple(map(tuple, rows))
+        width = len(data[0]) if data else 0
+        if len(set(map(len, data))) > 1:
+            raise ValueError("ragged rows")
         self.field = field
         self.nrows = len(data)
         self.ncols = width
@@ -74,23 +77,23 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols} over {self.field!r})"
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """Each output row is the sum of the rows of ``other`` scaled by
+        the nonzero entries of the matching row of ``self``, through the
+        field's row kernel ``axpy``: a coefficient of +-1 costs no
+        multiplication."""
         if self.field != other.field:
             raise ValueError("field mismatch")
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
         f = self.field
-        z = f.zero
-        bt = tuple(zip(*other.data)) if other.data else ()
+        zero = [f.zero] * other.ncols
         out = []
         for arow in self.data:
-            orow = []
-            for bcol in bt:
-                acc = z
-                for a, b in zip(arow, bcol):
-                    if a != z and b != z:
-                        acc = f.add(acc, f.mul(a, b))
-                orow.append(acc)
-            out.append(orow)
+            acc = zero
+            for a, brow in zip(arow, other.data):
+                if a:
+                    acc = f.axpy(acc, a, brow)
+            out.append(acc)
         return Matrix(f, out)
 
     def __add__(self, other: "Matrix") -> "Matrix":
@@ -191,8 +194,7 @@ class RrefResult:
 def _clear(f, row: list, g, prow: list, col: int):
     """row -= g * prow in place, where that zeroes row[col] and both rows
     are zero left of col."""
-    row[col:] = [f.zero] + [f.sub(x, f.mul(g, y))
-                            for x, y in zip(row[col + 1:], prow[col + 1:])]
+    row[col:] = [f.zero] + f.axpy(row[col + 1:], f.neg(g), prow[col + 1:])
 
 
 def _eliminate(f, R: list, ncols: int, stop_at_gap: bool = False):
@@ -238,7 +240,8 @@ def rref(M: Matrix) -> RrefResult:
         if prow[col] != f.one:
             if inv is None:
                 inv = f.inv(prow[col])
-            prow[col:] = [f.one] + [f.mul(inv, a) for a in prow[col + 1:]]
+            tail = prow[col + 1:]
+            prow[col:] = [f.one] + f.axpy([f.zero] * len(tail), inv, tail)
         for row in R[:r]:
             if row[col] != f.zero:
                 _clear(f, row, row[col], prow, col)
@@ -378,8 +381,7 @@ def disjoint_pivot_tuples(M: Matrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
         for i in range(j, k):  # rows strictly below the pivot row
             a = N[i][hit - 1]
             if a != z:
-                g = f.mul(a, pivot_inv)
-                N[i] = [f.sub(x, f.mul(g, y)) for x, y in zip(N[i], base)]
+                N[i] = f.axpy(N[i], f.neg(f.mul(a, pivot_inv)), base)
     return tuple(J), tuple(L)
 
 

@@ -133,9 +133,6 @@ class SpreadCode:
         self.modulus = full
         self.P = companion_matrix(self.base, full)
         self.alpha = self.ext.gen()
-        self._powers_of_P = [Matrix.identity(self.base, k)]
-        for _ in range(k - 1):
-            self._powers_of_P.append(self._powers_of_P[-1] @ self.P)
         self.diagonalizer, self.diagonalizer_inv = self._build_diagonalizer()
 
     def _build_diagonalizer(self):
@@ -148,7 +145,7 @@ class SpreadCode:
         S = Matrix(ext, list(zip(*cols)))
         S_inv = inverse(S)
         P_ext = self.P.lift(ext)
-        if (S_inv @ P_ext) @ S != self.frobenius_diag(self.alpha):
+        if S_inv @ (P_ext @ S) != self.frobenius_diag(self.alpha):
             raise ValueError("companion matrix failed to diagonalize; "
                              "the modulus is not irreducible")
         for i in range(k - 1):
@@ -162,7 +159,8 @@ class SpreadCode:
     def pairwise(self) -> "SpreadCode":
         """The two-block code with the same fields and companion matrix,
         used for pairwise decoding instances.  It shares this code's
-        fields, powers of P and diagonalizer instead of rebuilding them."""
+        fields, companion matrix and diagonalizer instead of rebuilding
+        them."""
         if self.r == 2:
             return self
         return self._pairwise_cache
@@ -199,19 +197,18 @@ class SpreadCode:
     def matrix_rep(self, a) -> Matrix:
         """The matrix in F_q[P] whose coefficient vector is a: the sum of
         a_i P^i.  A ring isomorphism from F_{q^k}; its first row equals
-        the coefficient vector, which :meth:`element_of` reads back."""
+        the coefficient vector, which :meth:`element_of` reads back.
+
+        Row i is the coefficient vector of a*x^i, so each row is the one
+        above times P: shifted one place right, plus its last entry
+        times the last row of P.  That costs O(k^2) base operations."""
         f = self.base
-        a = self.ext.digits(self.ext.element(a))
-        rows = [[f.zero] * self.k for _ in range(self.k)]
-        for i, ai in enumerate(a):
-            if ai:
-                Pi = self._powers_of_P[i]
-                for rr in range(self.k):
-                    prow = Pi.data[rr]
-                    row = rows[rr]
-                    for cc in range(self.k):
-                        if prow[cc] != f.zero:
-                            row[cc] = f.add(row[cc], f.mul(ai, prow[cc]))
+        row = list(self.ext.digits(self.ext.element(a)))
+        last = self.P.row(self.k - 1)
+        rows = [row]
+        for _ in range(self.k - 1):
+            row = f.axpy([f.zero] + row[:-1], row[-1], last)
+            rows.append(row)
         return Matrix(f, rows)
 
     def element_of(self, A: Matrix) -> int:
@@ -220,7 +217,10 @@ class SpreadCode:
         return self.ext.element(A.row(0))
 
     def commutes_with_companion(self, A: Matrix) -> bool:
-        return A @ self.P == self.P @ A
+        """Whether A P = P A.  The centralizer of P is F_q[P] itself, so
+        this holds exactly when A is the matrix_rep of its own first
+        row, an O(k^2) test with no matrix product."""
+        return A == self.matrix_rep(A.row(0))
 
     def frobenius_diag(self, mu) -> Matrix:
         """diag(mu, mu^q, ..., mu^(q^(k-1))) over the extension field."""
@@ -231,8 +231,10 @@ class SpreadCode:
         return Matrix.diagonal(ext, vals)
 
     def conjugate(self, M: Matrix) -> Matrix:
-        """Change a base-field k-by-k matrix to the eigenbasis of P."""
-        return (self.diagonalizer_inv @ M.lift(self.ext)) @ self.diagonalizer
+        """Change a base-field k-by-k matrix to the eigenbasis of P.  The
+        inner product M S has base-field coefficients, so for q = 2 and 3
+        it costs no extension-field multiplication."""
+        return self.diagonalizer_inv @ (M.lift(self.ext) @ self.diagonalizer)
 
     # -- encoding and enumeration -------------------------------------------
 
@@ -251,11 +253,11 @@ class SpreadCode:
 
     def encode(self, point) -> Codeword:
         """Codeword of a projective point: the row space of the block
-        matrix whose i-th block is matrix_rep(v_i), canonicalized.  The
-        coordinates may be field elements or digit sequences."""
+        matrix whose i-th block is matrix_rep(v_i).  The coordinates may
+        be field elements or digit sequences.  The normalized point makes
+        that matrix (0 ... 0 | I | M(v) ...), which is already in RREF."""
         coords = self.normalize_point(point)
-        blocks = [self.matrix_rep(v) for v in coords]
-        sub = Subspace.from_generators(hstack(*blocks))
+        sub = Subspace(hstack(*(self.matrix_rep(v) for v in coords)))
         return Codeword(tuple(self.ext.digits(v) for v in coords), sub)
 
     def codewords(self):

@@ -113,6 +113,18 @@ class TestKernel:
                 assert inverse(M) @ M == Matrix.identity(field, n)
         assert 0 < singular < 100
 
+    @pytest.mark.parametrize("field", KERNEL_FIELDS)
+    def test_matmul_matches_entry_sums(self, field):
+        rnd = random.Random(41 * field.q + getattr(field, "k", 1))
+        for _ in range(40):
+            n, m, p = (rnd.randrange(1, 5) for _ in range(3))
+            A = sparse_matrix(rnd, field, n, m)
+            B = sparse_matrix(rnd, field, m, p)
+            want = [[field.zero] * p for _ in range(n)]
+            for i, j, t in itertools.product(range(n), range(p), range(m)):
+                want[i][j] = field.add(want[i][j], field.mul(A[i, t], B[t, j]))
+            assert (A @ B).data == tuple(map(tuple, want))
+
 
 class TestMinor:
     def test_single_entry(self):

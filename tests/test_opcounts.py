@@ -4,9 +4,11 @@ OpCount figures are deterministic, so they can gate regressions where
 wall time cannot.  For a fixed seeded grid of codes and channel cells,
 inside the decoding radius k-1 and beyond it, this pins the per-cell
 decode counts (all four OpCount fields, summed over the trials) and the
-``SimRecord.line()`` output, as measured with the single elimination
-kernel in ``linalg`` and the pair decoder that reuses the block ranks
-and the pair RREF of ``decode``.  No count may rise.  Success and
+``SimRecord.line()`` output, as measured with the row kernel ``axpy``
+behind elimination (the back pass of ``rref`` included) and matrix
+products, which charges nothing for a product by 0 or +-1,
+``matrix_rep`` built row by row, and an ``encode`` that does not
+re-reduce its block matrix.  No count may rise.  Success and
 failure tallies must not change at all; they are the ones first pinned
 on the digit-tuple element implementation (commit 67d2df8).
 """
@@ -21,27 +23,27 @@ TRIALS = 6
 
 # (q, k, r) -> {(errors, erasures): (ext_mul, ext_inv, base_mul, base_inv)}
 PINNED_COUNTS = {
-    (2, 5, 2): {(0, 0): (0, 0, 306, 0), (2, 2): (1253, 41, 887, 0),
-                (1, 3): (1001, 43, 884, 0), (2, 3): (1300, 33, 0, 0),
-                (3, 3): (1588, 63, 763, 0)},
-    (3, 3, 2): {(0, 0): (0, 0, 260, 2), (1, 1): (330, 21, 423, 8),
-                (0, 2): (108, 12, 217, 3), (1, 2): (233, 15, 6, 1),
-                (2, 2): (353, 21, 343, 5)},
-    (2, 3, 3): {(0, 0): (0, 0, 352, 0), (1, 1): (547, 31, 601, 0),
-                (0, 2): (197, 20, 415, 0), (1, 2): (197, 13, 0, 0),
-                (2, 2): (424, 27, 401, 0)},
+    (2, 5, 2): {(0, 0): (0, 0, 0, 0), (2, 2): (829, 41, 550, 0),
+                (1, 3): (605, 43, 750, 0), (2, 3): (710, 33, 0, 0),
+                (3, 3): (961, 63, 725, 0)},
+    (3, 3, 2): {(0, 0): (0, 0, 3, 2), (1, 1): (175, 21, 127, 8),
+                (0, 2): (54, 12, 111, 3), (1, 2): (100, 15, 1, 1),
+                (2, 2): (169, 21, 104, 5)},
+    (2, 3, 3): {(0, 0): (0, 0, 0, 0), (1, 1): (289, 31, 207, 0),
+                (0, 2): (89, 20, 198, 0), (1, 2): (76, 13, 0, 0),
+                (2, 2): (230, 27, 189, 0)},
 }
 
 PINNED_LINES = {
-    (2, 5, 2): ["0 0 6 6 0 0.00 0", "1 3 6 6 0 174.00 192",
-                "2 2 6 6 0 215.67 293", "2 3 6 0 6 222.17 242",
-                "3 3 6 0 6 275.17 317"],
-    (3, 3, 2): ["0 0 6 6 0 0.00 0", "0 2 6 6 0 20.00 23",
-                "1 1 6 6 0 58.50 73", "1 2 6 0 6 41.33 49",
-                "2 2 6 0 6 62.33 70"],
-    (2, 3, 3): ["0 0 6 6 0 0.00 0", "0 2 6 6 0 36.17 46",
-                "1 1 6 6 0 96.33 116", "1 2 6 0 6 35.00 50",
-                "2 2 6 0 6 75.17 119"],
+    (2, 5, 2): ["0 0 6 6 0 0.00 0", "1 3 6 6 0 108.00 115",
+                "2 2 6 6 0 145.00 182", "2 3 6 0 6 123.83 141",
+                "3 3 6 0 6 170.67 182"],
+    (3, 3, 2): ["0 0 6 6 0 0.00 0", "0 2 6 6 0 11.00 11",
+                "1 1 6 6 0 32.67 39", "1 2 6 0 6 19.17 24",
+                "2 2 6 0 6 31.67 39"],
+    (2, 3, 3): ["0 0 6 6 0 0.00 0", "0 2 6 6 0 18.17 22",
+                "1 1 6 6 0 53.33 65", "1 2 6 0 6 14.83 24",
+                "2 2 6 0 6 42.83 65"],
 }
 
 

@@ -73,6 +73,21 @@ class TestMatrixRep:
         reps = {a: d for a, d in seen}
         assert len(reps) == len({d for _, d in seen})  # injective on sample
 
+    @pytest.mark.parametrize("q,k", [(2, 3), (2, 5), (3, 3), (5, 2)])
+    def test_commutes_with_companion_is_the_product_test(self, q, k):
+        code = SpreadCode(q, k, 2)
+        P = code.P
+        rnd = random.Random(7 * q + k)
+        members = 0
+        for _ in range(60):
+            A = code.matrix_rep(rnd.randrange(code.ext.order))
+            if rnd.random() < 0.5:
+                A = random_matrix(rnd, code.base, k, k)
+            want = A @ P == P @ A
+            assert code.commutes_with_companion(A) == want
+            members += want
+        assert 0 < members < 60
+
     def test_first_row_reads_back(self, code32):
         rnd = random.Random(1)
         for _ in range(50):
@@ -142,6 +157,19 @@ class TestEncode:
         cw = code32.encode(point)
         assert cw.point[0] == ext.digits(ext.one)
         assert cw == code32.encode((ext.one, code32.alpha))
+
+    @pytest.mark.parametrize("q,k,r", [(2, 3, 3), (3, 2, 3), (2, 3, 4),
+                                       (3, 2, 4)])
+    def test_block_matrix_is_already_rref(self, q, k, r):
+        code = SpreadCode(q, k, r)
+        rnd = random.Random(q + 10 * k + 100 * r)
+        for _ in range(30):
+            lead = rnd.randrange(r)
+            point = [0] * lead + [rnd.randrange(1, code.ext.order)] + [
+                rnd.randrange(code.ext.order) for _ in range(r - lead - 1)]
+            cw = code.encode(point)
+            blocks = [code.matrix_rep(code.ext.element(v)) for v in cw.point]
+            assert cw.subspace == Subspace.from_generators(hstack(*blocks))
 
     def test_rejects_zero_point(self, code22):
         with pytest.raises(ValueError):
