@@ -2,8 +2,8 @@
 
 Subcommands: ``params`` (code parameters), ``encode`` (projective point
 file to subspace file), ``decode`` (subspace file to codeword file),
-``simulate`` (seeded channel statistics), ``bench`` (operation-count
-table across block sizes).
+``simulate`` (seeded channel statistics), ``bench`` (the ``simulate``
+operation counts for one erasure, across block sizes).
 
 Exit codes: 0 success, 1 usage or input error, 2 decoding failure.
 
@@ -22,17 +22,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .channel import simulate, trial_rng, random_codeword, corrupt, ChannelSpec
+from .channel import simulate
 from .decoder import ReceivedSpace, decode
-from .gf import OpCount, is_prime
+from .gf import is_prime
 from .spread import SpreadCode, format_subspace, parse_subspace
 
 
 class UsageError(Exception):
-    pass
-
-
-class InputError(Exception):
     pass
 
 
@@ -66,11 +62,8 @@ def _make_code(args, k=None) -> SpreadCode:
 
 
 def _read_text(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _write(path: str | None, text: str):
@@ -84,14 +77,14 @@ def _write(path: str | None, text: str):
 def _parse_point(lines: list[str], code: SpreadCode) -> list[tuple]:
     rows = [(i + 1, ln) for i, ln in enumerate(lines) if ln.strip()]
     if len(rows) != code.r:
-        raise InputError(f"line {len(lines)}: expected {code.r} coordinate "
+        raise ValueError(f"line {len(lines)}: expected {code.r} coordinate "
                          f"lines, found {len(rows)}")
     point = []
     for lineno, ln in rows:
         try:
             point.append(code.ext.from_str(ln))
         except ValueError as exc:
-            raise InputError(f"line {lineno}: {exc}") from exc
+            raise ValueError(f"line {lineno}: {exc}") from exc
     return point
 
 
@@ -144,16 +137,8 @@ def _cmd_bench(args) -> int:
     print("k n mean_ops max_ops")
     for k in ks:
         code = _make_code(args, k=k)
-        spec = ChannelSpec(erasures=1, errors=0, seed=args.seed)
-        ops = []
-        for t in range(args.trials):
-            rng = trial_rng(args.seed, k, t)
-            cw = random_codeword(code, rng)
-            received = corrupt(cw, spec, code, rng)
-            with OpCount() as counter:
-                decode(received, code)
-            ops.append(counter.ext_total)
-        print(f"{k} {code.n} {sum(ops) / len(ops):.2f} {max(ops)}")
+        rec = simulate(code, args.trials, [(0, 1)], args.seed)[0]
+        print(f"{k} {code.n} {rec.mean_ops:.2f} {rec.max_ops}")
     return 0
 
 
@@ -202,9 +187,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,13 +1,11 @@
 """Minimum-distance decoding of spread codes.
 
 The received space is a subspace of F_q^(rk) of dimension at most k,
-kept as the blocks R_1 ... R_r of its RREF basis.  Decoding reduces to
-pairwise instances on two blocks (:func:`decode`), each solved by
-:func:`decode_pair`:
+kept as the blocks R_1 ... R_r of its RREF basis.  :func:`decode` pins
+blocks of rank at most (dim-1)/2 to zero; each other block i is found
+by one pair step against the first high-rank block j:
 
 * exact membership is accepted immediately,
-* a block of rank at most (dim-1)/2 pins the corresponding codeword
-  block to zero,
 * otherwise the pair is moved to the eigenbasis of the companion matrix,
   where the codeword parameter mu appears as the unknown of an affine
   matrix pencil R(x) whose columns carry successive Frobenius powers of
@@ -17,13 +15,17 @@ pairwise instances on two blocks (:func:`decode`), each solved by
   so each free index contributes one closed-form candidate root.  The
   candidate that drops the pencil rank below half the received dimension
   is the decoded parameter; with an invertible first block the pivot
-  structure is the identity and :func:`decode_pair_nonsingular` reads a
-  single candidate straight from one minor ratio.
+  structure is the identity and a single candidate comes straight from
+  one minor ratio.
 
-Each pair is solved from its canonical RREF and the block ranks
-:func:`decode` already holds, and every answer is encoded and
-re-verified against the subspace distance once, so out-of-contract
-inputs surface as failures rather than miscorrections.
+:func:`decode_pair` is :func:`decode` on a two-block space, and
+:func:`decode_pair_nonsingular` runs the same pair step once its
+preconditions hold.  Pair steps do not encode; the assembled point is
+encoded once and accepted only within distance k - 1 of the received
+space W, so out-of-contract inputs fail rather than miscorrect.  A
+projection onto blocks (j, i) is injective on a codeword C whose block
+j is the identity, so it does not increase d(W, C): per-pair checks
+would accept nothing the final check rejects.
 All functions are pure; concurrent calls are safe and their operation
 counts (see :class:`spreadcodes.gf.OpCount`) tally independently.
 """
@@ -103,14 +105,19 @@ class AffinePencil:
         return -self.offset
 
     def at(self, mu) -> Matrix:
+        """R(mu).  A coefficient 0 or +-1 costs no multiplication, as in
+        the row kernel ``axpy``."""
         ext = self.field
+        minus_one = ext.neg(ext.one)
         pows = [ext.element(mu)]
         for _ in range(self.coeff.ncols - 1):
             pows.append(ext.frobenius(pows[-1], 1))
         rows = []
         for arow, brow in zip(self.coeff.data, self.offset.data):
-            rows.append([ext.sub(ext.mul(a, pows[j]), b)
-                         for j, (a, b) in enumerate(zip(arow, brow))])
+            rows.append([ext.sub(p if a == ext.one
+                                 else ext.neg(p) if a == minus_one
+                                 else ext.mul(a, p) if a else a, b)
+                         for a, p, b in zip(arow, pows, brow)])
         return Matrix(ext, rows)
 
 
@@ -199,12 +206,10 @@ def pair_support(R1: Matrix, R2: Matrix, code: SpreadCode) -> PairSupport | None
     return PairSupport(pencil, rows, cols, tuple(avail[:n_free]))
 
 
-def _checked(code: SpreadCode, received: Subspace, found) -> DecodeResult:
-    """Encode a found point and accept it only within distance k - 1 of
-    the received space.  A string is a failure reason, passed on."""
-    if isinstance(found, str):
-        return _fail(found)
-    cw = code.encode(found)
+def _checked(code: SpreadCode, received: Subspace, point) -> DecodeResult:
+    """Encode an assembled point and accept it only within distance
+    k - 1 of the received space."""
+    cw = code.encode(point)
     if subspace_distance(received, cw.subspace) >= code.k:
         return _fail(REASON_NO_CODEWORD)
     return DecodeResult(cw)
@@ -212,30 +217,25 @@ def _checked(code: SpreadCode, received: Subspace, found) -> DecodeResult:
 
 def _membership_point(code: SpreadCode, A: Matrix):
     """Step-1 acceptance: the input itself is a codeword, detected over
-    F_q through commutation of A = R1^(-1) R2 with the companion matrix."""
+    F_q through commutation of A = R1^(-1) R2 with the companion matrix.
+    Returns mu of the pair codeword [1 : mu], or None."""
     if code.commutes_with_companion(A):
-        return (code.ext.one, code.element_of(A))
+        return code.element_of(A)
     return None
 
 
-def _ordered_point(R1: Matrix, R2: Matrix, r1: int, r2: int,
-                   code: SpreadCode, use_fast: bool):
-    """The pairwise step with rank(R1) = r1 >= rank(R2) = r2: the
-    codeword point, or the failure reason."""
+def _ordered_point(R1: Matrix, R2: Matrix, r1: int, code: SpreadCode,
+                   use_fast: bool):
+    """The pairwise step with rank(R1) = r1 >= rank(R2), both above
+    (dim-1)/2: mu of the pair codeword [1 : mu], or the failure reason."""
     ktil = R1.nrows
-    ext = code.ext
-    A = None  # R1^(-1) R2, set exactly when R1 is square and invertible
     if ktil == code.k and r1 == code.k:
         A = inverse(R1) @ R2
-        point = _membership_point(code, A)
-        if point is not None:
-            return point
-    if 2 * r1 <= ktil - 1:
-        return REASON_NO_CODEWORD
-    if 2 * r2 <= ktil - 1:
-        return (ext.one, ext.zero)
-    if use_fast and A is not None:
-        return _nonsingular_core(A, code)
+        mu = _membership_point(code, A)
+        if mu is not None:
+            return mu
+        if use_fast:
+            return _nonsingular_core(A, code)
 
     support = pair_support(R1, R2, code)
     if support is None:
@@ -251,17 +251,17 @@ def _ordered_point(R1: Matrix, R2: Matrix, r1: int, r2: int,
         return REASON_NO_CODEWORD
     if len(passing) > 1:
         return REASON_AMBIGUOUS
-    return (ext.one, passing[0])
+    return passing[0]
 
 
 def _nonsingular_core(A: Matrix, code: SpreadCode):
-    """Closed-form candidate for A = R1^(-1) R2 with R1 invertible: the
-    codeword point, or the failure reason."""
+    """Closed-form candidate for A = R1^(-1) R2 with R1 invertible: mu
+    of the pair codeword [1 : mu], or the failure reason."""
     k = code.k
     ext = code.ext
     D = code.conjugate(A)
     if D.is_diagonal():
-        return (ext.one, D[0, 0])
+        return D[0, 0]
     R0 = -D
     c = (k - 1) // 2
     corner = R0.submatrix(range(c), range(k - c, k))
@@ -274,29 +274,30 @@ def _nonsingular_core(A: Matrix, code: SpreadCode):
     num = minor(R0, (1,) + rows, (1,) + cols)
     mu = ext.neg(ext.mul(num, ext.inv(den)))
     if 2 * rank(code.frobenius_diag(mu) - D) <= k - 1:
-        return (ext.one, mu)
+        return mu
     return REASON_NO_CODEWORD
 
 
-def _decode_pair(pair: Subspace, r1: int, r2: int, code: SpreadCode,
-                 use_fast: bool) -> DecodeResult:
-    """Decode a canonical two-block pair with known block ranks r1, r2
-    over the pairwise ``code``, putting the blocks in rank order."""
+def _pair_step(pair: Subspace, rj: int, ri: int, code: SpreadCode,
+               use_fast: bool):
+    """The pair step on a canonical two-block space (j, i), both ranks
+    above (dim-1)/2: y of the codeword [1 : y], or the failure reason."""
     k = code.k
-    R1 = pair.basis.columns_slice(0, k)
-    R2 = pair.basis.columns_slice(k, 2 * k)
-    if r1 >= r2:
-        found = _ordered_point(R1, R2, r1, r2, code, use_fast)
-    else:
-        found = _ordered_point(R2, R1, r2, r1, code, use_fast)
-        if not isinstance(found, str):
-            found = found[::-1]
-    return _checked(code, pair, found)
+    Rj = pair.basis.columns_slice(0, k)
+    Ri = pair.basis.columns_slice(k, 2 * k)
+    if rj >= ri:
+        return _ordered_point(Rj, Ri, rj, code, use_fast)
+    # [x : 1] = [1 : 1/x]; x is never 0, which would need rank(R_j) at
+    # or below the threshold.
+    x = _ordered_point(Ri, Rj, ri, code, use_fast)
+    if isinstance(x, str) or x == code.ext.one:
+        return x
+    return code.ext.inv(x)
 
 
 def decode_pair(R1: Matrix, R2: Matrix, code: SpreadCode,
                 use_fast: bool = True) -> DecodeResult:
-    """Decode a two-block received space given as its basis blocks.
+    """Decode the two-block space spanned by (R1 R2) with :func:`decode`.
 
     The stacked matrix (R1 R2) must have full row rank.  When
     ``use_fast`` is false the closed-form path for an invertible first
@@ -308,41 +309,34 @@ def decode_pair(R1: Matrix, R2: Matrix, code: SpreadCode,
     pair = Subspace.from_generators(hstack(R1, R2))
     if ktil < 1 or pair.dim != ktil:
         raise ValueError("pair blocks must stack to a full-row-rank basis")
-    if ktil > code.k:
-        return _fail(REASON_DIMENSION)
-    return _decode_pair(pair, rank(R1), rank(R2), code, use_fast)
+    return _decode(ReceivedSpace(pair, code.k), code, use_fast)
 
 
 def decode_pair_nonsingular(R1: Matrix, R2: Matrix,
                             code: SpreadCode) -> DecodeResult:
     """Closed-form pairwise decoding for an invertible first block.
 
-    Requires square full-rank R1 and rank(R2) above (k-1)/2; one minor
-    ratio of the zero-evaluated pencil yields the only possible
-    codeword parameter, then a single rank test accepts or rejects it.
+    Requires square full-rank R1 and rank(R2) above (k-1)/2; the pair
+    step of :func:`decode` then reads the only possible codeword
+    parameter from one minor ratio, and one rank test plus the final
+    distance check accept or reject it.
     """
     code = code.pairwise()
     k = code.k
     if R1.nrows != k or rank(R1) != k:
         raise ValueError("first block must be square and invertible")
-    if 2 * rank(R2) <= k - 1:
+    r2 = rank(R2)
+    if 2 * r2 <= k - 1:
         raise ValueError("second block rank too small for this path")
-    A = inverse(R1) @ R2
-    found = _membership_point(code, A)
-    if found is None:
-        found = _nonsingular_core(A, code)
-    return _checked(code, Subspace.from_generators(hstack(R1, R2)), found)
+    pair = Subspace.from_generators(hstack(R1, R2))
+    mu = _pair_step(pair, k, r2, code, True)
+    if isinstance(mu, str):
+        return _fail(mu)
+    return _checked(code, pair, (code.ext.one, mu))
 
 
-def decode(received: ReceivedSpace, code: SpreadCode) -> DecodeResult:
-    """Minimum-distance decoding of an r-block received space.
-
-    Block ranks below half the received dimension pin the matching
-    codeword blocks to zero; the first block above that threshold is the
-    identity position, and each remaining high-rank block is recovered
-    by a pairwise decode against it.  Any pairwise failure, and any
-    assembled answer at distance k or more, is a failure.
-    """
+def _decode(received: ReceivedSpace, code: SpreadCode,
+            use_fast: bool) -> DecodeResult:
     ktil = received.dim
     k, r = code.k, code.r
     if received.r != r or received.subspace.ambient != code.n:
@@ -354,23 +348,28 @@ def decode(received: ReceivedSpace, code: SpreadCode) -> DecodeResult:
     high = [i for i, t in enumerate(ranks) if 2 * t > ktil - 1]
     if not high:
         return _fail(REASON_NO_CODEWORD)
-    if r == 2 and len(high) == 2:
-        # The pair is the received space itself, so its check is final.
-        return _decode_pair(received.subspace, *ranks, code, True)
     j = high[0]
-    ext = code.ext
-    pair_code = code.pairwise()
-    point = [ext.zero] * r
-    point[j] = ext.one
+    point = [code.ext.zero] * r
+    point[j] = code.ext.one
     for i in high[1:]:
         # A column slice of any basis of the pair space has the rank of
         # the same slice of the received basis, so the ranks carry over.
-        pair = Subspace.from_generators(hstack(blocks[j], blocks[i]))
-        res = _decode_pair(pair, ranks[j], ranks[i], pair_code, True)
-        if not res.ok:
-            return _fail(res.reason)
-        lead, tail = map(ext.element, res.codeword.point)
-        if lead != ext.one:
-            return _fail(REASON_NO_CODEWORD)
-        point[i] = tail
+        pair = received.subspace if r == 2 else Subspace.from_generators(
+            hstack(blocks[j], blocks[i]))
+        found = _pair_step(pair, ranks[j], ranks[i], code, use_fast)
+        if isinstance(found, str):
+            return _fail(found)
+        point[i] = found
     return _checked(code, received.subspace, point)
+
+
+def decode(received: ReceivedSpace, code: SpreadCode) -> DecodeResult:
+    """Minimum-distance decoding of an r-block received space.
+
+    Block ranks below half the received dimension pin the matching
+    codeword blocks to zero; the first block above that threshold is the
+    identity position, and each remaining high-rank block is recovered
+    by a pair step against it.  Any pair-step failure, and any
+    assembled answer at distance k or more, is a failure.
+    """
+    return _decode(received, code, True)

@@ -250,14 +250,9 @@ def rref(M: Matrix) -> RrefResult:
 
 
 def _rank_gf2(M: Matrix) -> int:
-    rows = []
-    for row in M.data:
-        bits = 0
-        for j, a in enumerate(row):
-            if a:
-                bits |= 1 << j
-        if bits:
-            rows.append(bits)
+    # Each row packed into one int, column j in byte j: XOR never
+    # carries between bytes, so the bytes stay 0 or 1.
+    rows = [int.from_bytes(bytes(row), "little") for row in M.data]
     r = 0
     while rows:
         piv = rows.pop()

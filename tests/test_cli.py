@@ -1,7 +1,7 @@
 import pytest
 
 from spreadcodes.channel import (ChannelSpec, corrupt, random_codeword,
-                                 trial_rng)
+                                 simulate, trial_rng)
 from spreadcodes.cli import main
 from spreadcodes.spread import SpreadCode, format_subspace
 
@@ -150,6 +150,25 @@ class TestEncodeDecode:
                            "--r", "2", "--in", "/nonexistent/file")
         assert code == 1
 
+    @pytest.mark.parametrize("command,text,where", [
+        ("encode", None, "/nonexistent/file"),
+        ("decode", None, "/nonexistent/file"),
+        ("encode", "1 0\n0 2\n", "line 2"),
+        ("encode", "1 0\n", "line 1"),
+        ("decode", "2 2 2 1 1\n1 4\n1 0 0\n", "line 3"),
+    ])
+    def test_input_errors_share_one_report(self, tmp_path, capsys, command,
+                                           text, where):
+        # Unreadable files and malformed point or subspace files all
+        # print "error: ..." naming the file or line, and exit 1.
+        path = "/nonexistent/file"
+        if text is not None:
+            path = tmp_path / "input.txt"
+            path.write_text(text)
+        code, _, err = run(capsys, command, "--q", "2", "--k", "2",
+                           "--r", "2", "--in", str(path))
+        assert code == 1 and err.startswith("error: ") and where in err
+
     def test_point_file_wrong_width(self, tmp_path, capsys):
         point = tmp_path / "point.txt"
         point.write_text("1 0 0\n0 0\n")
@@ -183,6 +202,15 @@ class TestSimulateAndBench:
         lines = out.splitlines()
         assert lines[0] == "k n mean_ops max_ops"
         assert lines[1].startswith("2 4 ") and lines[2].startswith("3 6 ")
+
+    def test_bench_rows_are_simulate_records(self, capsys):
+        # One erasure per trial, through simulate's trial keys.
+        code, out, _ = run(capsys, "bench", "--q", "3", "--k", "2,3",
+                           "--trials", "4", "--seed", "2")
+        assert code == 0
+        for k, line in zip((2, 3), out.splitlines()[1:]):
+            rec = simulate(SpreadCode(3, k, 2), 4, [(0, 1)], 2)[0]
+            assert line == f"{k} {2 * k} {rec.mean_ops:.2f} {rec.max_ops}"
 
     def test_bench_bad_list(self, capsys):
         code, _, err = run(capsys, "bench", "--q", "2", "--k", "2,x",

@@ -9,13 +9,13 @@ from spreadcodes.channel import ChannelSpec, corrupt, random_codeword, trial_rng
 from spreadcodes.decoder import (AffinePencil, ReceivedSpace,
                                  REASON_DIMENSION, candidate_roots, decode,
                                  decode_pair, decode_pair_nonsingular)
-from spreadcodes.gf import PrimeField
+from spreadcodes.gf import OpCount, PrimeField
 from spreadcodes.linalg import Matrix, hstack, rank
 from spreadcodes.oracle import brute_force_decode, mu_characterization
 from spreadcodes.spread import SpreadCode, Subspace, subspace_distance
 
 from props import (fast_general_agreement, oracle_agreement_exhaustive,
-                   oracle_agreement_sampled, random_matrix,
+                   oracle_agreement_sampled, random_element, random_matrix,
                    root_evaluation_trials)
 
 
@@ -96,6 +96,54 @@ class TestPairwise:
         blocks = ReceivedSpace(sub, 2).blocks
         result = decode_pair(blocks[0], blocks[1], code22)
         assert not result.ok and result.reason == REASON_DIMENSION
+
+
+    @pytest.mark.parametrize("q,k", [(2, 3), (3, 3), (5, 2)])
+    def test_decode_pair_is_decode_on_two_blocks(self, q, k):
+        # Both block orders and both paths give what decode gives on the
+        # row space of the stacked blocks.
+        code = SpreadCode(q, k, 2)
+        checked = 0
+        for e, eps in [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (0, k - 1)]:
+            for t in range(6):
+                rng = trial_rng(q * 10 + k, e, eps, t)
+                received = corrupt(random_codeword(code, rng),
+                                   ChannelSpec(eps, e), code, rng)
+                A, B = received.blocks
+                for X, Y in ((A, B), (B, A)):
+                    want = decode(ReceivedSpace(
+                        Subspace.from_generators(hstack(X, Y)), k), code)
+                    for use_fast in (True, False):
+                        got = decode_pair(X, Y, code, use_fast=use_fast)
+                        assert got == want
+                        checked += 1
+        assert checked == 6 * 6 * 4
+
+
+class TestPencil:
+    @pytest.mark.parametrize("q,k", [(2, 3), (3, 3), (5, 2)])
+    def test_at_matches_entries_and_charges_other_coefficients(self, q, k):
+        # R(mu)[i, j] = coeff[i, j] * mu^(q^j) - offset[i, j]; a
+        # coefficient 0 or +-1 costs no extension-field multiplication.
+        code = SpreadCode(q, k, 2)
+        ext = code.ext
+        rnd = random.Random(q + k)
+        units = [0, ext.one, ext.neg(ext.one)]
+        for _ in range(20):
+            n = rnd.randrange(1, k + 1)
+            coeff = Matrix(ext, [[rnd.choice(units + [random_element(
+                rnd, ext)]) for _ in range(k)] for _ in range(n)])
+            offset = random_matrix(rnd, ext, n, k)
+            mu = random_element(rnd, ext)
+            want = [[ext.sub(ext.mul(a, ext.frobenius(mu, j)), b)
+                     for j, (a, b) in enumerate(zip(arow, brow))]
+                    for arow, brow in zip(coeff.data, offset.data)]
+            with OpCount() as c:
+                got = AffinePencil(coeff, offset).at(mu)
+            assert got == Matrix(ext, want)
+            others = sum(1 for row in coeff.data for a in row
+                         if a not in units)
+            assert (c.ext_mul, c.ext_inv) == (others, 0)
 
 
 class TestNonsingularPath:
@@ -372,4 +420,21 @@ class TestWorkDoneOnce:
         result = decode_pair_nonsingular(high, low, code)
         assert result.ok and result.codeword == cw
         assert calls == {"base rank": 2, "from_generators": 1,
+                         "encode": 1, "distance": 1}
+
+    @pytest.mark.parametrize("qkr,seed", [((2, 3, 3), 4), ((3, 3, 4), 2)])
+    def test_decode_many_blocks(self, monkeypatch, qkr, seed):
+        # Every block is above the rank threshold and the first is not
+        # the largest, so r - 1 pair steps run, some of them swapped;
+        # none encodes, and one check against the received space ends.
+        code = SpreadCode(*qkr)
+        rng = trial_rng(seed)
+        cw = random_codeword(code, rng)
+        received = corrupt(cw, ChannelSpec(erasures=1, errors=1), code, rng)
+        ranks = [rank(b) for b in received.blocks]
+        assert min(ranks) > (received.dim - 1) / 2 and ranks[0] < max(ranks)
+        calls = self.tally(monkeypatch)
+        result = decode(received, code)
+        assert result.ok and result.codeword == cw
+        assert calls == {"base rank": code.r, "from_generators": code.r - 1,
                          "encode": 1, "distance": 1}

@@ -194,6 +194,14 @@ class TestPlumbing:
             M = random_matrix(rnd, F2, rnd.randrange(1, 6),
                               rnd.randrange(1, 7))
             assert rank(M) == rank(M.lift(ext))
+        # Rows wider than 64 columns, with dependent rows and a pivot in
+        # the last column: the packed rows are longer than a machine word.
+        for ncols in (65, 100, 200):
+            M = sparse_matrix(rnd, F2, 12, ncols)
+            sums = M + Matrix(F2, [M.row(0)] * 12)
+            last = Matrix(F2, [[0] * (ncols - 1) + [1]])
+            for A in (M, vstack(M, sums, last)):
+                assert rank(A) == rank(A.lift(ext))
 
     def test_text_roundtrip(self):
         rnd = random.Random(5)
