@@ -230,7 +230,9 @@ def _ordered_point(R1: Matrix, R2: Matrix, r1: int, code: SpreadCode,
     (dim-1)/2: mu of the pair codeword [1 : mu], or the failure reason."""
     ktil = R1.nrows
     if ktil == code.k and r1 == code.k:
-        A = inverse(R1) @ R2
+        # The leading block of a canonical pair is I at full rank, so
+        # only a swapped step needs the inverse.
+        A = R2 if R1 == Matrix.identity(R1.field, ktil) else inverse(R1) @ R2
         mu = _membership_point(code, A)
         if mu is not None:
             return mu
@@ -351,11 +353,21 @@ def _decode(received: ReceivedSpace, code: SpreadCode,
     j = high[0]
     point = [code.ext.zero] * r
     point[j] = code.ext.one
+    if r > 2:
+        # The blocks that hold the pivots of the received RREF.  If they
+        # all lie in blocks j and i, those two blocks side by side are
+        # in RREF.
+        held = {next(c for c, a in enumerate(row) if a) // k
+                for row in received.subspace.basis.data}
     for i in high[1:]:
         # A column slice of any basis of the pair space has the rank of
         # the same slice of the received basis, so the ranks carry over.
-        pair = received.subspace if r == 2 else Subspace.from_generators(
-            hstack(blocks[j], blocks[i]))
+        if r == 2:
+            pair = received.subspace
+        elif held <= {j, i}:
+            pair = Subspace(hstack(blocks[j], blocks[i]))
+        else:
+            pair = Subspace.from_generators(hstack(blocks[j], blocks[i]))
         found = _pair_step(pair, ranks[j], ranks[i], code, use_fast)
         if isinstance(found, str):
             return _fail(found)

@@ -26,8 +26,11 @@ Both field classes have a row kernel, ``axpy(xs, g, ys)`` = xs + g*ys
 entry by entry, which is the inner loop of elimination and of matrix
 products in :mod:`spreadcodes.linalg`.  It runs one branch per kernel
 above: for q = 2 tables an exp/log lookup and an XOR per entry, for
-odd-q tables one Zech addition per entry, packed fields one raw
-product per nonzero entry.
+odd-q tables one Zech addition per entry, for packed odd q one raw
+product per nonzero entry.  The packed q = 2 branch first builds, once
+per call, the tables T_i[n] = g*n*x^(4i) mod p for every 4-bit window
+value n, reducing as it shifts; g*y is then the XOR of T_i[n_i] over
+the 4-bit windows n_i of y, with no reduction step.
 
 Multiplications and inversions are tallied on the innermost active
 :class:`OpCount` of the current thread, separately per field layer, so
@@ -589,6 +592,36 @@ class ExtField:
                     prod[j] += c * row[j]
         return _from_digits([prod[j] % q for j in range(k)], q)
 
+    def _window_tables(self, g):
+        """For the packed q = 2 row kernel: tables T_i with T_i[n] =
+        g*n*x^(4i) mod p for n in 0..15, one per 4-bit window of an
+        element, the last window possibly partial.  Built from the
+        powers g*x^j, each reduced by p as it is shifted out of range,
+        so the entries are reduced and a product needs no reduction."""
+        k, bits = self.k, self._bits
+        tables = []
+        # Written out: every call pays for the tables, and a loop of
+        # doublings builds them several times slower.
+        for _ in range(0, k, 4):
+            a0 = g
+            a1 = a0 << 1
+            if a1 >> k:
+                a1 ^= bits
+            a2 = a1 << 1
+            if a2 >> k:
+                a2 ^= bits
+            a3 = a2 << 1
+            if a3 >> k:
+                a3 ^= bits
+            g = a3 << 1
+            if g >> k:
+                g ^= bits
+            a01, a23 = a0 ^ a1, a2 ^ a3
+            tables.append([0, a0, a1, a01, a2, a2 ^ a0, a2 ^ a1, a2 ^ a01,
+                           a3, a3 ^ a0, a3 ^ a1, a3 ^ a01,
+                           a23, a23 ^ a0, a23 ^ a1, a23 ^ a01])
+        return tables
+
     def mul(self, a, b):
         if _open_counters:
             c = _ACTIVE.current
@@ -617,8 +650,17 @@ class ExtField:
             if g == 1:
                 return [x ^ y for x, y in zip(xs, ys)]
             if log is None:
-                mul = self._mul_raw
-                return [x ^ mul(g, y) if y else x for x, y in zip(xs, ys)]
+                # g*y is the XOR of one table entry per 4-bit window of y.
+                tables = self._window_tables(g)
+                out = []
+                for x, y in zip(xs, ys):
+                    for t in tables:
+                        if not y:
+                            break
+                        x ^= t[y & 15]
+                        y >>= 4
+                    out.append(x)
+                return out
             exp, lg = self._exp, log[g]
             return [x ^ exp[lg + log[y]] if y else x for x, y in zip(xs, ys)]
         if log is None:

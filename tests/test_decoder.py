@@ -353,7 +353,8 @@ class TestMultiBlock:
 class TestWorkDoneOnce:
     """The pair path reuses what its caller holds: one rank per input
     block, at most one canonical RREF per pair (none when the received
-    space is the pair), one encode and one distance check per answer,
+    space is the pair or its two blocks hold every pivot), no inverse of
+    an identity block, one encode and one distance check per answer,
     also when the blocks are swapped."""
 
     @staticmethod
@@ -374,6 +375,8 @@ class TestWorkDoneOnce:
             return real_rank(M)
 
         monkeypatch.setattr(decoder_module, "rank", rank_of_blocks)
+        monkeypatch.setattr(decoder_module, "inverse", counted(
+            "inverse", decoder_module.inverse))
         monkeypatch.setattr(decoder_module, "subspace_distance", counted(
             "distance", decoder_module.subspace_distance))
         monkeypatch.setattr(SpreadCode, "encode",
@@ -401,8 +404,10 @@ class TestWorkDoneOnce:
         result = decode_pair(low, high, code, use_fast=use_fast)
         assert result.ok and result.codeword == want
         # One RREF for the pair; the encode builds its RREF directly.
+        # The leading block of the pair is the low-rank one, so the
+        # swapped step inverts a block that is not I.
         assert calls == {"base rank": 2, "from_generators": 1,
-                         "encode": 1, "distance": 1}
+                         "inverse": 1, "encode": 1, "distance": 1}
 
     def test_decode_two_blocks(self, monkeypatch):
         code, cw, low, high = self.swap_case()
@@ -427,6 +432,8 @@ class TestWorkDoneOnce:
         # Every block is above the rank threshold and the first is not
         # the largest, so r - 1 pair steps run, some of them swapped;
         # none encodes, and one check against the received space ends.
+        # A pair is canonicalized unless its two blocks hold every pivot
+        # of the received space; only swapped steps invert.
         code = SpreadCode(*qkr)
         rng = trial_rng(seed)
         cw = random_codeword(code, rng)
@@ -436,5 +443,21 @@ class TestWorkDoneOnce:
         calls = self.tally(monkeypatch)
         result = decode(received, code)
         assert result.ok and result.codeword == cw
-        assert calls == {"base rank": code.r, "from_generators": code.r - 1,
-                         "encode": 1, "distance": 1}
+        rrefs, inverses = {(2, 3, 3): (1, 0), (3, 3, 4): (2, 3)}[qkr]
+        want = {"base rank": code.r, "from_generators": rrefs,
+                "inverse": inverses, "encode": 1, "distance": 1}
+        assert calls == {name: n for name, n in want.items() if n}
+
+    def test_decode_pivots_in_first_block(self, monkeypatch):
+        # Block 0 has full rank, so it holds every pivot of the received
+        # RREF and is I: each pair (0, i) is canonical as it stands and
+        # no pair step inverts anything.
+        code = SpreadCode(3, 3, 4)
+        rng = trial_rng(10)
+        cw = random_codeword(code, rng)
+        received = corrupt(cw, ChannelSpec(erasures=1, errors=1), code, rng)
+        assert [rank(b) for b in received.blocks] == [3, 3, 3, 3]
+        calls = self.tally(monkeypatch)
+        result = decode(received, code)
+        assert result.ok and result.codeword == cw
+        assert calls == {"base rank": 4, "encode": 1, "distance": 1}

@@ -2,9 +2,10 @@
 reference in ``tuple_field``, through the digit conversion.
 
 The fields cover every multiplication kernel: exp/log tables at
-(2,2..9), (3,2..5) and (5,3), the packed q = 2 kernel at (2,24) and
-the packed odd-q kernel at (3,13).  The row kernel ``axpy`` is checked
-against the per-entry ``add`` and ``mul`` of the same field.
+(2,2..9), (3,2..5) and (5,3), the packed q = 2 kernel at (2,17) and
+(2,24) and the packed odd-q kernel at (3,13).  The row kernel ``axpy``
+is checked against the per-entry ``add`` and ``mul`` of the same field;
+at (2,17) the last 4-bit window of its packed q = 2 branch is partial.
 """
 
 import pytest
@@ -17,7 +18,7 @@ from tuple_field import TupleExtField
 
 TABLE_FIELDS = ([(2, k) for k in range(2, 10)]
                 + [(3, k) for k in range(2, 6)] + [(5, 3)])
-PACKED_FIELDS = [(2, 24), (3, 13)]
+PACKED_FIELDS = [(2, 17), (2, 24), (3, 13)]
 FIELDS = TABLE_FIELDS + PACKED_FIELDS
 
 _built = {}
@@ -120,23 +121,28 @@ def test_row_kernel(q, k, data):
     # axpy(xs, g, ys) = xs + g*ys against the per-entry add and mul, in
     # the extension field and in its base field.  A product by 0 or +-1
     # is free; any other g costs one multiplication per nonzero ys entry.
+    # Packed fields also get a row of length 2k, as in elimination.
     ext, _ = fields(q, k)
     for f, values in ((ext, element_values(ext)),
                       (ext.base, st.integers(0, q - 1))):
-        n = data.draw(st.integers(0, 6))
-        entries = st.lists(st.just(0) | values, min_size=n, max_size=n)
-        xs, ys = data.draw(entries), tuple(data.draw(entries))
-        before = list(xs)
-        for g in (0, 1, f.neg(1), data.draw(values)):
-            want = [f.add(x, f.mul(g, y)) for x, y in zip(xs, ys)]
-            with OpCount() as c:
-                got = f.axpy(xs, g, ys)
-            assert got == want and xs == before
-            free = g in (0, 1, f.neg(1))
-            charged = 0 if free else sum(1 for y in ys if y)
-            counts = ((c.ext_mul, c.base_mul) if f is ext
-                      else (c.base_mul, c.ext_mul))
-            assert counts == (charged, 0) and c.ext_inv == c.base_inv == 0
+        lengths = [data.draw(st.integers(0, 6))]
+        if f is ext and (q, k) in PACKED_FIELDS:
+            lengths.append(2 * k)
+        for n in lengths:
+            entries = st.lists(st.just(0) | values, min_size=n, max_size=n)
+            xs, ys = data.draw(entries), tuple(data.draw(entries))
+            before = list(xs)
+            for g in (0, 1, f.neg(1), data.draw(values)):
+                want = [f.add(x, f.mul(g, y)) for x, y in zip(xs, ys)]
+                with OpCount() as c:
+                    got = f.axpy(xs, g, ys)
+                assert got == want and xs == before
+                free = g in (0, 1, f.neg(1))
+                charged = 0 if free else sum(1 for y in ys if y)
+                counts = ((c.ext_mul, c.base_mul) if f is ext
+                          else (c.base_mul, c.ext_mul))
+                assert counts == (charged, 0)
+                assert c.ext_inv == c.base_inv == 0
 
 
 @pytest.mark.parametrize("q,k", [(2, 3), (3, 2), (2, 24), (3, 13)])
