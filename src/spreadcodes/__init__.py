@@ -11,8 +11,7 @@ from .linalg import (Matrix, RrefResult, disjoint_pivot_tuples, det, hstack,
 from .spread import (Codeword, SpreadCode, Subspace, companion_matrix,
                      format_subspace, parse_subspace, subspace_distance)
 from .decoder import (AffinePencil, DecodeResult, PairSupport, ReceivedSpace,
-                      candidate_roots, decode, decode_pair,
-                      decode_pair_nonsingular, pair_support,
+                      candidate_roots, decode, decode_pair, pair_support,
                       REASON_AMBIGUOUS, REASON_DIMENSION, REASON_NO_CODEWORD)
 from .channel import (ChannelSpec, SimRecord, corrupt, random_codeword,
                       simulate, trial_rng)
@@ -24,7 +23,7 @@ __all__ = [
     "RrefResult", "SimRecord", "SpreadCode", "Subspace",
     "REASON_AMBIGUOUS", "REASON_DIMENSION", "REASON_NO_CODEWORD",
     "brute_force_decode", "candidate_roots", "companion_matrix", "corrupt",
-    "decode", "decode_pair", "decode_pair_nonsingular", "det",
+    "decode", "decode_pair", "det",
     "disjoint_pivot_tuples", "find_irreducible", "format_subspace", "hstack",
     "inverse", "is_prime", "minor", "mu_characterization",
     "nondiagonal_rank", "pair_support", "parse_subspace", "rank",

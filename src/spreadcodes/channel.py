@@ -29,10 +29,9 @@ RETRY_BUDGET = 100
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """One channel cell: dimensions dropped, dimensions adjoined, seed."""
+    """One channel cell: dimensions dropped and dimensions adjoined."""
     erasures: int
     errors: int
-    seed: int = 0
 
     @property
     def target_distance(self) -> int:
@@ -60,7 +59,7 @@ def random_codeword(code: SpreadCode, rng) -> Codeword:
 
 
 def corrupt(cw: Codeword, spec: ChannelSpec, code: SpreadCode,
-            rng=None) -> ReceivedSpace:
+            rng) -> ReceivedSpace:
     """Received space at distance exactly errors + erasures from cw."""
     eps, e = spec.erasures, spec.errors
     if not 0 <= eps <= code.k:
@@ -69,8 +68,6 @@ def corrupt(cw: Codeword, spec: ChannelSpec, code: SpreadCode,
         raise ValueError(f"errors must lie in 0..{code.n - code.k}")
     if code.k - eps + e < 1:
         raise ValueError("the received space would be empty")
-    if rng is None:
-        rng = trial_rng(spec.seed)
     keep = code.k - eps
     for _ in range(RETRY_BUDGET):
         parts = []
@@ -116,7 +113,7 @@ def simulate(code: SpreadCode, trials: int, cells, seed: int = 0) -> list[SimRec
         raise ValueError("need at least one trial")
     records = []
     for e, eps in sorted(set((int(e), int(eps)) for e, eps in cells)):
-        spec = ChannelSpec(erasures=eps, errors=e, seed=seed)
+        spec = ChannelSpec(erasures=eps, errors=e)
         successes = 0
         ops = []
         for t in range(trials):

@@ -18,11 +18,10 @@ by one pair step against the first high-rank block j:
   structure is the identity and a single candidate comes straight from
   one minor ratio.
 
-:func:`decode_pair` is :func:`decode` on a two-block space, and
-:func:`decode_pair_nonsingular` runs the same pair step once its
-preconditions hold.  Pair steps do not encode; the assembled point is
-encoded once and accepted only within distance k - 1 of the received
-space W, so out-of-contract inputs fail rather than miscorrect.  A
+:func:`decode_pair` is :func:`decode` on a two-block space.  Pair
+steps do not encode; the assembled point is encoded once and accepted
+only within distance k - 1 of the received space W, so out-of-contract
+inputs fail rather than miscorrect.  A
 projection onto blocks (j, i) is injective on a codeword C whose block
 j is the identity, so it does not increase d(W, C): per-pair checks
 would accept nothing the final check rejects.
@@ -224,8 +223,7 @@ def _membership_point(code: SpreadCode, A: Matrix):
     return None
 
 
-def _ordered_point(R1: Matrix, R2: Matrix, r1: int, code: SpreadCode,
-                   use_fast: bool):
+def _ordered_point(R1: Matrix, R2: Matrix, r1: int, code: SpreadCode):
     """The pairwise step with rank(R1) = r1 >= rank(R2), both above
     (dim-1)/2: mu of the pair codeword [1 : mu], or the failure reason."""
     ktil = R1.nrows
@@ -236,9 +234,15 @@ def _ordered_point(R1: Matrix, R2: Matrix, r1: int, code: SpreadCode,
         mu = _membership_point(code, A)
         if mu is not None:
             return mu
-        if use_fast:
-            return _nonsingular_core(A, code)
+        return _nonsingular_core(A, code)
+    return _pencil_point(R1, R2, code)
 
+
+def _pencil_point(R1: Matrix, R2: Matrix, code: SpreadCode):
+    """The general pencil search under the preconditions of
+    :func:`_ordered_point`: mu of the pair codeword [1 : mu], or the
+    failure reason."""
+    ktil = R1.nrows
     support = pair_support(R1, R2, code)
     if support is None:
         return REASON_NO_CODEWORD
@@ -258,12 +262,12 @@ def _ordered_point(R1: Matrix, R2: Matrix, r1: int, code: SpreadCode,
 
 def _nonsingular_core(A: Matrix, code: SpreadCode):
     """Closed-form candidate for A = R1^(-1) R2 with R1 invertible: mu
-    of the pair codeword [1 : mu], or the failure reason."""
+    of the pair codeword [1 : mu], or the failure reason.  The pair step
+    calls it only after the membership test, so D = S^(-1) A S is not
+    diagonal; on a diagonal D the formula would give D[0, 0]."""
     k = code.k
     ext = code.ext
     D = code.conjugate(A)
-    if D.is_diagonal():
-        return D[0, 0]
     R0 = -D
     c = (k - 1) // 2
     corner = R0.submatrix(range(c), range(k - c, k))
@@ -280,65 +284,44 @@ def _nonsingular_core(A: Matrix, code: SpreadCode):
     return REASON_NO_CODEWORD
 
 
-def _pair_step(pair: Subspace, rj: int, ri: int, code: SpreadCode,
-               use_fast: bool):
+def _pair_step(pair: Subspace, rj: int, ri: int, code: SpreadCode):
     """The pair step on a canonical two-block space (j, i), both ranks
     above (dim-1)/2: y of the codeword [1 : y], or the failure reason."""
     k = code.k
     Rj = pair.basis.columns_slice(0, k)
     Ri = pair.basis.columns_slice(k, 2 * k)
     if rj >= ri:
-        return _ordered_point(Rj, Ri, rj, code, use_fast)
+        return _ordered_point(Rj, Ri, rj, code)
     # [x : 1] = [1 : 1/x]; x is never 0, which would need rank(R_j) at
     # or below the threshold.
-    x = _ordered_point(Ri, Rj, ri, code, use_fast)
+    x = _ordered_point(Ri, Rj, ri, code)
     if isinstance(x, str) or x == code.ext.one:
         return x
     return code.ext.inv(x)
 
 
-def decode_pair(R1: Matrix, R2: Matrix, code: SpreadCode,
-                use_fast: bool = True) -> DecodeResult:
+def decode_pair(R1: Matrix, R2: Matrix, code: SpreadCode) -> DecodeResult:
     """Decode the two-block space spanned by (R1 R2) with :func:`decode`.
 
-    The stacked matrix (R1 R2) must have full row rank.  When
-    ``use_fast`` is false the closed-form path for an invertible first
-    block is skipped and the general pencil machinery runs instead; the
-    two are equivalent and tested as such.
+    The stacked matrix (R1 R2) must have full row rank.
     """
     code = code.pairwise()
     ktil = R1.nrows
     pair = Subspace.from_generators(hstack(R1, R2))
     if ktil < 1 or pair.dim != ktil:
         raise ValueError("pair blocks must stack to a full-row-rank basis")
-    return _decode(ReceivedSpace(pair, code.k), code, use_fast)
+    return decode(ReceivedSpace(pair, code.k), code)
 
 
-def decode_pair_nonsingular(R1: Matrix, R2: Matrix,
-                            code: SpreadCode) -> DecodeResult:
-    """Closed-form pairwise decoding for an invertible first block.
+def decode(received: ReceivedSpace, code: SpreadCode) -> DecodeResult:
+    """Minimum-distance decoding of an r-block received space.
 
-    Requires square full-rank R1 and rank(R2) above (k-1)/2; the pair
-    step of :func:`decode` then reads the only possible codeword
-    parameter from one minor ratio, and one rank test plus the final
-    distance check accept or reject it.
+    Block ranks below half the received dimension pin the matching
+    codeword blocks to zero; the first block above that threshold is the
+    identity position, and each remaining high-rank block is recovered
+    by a pair step against it.  Any pair-step failure, and any
+    assembled answer at distance k or more, is a failure.
     """
-    code = code.pairwise()
-    k = code.k
-    if R1.nrows != k or rank(R1) != k:
-        raise ValueError("first block must be square and invertible")
-    r2 = rank(R2)
-    if 2 * r2 <= k - 1:
-        raise ValueError("second block rank too small for this path")
-    pair = Subspace.from_generators(hstack(R1, R2))
-    mu = _pair_step(pair, k, r2, code, True)
-    if isinstance(mu, str):
-        return _fail(mu)
-    return _checked(code, pair, (code.ext.one, mu))
-
-
-def _decode(received: ReceivedSpace, code: SpreadCode,
-            use_fast: bool) -> DecodeResult:
     ktil = received.dim
     k, r = code.k, code.r
     if received.r != r or received.subspace.ambient != code.n:
@@ -368,20 +351,9 @@ def _decode(received: ReceivedSpace, code: SpreadCode,
             pair = Subspace(hstack(blocks[j], blocks[i]))
         else:
             pair = Subspace.from_generators(hstack(blocks[j], blocks[i]))
-        found = _pair_step(pair, ranks[j], ranks[i], code, use_fast)
+        found = _pair_step(pair, ranks[j], ranks[i], code)
         if isinstance(found, str):
             return _fail(found)
         point[i] = found
     return _checked(code, received.subspace, point)
 
-
-def decode(received: ReceivedSpace, code: SpreadCode) -> DecodeResult:
-    """Minimum-distance decoding of an r-block received space.
-
-    Block ranks below half the received dimension pin the matching
-    codeword blocks to zero; the first block above that threshold is the
-    identity position, and each remaining high-rank block is recovered
-    by a pair step against it.  Any pair-step failure, and any
-    assembled answer at distance k or more, is a failure.
-    """
-    return _decode(received, code, True)

@@ -133,9 +133,6 @@ class Matrix:
     def row(self, i: int) -> tuple:
         return self.data[i]
 
-    def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.data)
-
     def columns_slice(self, start: int, stop: int) -> "Matrix":
         return Matrix(self.field, [row[start:stop] for row in self.data])
 

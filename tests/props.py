@@ -11,10 +11,12 @@ import itertools
 import random
 
 from spreadcodes import (OpCount, SpreadCode, Subspace, brute_force_decode,
-                         decode, decode_pair, minor, nondiagonal_rank,
-                         disjoint_pivot_tuples, rank)
+                         decode, decode_pair, hstack, minor,
+                         nondiagonal_rank, disjoint_pivot_tuples, rank)
 from spreadcodes.channel import ChannelSpec, corrupt, random_codeword, trial_rng
-from spreadcodes.decoder import ReceivedSpace, candidate_roots, pair_support
+from spreadcodes.decoder import (DecodeResult, ReceivedSpace, _checked,
+                                 _nonsingular_core, _pencil_point,
+                                 candidate_roots, pair_support)
 from spreadcodes.gf import PrimeField
 from spreadcodes.linalg import Matrix
 
@@ -202,7 +204,7 @@ def oracle_agreement_exhaustive(code: SpreadCode) -> tuple[int, int]:
 
 def channel_outputs(code: SpreadCode, cells, per_cell: int, seed: int):
     for e, eps in cells:
-        spec = ChannelSpec(erasures=eps, errors=e, seed=seed)
+        spec = ChannelSpec(erasures=eps, errors=e)
         for t in range(per_cell):
             rng = trial_rng(seed, e, eps, t)
             cw = random_codeword(code, rng)
@@ -257,22 +259,31 @@ def root_evaluation_trials(code: SpreadCode, cells, per_cell: int,
 
 def fast_general_agreement(code: SpreadCode, trials: int,
                            seed: int) -> tuple[int, int]:
-    """Random invertible-first-block pairs: the closed-form path and the
-    general pencil path must return identical outcomes."""
+    """Random pairs (R1 R2) with R1 invertible whose pair step reaches
+    the closed form (A = R1^(-1) R2 above the rank threshold and not a
+    codeword block): the closed form and the general pencil search must
+    return the same parameter or failure reason, and decode_pair must
+    return the pencil search's answer after the final distance check.
+    Returns (compared, disagreements)."""
     rnd = random.Random(seed)
     k = code.k
+    I = Matrix.identity(code.base, k)
     done = disagree = 0
     while done < trials:
         R1 = random_matrix(rnd, code.base, k, k)
         if rank(R1) < k:
             continue
         R2 = random_matrix(rnd, code.base, k, k)
-        fast = decode_pair(R1, R2, code, use_fast=True)
-        slow = decode_pair(R1, R2, code, use_fast=False)
-        same = fast.ok == slow.ok and (
-            not fast.ok or fast.codeword == slow.codeword)
+        pair = Subspace.from_generators(hstack(R1, R2))
+        A = pair.basis.columns_slice(k, 2 * k)
+        if 2 * rank(A) <= k - 1 or code.commutes_with_companion(A):
+            continue
+        fast = _nonsingular_core(A, code)
+        slow = _pencil_point(I, A, code)
+        want = (DecodeResult(None, slow) if isinstance(slow, str)
+                else _checked(code, pair, (code.ext.one, slow)))
         done += 1
-        disagree += not same
+        disagree += fast != slow or decode_pair(R1, R2, code) != want
     return done, disagree
 
 
@@ -315,7 +326,7 @@ def mean_decode_ops(q: int, k: int, r: int, trials: int, seed: int,
                     erasures: int = 1, errors: int = 0) -> float:
     """Mean extension-field operations per decode on channel instances."""
     code = SpreadCode(q, k, r)
-    spec = ChannelSpec(erasures=erasures, errors=errors, seed=seed)
+    spec = ChannelSpec(erasures=erasures, errors=errors)
     total = 0
     for t in range(trials):
         rng = trial_rng(seed, k, r, t)

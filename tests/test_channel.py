@@ -47,12 +47,13 @@ class TestCorrupt:
 
     def test_impossible_specs_rejected(self, code):
         cw = code.encode((1, 0))
+        rng = trial_rng(0)
         with pytest.raises(ValueError):
-            corrupt(cw, ChannelSpec(erasures=4, errors=0), code)
+            corrupt(cw, ChannelSpec(erasures=4, errors=0), code, rng)
         with pytest.raises(ValueError):
-            corrupt(cw, ChannelSpec(erasures=0, errors=4), code)
+            corrupt(cw, ChannelSpec(erasures=0, errors=4), code, rng)
         with pytest.raises(ValueError):
-            corrupt(cw, ChannelSpec(erasures=3, errors=0), code)
+            corrupt(cw, ChannelSpec(erasures=3, errors=0), code, rng)
 
     def test_deterministic_under_fixed_seed(self, code):
         outs = []
@@ -89,7 +90,7 @@ class TestSimulate:
         # rebuild trial 3 from its documented spawn key
         rng = trial_rng(77, 1, 1, 3)
         cw = random_codeword(code, rng)
-        received = corrupt(cw, ChannelSpec(1, 1, 77), code, rng)
+        received = corrupt(cw, ChannelSpec(1, 1), code, rng)
         result = decode(received, code)
         assert result.ok and result.codeword == cw
         assert records[0].successes == 5

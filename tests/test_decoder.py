@@ -7,8 +7,9 @@ import spreadcodes.decoder as decoder_module
 
 from spreadcodes.channel import ChannelSpec, corrupt, random_codeword, trial_rng
 from spreadcodes.decoder import (AffinePencil, ReceivedSpace,
-                                 REASON_DIMENSION, candidate_roots, decode,
-                                 decode_pair, decode_pair_nonsingular)
+                                 REASON_DIMENSION, REASON_NO_CODEWORD,
+                                 _nonsingular_core, _pencil_point,
+                                 candidate_roots, decode, decode_pair)
 from spreadcodes.gf import OpCount, PrimeField
 from spreadcodes.linalg import Matrix, hstack, rank
 from spreadcodes.oracle import brute_force_decode, mu_characterization
@@ -99,10 +100,22 @@ class TestPairwise:
 
 
     @pytest.mark.parametrize("q,k", [(2, 3), (3, 3), (5, 2)])
-    def test_decode_pair_is_decode_on_two_blocks(self, q, k):
-        # Both block orders and both paths give what decode gives on the
-        # row space of the stacked blocks.
+    def test_decode_pair_is_decode_on_two_blocks(self, monkeypatch, q, k):
+        # Both block orders give what decode gives on the row space of
+        # the stacked blocks, and wherever a pair step takes the closed
+        # form, the general pencil search returns the same parameter or
+        # failure reason.
         code = SpreadCode(q, k, 2)
+        closed_form = decoder_module._nonsingular_core
+        I = Matrix.identity(code.base, k)
+        agree = []
+
+        def both_paths(A, code):
+            got = closed_form(A, code)
+            agree.append(got == _pencil_point(I, A, code))
+            return got
+
+        monkeypatch.setattr(decoder_module, "_nonsingular_core", both_paths)
         checked = 0
         for e, eps in [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (0, k - 1)]:
             for t in range(6):
@@ -113,11 +126,10 @@ class TestPairwise:
                 for X, Y in ((A, B), (B, A)):
                     want = decode(ReceivedSpace(
                         Subspace.from_generators(hstack(X, Y)), k), code)
-                    for use_fast in (True, False):
-                        got = decode_pair(X, Y, code, use_fast=use_fast)
-                        assert got == want
-                        checked += 1
-        assert checked == 6 * 6 * 4
+                    assert decode_pair(X, Y, code) == want
+                    checked += 1
+        assert checked == 6 * 6 * 2
+        assert agree and all(agree)
 
 
 class TestPencil:
@@ -170,10 +182,11 @@ class TestNonsingularPath:
             ReceivedSpace(Subspace.from_generators(hstack(I, found)), 3),
             code32)
         assert best == 2 and nearest == [target]
-        result = decode_pair_nonsingular(I, found, code32)
+        mu = code32.element_of(P2)
+        assert _nonsingular_core(found, code32) == mu
+        assert _pencil_point(I, found, code32) == mu
+        result = decode_pair(I, found, code32)
         assert result.ok and result.codeword == target
-        general = decode_pair(I, found, code32, use_fast=False)
-        assert general.ok and general.codeword == target
 
     def test_failure_when_nothing_in_range(self, code32):
         I = Matrix.identity(code32.base, 3)
@@ -185,16 +198,10 @@ class TestNonsingularPath:
             best, _ = brute_force_decode(ReceivedSpace(sub, 3), code32)
             if best >= 3 and rank(R2) == 3:
                 found = R2
-        assert not decode_pair_nonsingular(I, found, code32).ok
-        assert not decode_pair(I, found, code32, use_fast=False).ok
-
-    def test_precondition_validation(self, code32):
-        I = Matrix.identity(code32.base, 3)
-        Z = Matrix.zeros(code32.base, 3, 3)
-        with pytest.raises(ValueError):
-            decode_pair_nonsingular(Z, I, code32)
-        with pytest.raises(ValueError):
-            decode_pair_nonsingular(I, Z, code32)
+        assert _nonsingular_core(found, code32) == REASON_NO_CODEWORD
+        assert _pencil_point(I, found, code32) == REASON_NO_CODEWORD
+        result = decode_pair(I, found, code32)
+        assert not result.ok and result.reason == REASON_NO_CODEWORD
 
     @pytest.mark.parametrize("q,k", [(2, 3), (3, 2), (2, 4), (3, 3)])
     def test_agrees_with_general_path(self, q, k):
@@ -396,12 +403,11 @@ class TestWorkDoneOnce:
         assert rank(low) < rank(high)
         return code, cw, low, high
 
-    @pytest.mark.parametrize("use_fast", [True, False])
-    def test_decode_pair_swap(self, monkeypatch, use_fast):
+    def test_decode_pair_swap(self, monkeypatch):
         code, cw, low, high = self.swap_case()
         want = code.encode((cw.point[1], cw.point[0]))
         calls = self.tally(monkeypatch)
-        result = decode_pair(low, high, code, use_fast=use_fast)
+        result = decode_pair(low, high, code)
         assert result.ok and result.codeword == want
         # One RREF for the pair; the encode builds its RREF directly.
         # The leading block of the pair is the low-rank one, so the
@@ -418,14 +424,6 @@ class TestWorkDoneOnce:
         assert result.ok and result.codeword == cw
         # The received space is the pair, so nothing is canonicalized.
         assert calls == {"base rank": 2, "encode": 1, "distance": 1}
-
-    def test_decode_pair_nonsingular(self, monkeypatch):
-        code, cw, low, high = self.swap_case()
-        calls = self.tally(monkeypatch)
-        result = decode_pair_nonsingular(high, low, code)
-        assert result.ok and result.codeword == cw
-        assert calls == {"base rank": 2, "from_generators": 1,
-                         "encode": 1, "distance": 1}
 
     @pytest.mark.parametrize("qkr,seed", [((2, 3, 3), 4), ((3, 3, 4), 2)])
     def test_decode_many_blocks(self, monkeypatch, qkr, seed):

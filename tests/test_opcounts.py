@@ -10,8 +10,8 @@ products, which charges nothing for a product by 0 or +-1,
 ``matrix_rep`` built row by row, an ``encode`` that does not re-reduce
 its block matrix, pencil evaluation that charges nothing for a
 coefficient 0 or +-1, and one encode plus distance check per decode.
-(3, 3, 4) gives the multi-pair loop of an odd-q code a gate.  No count
-may rise.  Success and failure tallies must not change at all; for the
+(3, 3, 4) gives the multi-pair loop of an odd-q code a gate.  The
+same four counts are pinned for building each code.  No count may rise.  Success and failure tallies must not change at all; for the
 three other codes they are the ones first pinned on the digit-tuple
 element implementation (commit 67d2df8).
 """
@@ -54,6 +54,28 @@ PINNED_LINES = {
                 "1 1 6 6 0 88.17 93", "1 2 6 0 6 13.83 19",
                 "2 2 6 0 6 38.67 91"],
 }
+
+# (q, k, r) -> OpCount fields of SpreadCode(q, k, r), measured with a
+# constructor that builds the diagonalizer S and its inverse and checks
+# neither (tests/test_spread.py does).  (3, 5, 4) is the code that
+# one-shot CLI requests at q = 3, k = 5 rebuild on every call.
+PINNED_BUILD_COUNTS = {
+    (2, 5, 2): (106, 4, 500, 0),
+    (3, 3, 2): (10, 2, 54, 0),
+    (2, 3, 3): (19, 2, 54, 0),
+    (3, 3, 4): (10, 2, 54, 0),
+    (3, 5, 4): (106, 4, 500, 0),
+}
+
+
+@pytest.mark.parametrize("qkr", sorted(PINNED_BUILD_COUNTS))
+def test_build_counts_do_not_rise(qkr):
+    with OpCount() as c:
+        SpreadCode(*qkr)
+    now = (c.ext_mul, c.ext_inv, c.base_mul, c.base_inv)
+    pinned = PINNED_BUILD_COUNTS[qkr]
+    assert all(a <= b for a, b in zip(now, pinned)), (
+        f"{now} exceeds {pinned}")
 
 
 @pytest.mark.parametrize("qkr", sorted(PINNED_COUNTS))

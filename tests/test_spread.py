@@ -12,6 +12,10 @@ from spreadcodes.spread import (SpreadCode, Subspace, companion_matrix,
 from props import ndrank_conjugation_trials, random_matrix
 
 
+DIAGONALIZER_FIELDS = [(2, 2), (2, 3), (3, 2), (3, 3), (2, 5), (2, 17),
+                       (3, 11)]
+
+
 @pytest.fixture(scope="module")
 def code22():
     return SpreadCode(2, 2, 2)
@@ -103,13 +107,24 @@ class TestDiagonalizer:
         assert S.data[1] == (lam, code22.ext.frobenius(lam, 1))
         assert code22.ext.frobenius(lam, 1) == 3  # lam^2 = lam + 1
 
-    @pytest.mark.parametrize("q,k", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 5)])
+    # The constructor does not check these facts; each multiplication
+    # kernel (tables for q = 2 and odd q, packed for q = 2 and odd q)
+    # has a field here.
+    @pytest.mark.parametrize("q,k", DIAGONALIZER_FIELDS)
     def test_diagonalizes_companion(self, q, k):
         code = SpreadCode(q, k, 2)
         S, S_inv = code.diagonalizer, code.diagonalizer_inv
         assert S @ S_inv == Matrix.identity(code.ext, k)
         lhs = (S_inv @ code.P.lift(code.ext)) @ S
         assert lhs == code.frobenius_diag(code.alpha)
+
+    @pytest.mark.parametrize("q,k", DIAGONALIZER_FIELDS)
+    def test_inverse_rows_are_frobenius_conjugates(self, q, k):
+        code = SpreadCode(q, k, 2)
+        ext, S_inv = code.ext, code.diagonalizer_inv
+        for i in range(k - 1):
+            assert tuple(ext.frobenius(v, 1)
+                         for v in S_inv.row(i)) == S_inv.row(i + 1)
 
     def test_first_inverse_row_is_dual_basis(self, code22):
         # oracle: solve the 2x2 trace system Tr(lam^i g_j) = delta_ij
