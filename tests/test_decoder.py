@@ -403,9 +403,23 @@ class TestWorkDoneOnce:
         assert rank(low) < rank(high)
         return code, cw, low, high
 
-    def test_decode_pair_swap(self, monkeypatch):
+    @pytest.mark.parametrize("closed_form", [True, False])
+    def test_decode_pair_swap(self, monkeypatch, closed_form):
+        # The swapped step reaches the closed form; with closed_form
+        # False that call runs the general pencil search on the same
+        # pair (I A) instead, and the tally must not change.
         code, cw, low, high = self.swap_case()
         want = code.encode((cw.point[1], cw.point[0]))
+        I = Matrix.identity(code.base, code.k)
+        real_core = decoder_module._nonsingular_core
+        reached = []
+
+        def core(A, code):
+            reached.append(A)
+            return real_core(A, code) if closed_form else _pencil_point(
+                I, A, code)
+
+        monkeypatch.setattr(decoder_module, "_nonsingular_core", core)
         calls = self.tally(monkeypatch)
         result = decode_pair(low, high, code)
         assert result.ok and result.codeword == want
@@ -414,6 +428,7 @@ class TestWorkDoneOnce:
         # swapped step inverts a block that is not I.
         assert calls == {"base rank": 2, "from_generators": 1,
                          "inverse": 1, "encode": 1, "distance": 1}
+        assert len(reached) == 1
 
     def test_decode_two_blocks(self, monkeypatch):
         code, cw, low, high = self.swap_case()
