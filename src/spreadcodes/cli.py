@@ -15,6 +15,9 @@ File formats
 
 Every digit must lie in 0..q-1; anything else is an input error that
 names its line.
+
+Limits, checked before any output or field work: q^k <= 2^32, r <= 64
+(so |S| < 2^2048 prints in at most 617 digits) and trials <= 100000.
 """
 
 from __future__ import annotations
@@ -26,6 +29,11 @@ from .channel import simulate
 from .decoder import ReceivedSpace, decode
 from .gf import is_prime
 from .spread import SpreadCode, format_subspace, parse_subspace
+
+
+MAX_FIELD_ORDER = 1 << 32
+MAX_R = 64
+MAX_TRIALS = 100_000
 
 
 class UsageError(Exception):
@@ -49,16 +57,29 @@ def _add_code_flags(p, k_list: bool = False):
                    help="modulus coefficients p_0 ... p_{k-1}")
 
 
-def _make_code(args, k=None) -> SpreadCode:
-    q = args.q
-    k = args.k if k is None else k
-    if not is_prime(q):
-        raise UsageError(f"--q must be prime, got {q}")
+def _check_code(q: int, k: int, r: int):
+    """Refuse code parameters outside the documented limits."""
     if k < 2:
         raise UsageError("--k must be at least 2")
-    if args.r < 2:
-        raise UsageError("--r must be at least 2")
-    return SpreadCode(q, k, args.r, tuple(args.p) if args.p else None)
+    # Checked before primality, which then trial-divides q <= 2^16 only.
+    # For q >= 2, k > 32 puts q^k above the limit without computing it.
+    if k > 32 or q ** k > MAX_FIELD_ORDER:
+        raise UsageError(f"q^k must be at most 2^32, got {q}^{k}")
+    if not is_prime(q):
+        raise UsageError(f"--q must be prime, got {q}")
+    if not 2 <= r <= MAX_R:
+        raise UsageError(f"--r must be in 2..{MAX_R}, got {r}")
+
+
+def _check_trials(trials: int):
+    if not 1 <= trials <= MAX_TRIALS:
+        raise UsageError(f"--trials must be in 1..{MAX_TRIALS}, got {trials}")
+
+
+def _make_code(args) -> SpreadCode:
+    _check_code(args.q, args.k, args.r)
+    return SpreadCode(args.q, args.k, args.r,
+                      tuple(args.p) if args.p else None)
 
 
 def _read_text(path: str) -> str:
@@ -115,9 +136,8 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    _check_trials(args.trials)
     code = _make_code(args)
-    if args.trials < 1:
-        raise UsageError("--trials must be at least 1")
     records = simulate(code, args.trials,
                        [(args.errors, args.erasures)], seed=args.seed)
     for rec in records:
@@ -130,13 +150,15 @@ def _cmd_bench(args) -> int:
         ks = [int(x) for x in args.k.split(",") if x.strip()]
     except ValueError as exc:
         raise UsageError(f"bad --k list {args.k!r}") from exc
-    if not ks or any(k < 2 for k in ks):
-        raise UsageError("--k must list block sizes of at least 2")
-    if args.trials < 1:
-        raise UsageError("--trials must be at least 1")
+    if not ks:
+        raise UsageError("--k must list at least one block size")
+    for k in ks:
+        _check_code(args.q, k, args.r)
+    _check_trials(args.trials)
+    p = tuple(args.p) if args.p else None
     print("k n mean_ops max_ops")
     for k in ks:
-        code = _make_code(args, k=k)
+        code = SpreadCode(args.q, k, args.r, p)
         rec = simulate(code, args.trials, [(0, 1)], args.seed)[0]
         print(f"{k} {code.n} {rec.mean_ops:.2f} {rec.max_ops}")
     return 0

@@ -404,9 +404,15 @@ class ExtField:
         For odd q also zech[d] = log(1 + g^d), or -1 where 1 + g^d = 0.
 
         Multiplying by x is a shift plus a fold of the top digit, so the
-        tables are filled along the cosets of the subgroup <x>: coset b
-        starts at g^b and steps by x.  With c = n / ord(x), g^c generates
-        <x>, so x = g^(c*w) for some w and g^b * x^j = g^(b + c*j*w)."""
+        fill walks by x.  It first walks the powers of x from 1 until it
+        returns to 1; the walk's length m is the order of x.  When m is
+        n = q^k - 1, x is primitive: g = x and the walk is exp[:n].
+        Otherwise g is the least primitive element (tested by powers)
+        and the tables are filled along the c = n / m cosets of the
+        subgroup <x>: coset 0 is the walk, coset b starts at g^b and
+        steps by x.  g^c generates <x>, so it is x^s for s its index in
+        the walk, x = g^(c*w) with w = s^-1 mod m, and
+        g^b * x^j = g^(b + c*j*w)."""
         q, k = self.q, self.k
         n = self.order - 1
         if self._char2:
@@ -428,33 +434,39 @@ class ExtField:
                         s += ((d + t * r) % q - d) * qj
                 return s
 
-        primes = _prime_factors(n)
-        m = n                                  # the order of x
-        for p in primes:
-            while m % p == 0 and self._pow_raw(q, m // p) == 1:
-                m //= p
+        def orbit(e):                          # e, e*x, e*x^2, ... until e
+            out = [e]
+            f = times_x(e)
+            while f != e:
+                out.append(f)
+                f = times_x(f)
+            return out
+
+        walk = orbit(1)
+        m = len(walk)                          # the order of x
         c = n // m
-        g = next(g for g in range(q, self.order)
-                 if all(self._pow_raw(g, n // p) != 1 for p in primes))
-        h, e, steps = self._pow_raw(g, c), 1, 0
-        while e != h:                          # h = g^c = x^steps
-            e = times_x(e)
-            steps += 1
+        g, w = q, 1
+        if c > 1:
+            primes = _prime_factors(n)
+            # x is not primitive, so the search starts after it.
+            g = next(g for g in range(q + 1, self.order)
+                     if all(self._pow_raw(g, n // p) != 1 for p in primes))
+            w = pow(walk.index(self._pow_raw(g, c)), -1, m)
+        step = c * w
         exp = array(_TYPECODE, [0]) * (2 * n)
         log = array(_TYPECODE, [0]) * self.order
-        w = pow(steps, -1, m)                  # x = g^(c*w)
         start = 1
         for b in range(c):
-            e, a = start, 0
-            for _ in range(m):
-                i = b + c * a
-                exp[i] = exp[i + n] = e
-                log[e] = i
-                e = times_x(e)
-                a += w
-                if a >= m:
-                    a -= m
-            start = self._mul_raw(start, g)
+            if b:
+                start = self._mul_raw(start, g)
+                walk = orbit(start)
+            a = b
+            for e in walk:             # e = g^a, a = b + c*(j*w mod m)
+                exp[a] = exp[a + n] = e
+                log[e] = a
+                a += step
+                if a >= n:
+                    a -= n
         self._exp, self._log = exp, log
         if not self._char2:
             self._half = half = n // 2         # g^(n/2) = -1
@@ -650,15 +662,15 @@ class ExtField:
             if g == 1:
                 return [x ^ y for x, y in zip(xs, ys)]
             if log is None:
-                # g*y is the XOR of one table entry per 4-bit window of y.
+                # g*y is the XOR of one table entry per 4-bit window of y;
+                # a zero window of a nonzero y adds T_i[0] = 0.
                 tables = self._window_tables(g)
                 out = []
                 for x, y in zip(xs, ys):
-                    for t in tables:
-                        if not y:
-                            break
-                        x ^= t[y & 15]
-                        y >>= 4
+                    if y:
+                        for t in tables:
+                            x ^= t[y & 15]
+                            y >>= 4
                     out.append(x)
                 return out
             exp, lg = self._exp, log[g]

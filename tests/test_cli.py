@@ -2,7 +2,7 @@ import pytest
 
 from spreadcodes.channel import (ChannelSpec, corrupt, random_codeword,
                                  simulate, trial_rng)
-from spreadcodes.cli import main
+from spreadcodes.cli import MAX_R, MAX_TRIALS, main
 from spreadcodes.spread import SpreadCode, format_subspace
 
 
@@ -10,6 +10,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def count_builds(monkeypatch):
+    """The list that gets the arguments of every SpreadCode built from
+    now until the end of the test."""
+    built = []
+    init = SpreadCode.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SpreadCode, "__init__", counting_init)
+    return built
 
 
 class TestParams:
@@ -133,14 +147,7 @@ class TestEncodeDecode:
                            ChannelSpec(erasures=1, errors=1), ref, rng)
         space = tmp_path / "space.txt"
         space.write_text(format_subspace(ref, received.subspace))
-        built = []
-        init = SpreadCode.__init__
-
-        def counting_init(self, *args, **kwargs):
-            built.append(args)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(SpreadCode, "__init__", counting_init)
+        built = count_builds(monkeypatch)
         code, _, _ = run(capsys, "decode", "--q", "3", "--k", "3",
                          "--r", "4", "--in", str(space))
         assert code == 0 and len(built) == 1
@@ -219,3 +226,41 @@ class TestSimulateAndBench:
 
     def test_missing_subcommand_usage_error(self, capsys):
         assert main([]) == 1
+
+
+class TestLimits:
+    @pytest.mark.parametrize("argv,what", [
+        (["params", "--q", "2", "--k", "3", "--r", "100000"], "--r"),
+        (["params", "--q", "2", "--k", "3", "--r", str(MAX_R + 1)], "--r"),
+        (["params", "--q", "2", "--k", "60"], "q^k"),
+        (["params", "--q", "2", "--k", "33"], "q^k"),
+        (["params", "--q", "65537", "--k", "2"], "q^k"),
+        (["encode", "--q", "2", "--k", "2", "--r", "65",
+          "--in", "/nonexistent/file"], "--r"),
+        (["decode", "--q", "2", "--k", "40", "--in", "/nonexistent/file"],
+         "q^k"),
+        (["simulate", "--q", "2", "--k", "3", "--trials", "100000000"],
+         "--trials"),
+        (["simulate", "--q", "2", "--k", "3",
+          "--trials", str(MAX_TRIALS + 1)], "--trials"),
+        (["bench", "--q", "2", "--k", "3,60", "--trials", "1"], "q^k"),
+        (["bench", "--q", "2", "--k", "3", "--r", "65"], "--r"),
+        (["bench", "--q", "2", "--k", "3", "--trials", "100000000"],
+         "--trials"),
+    ])
+    def test_over_limit_refused_before_any_work(self, capsys, monkeypatch,
+                                                argv, what):
+        builds = count_builds(monkeypatch)
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and builds == []
+        assert err.startswith("usage error: ") and what in err
+
+    def test_largest_sizes_accepted(self, capsys):
+        code, out, _ = run(capsys, "params", "--q", "2", "--k", "3",
+                           "--r", str(MAX_R))
+        assert code == 0
+        size = (2 ** (3 * MAX_R) - 1) // (2 ** 3 - 1)
+        assert out.splitlines()[1] == f"|S|={size} dmin=6"
+        code, out, _ = run(capsys, "params", "--q", "5", "--k", "8")
+        assert code == 0 and out.splitlines()[1] == "|S|=390626 dmin=16"
+

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -182,6 +183,83 @@ class TestExtField:
         els = list(f4.elements())
         assert len(els) == 4 and len(set(els)) == 4
         assert els[0] == f4.zero
+
+
+class TestTableBuild:
+    # (q, k, modulus or None for the default, cosets c = (q^k - 1) / ord(x))
+    CASES = [
+        (3, 5, None, 1),          # x primitive: the walk of x is exp
+        (2, 4, None, 1),
+        (2, 9, None, 7),          # ord(x) = 73
+        (7, 2, (1, 0, 1), 12),    # x^2 + 1: ord(x) = 4
+        (13, 4, None, 595),       # ord(x) = 48
+    ]
+
+    @staticmethod
+    def build(q, k, modulus, monkeypatch):
+        raw_pows = []
+        pow_raw = ExtField._pow_raw
+
+        def counting(self, a, e):
+            raw_pows.append((a, e))
+            return pow_raw(self, a, e)
+
+        monkeypatch.setattr(ExtField, "_pow_raw", counting)
+        ext = ExtField(PrimeField(q), modulus or find_irreducible(q, k))
+        monkeypatch.undo()
+        return ext, raw_pows
+
+    @pytest.mark.parametrize("q,k,modulus,cosets", CASES)
+    def test_exp_log_over_least_primitive(self, q, k, modulus, cosets,
+                                          monkeypatch):
+        ext, raw_pows = self.build(q, k, modulus, monkeypatch)
+        n = ext.order - 1
+        exp, log = ext._exp, ext._log
+        assert len(exp) == 2 * n and len(log) == ext.order
+        assert sorted(exp[:n]) == list(range(1, ext.order))
+        assert all(log[exp[i]] == i for i in range(n))
+        assert exp[n:] == exp[:n]
+
+        def order(a):
+            return n // math.gcd(n, log[a])
+
+        assert order(q) == n // cosets
+        g = exp[1]
+        assert order(g) == n
+        assert all(order(a) < n for a in range(q, g))
+        if cosets == 1:
+            assert g == q and raw_pows == []
+        else:
+            assert raw_pows
+
+    @pytest.mark.parametrize("q,k,modulus,cosets", CASES)
+    def test_table_arithmetic_matches_raw(self, q, k, modulus, cosets,
+                                          monkeypatch):
+        ext, _ = self.build(q, k, modulus, monkeypatch)
+        if ext.order <= 1 << 10:
+            pairs = list(itertools.product(range(ext.order), repeat=2))
+        else:
+            rnd = random.Random(ext.order)
+            pairs = [(rnd.randrange(ext.order), rnd.randrange(ext.order))
+                     for _ in range(5000)]
+        for a, b in pairs:
+            assert ext.mul(a, b) == ext._mul_raw(a, b)
+            if q % 2:
+                assert ext.add(a, b) == ext._digitwise(a, b, 1)
+
+    @pytest.mark.parametrize("width", [0, 1, 4, 5, 13, 24])
+    def test_packed_row_kernel_by_top_window(self, width):
+        # The packed kernel reads every window of a nonzero y, zero top
+        # windows included, and skips zero entries; rows topping out at
+        # every width agree with mul.
+        ext = ExtField(PrimeField(2), find_irreducible(2, 24))
+        rnd = random.Random(width)
+        ys = [0, 1 << width >> 1] + [rnd.randrange(1 << width)
+                                     for _ in range(6)]
+        xs = [rnd.randrange(ext.order) for _ in ys]
+        g = rnd.randrange(2, ext.order)
+        assert ext.axpy(xs, g, ys) == [ext.add(x, ext.mul(g, y))
+                                       for x, y in zip(xs, ys)]
 
 
 class TestFrobenius:
