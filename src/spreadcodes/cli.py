@@ -98,8 +98,8 @@ def _write(path: str | None, text: str):
 def _parse_point(lines: list[str], code: SpreadCode) -> list[tuple]:
     rows = [(i + 1, ln) for i, ln in enumerate(lines) if ln.strip()]
     if len(rows) != code.r:
-        raise ValueError(f"line {len(lines)}: expected {code.r} coordinate "
-                         f"lines, found {len(rows)}")
+        raise ValueError(f"line {max(len(lines), 1)}: expected {code.r} "
+                         f"coordinate lines, found {len(rows)}")
     point = []
     for lineno, ln in rows:
         try:
@@ -156,11 +156,13 @@ def _cmd_bench(args) -> int:
         _check_code(args.q, k, args.r)
     _check_trials(args.trials)
     p = tuple(args.p) if args.p else None
+    # Every code is built before the header, so a bad modulus prints
+    # nothing.
+    codes = [SpreadCode(args.q, k, args.r, p) for k in ks]
     print("k n mean_ops max_ops")
-    for k in ks:
-        code = SpreadCode(args.q, k, args.r, p)
+    for code in codes:
         rec = simulate(code, args.trials, [(0, 1)], args.seed)[0]
-        print(f"{k} {code.n} {rec.mean_ops:.2f} {rec.max_ops}")
+        print(f"{code.k} {code.n} {rec.mean_ops:.2f} {rec.max_ops}")
     return 0
 
 

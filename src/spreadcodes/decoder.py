@@ -3,7 +3,11 @@
 The received space is a subspace of F_q^(rk) of dimension at most k,
 kept as the blocks R_1 ... R_r of its RREF basis.  :func:`decode` pins
 blocks of rank at most (dim-1)/2 to zero; each other block i is found
-by one pair step against the first high-rank block j:
+by one pair step against the first high-rank block j.  The step gets
+the two blocks (R_j, R_i) as they stand in the received RREF; only when
+a pivot of the received space lies outside blocks j and i is the pair
+re-canonicalized first.  The higher-rank block leads, and the step
+undoes that swap on its answer:
 
 * exact membership is accepted immediately,
 * otherwise the pair is moved to the eigenbasis of the companion matrix,
@@ -223,24 +227,9 @@ def _membership_point(code: SpreadCode, A: Matrix):
     return None
 
 
-def _ordered_point(R1: Matrix, R2: Matrix, r1: int, code: SpreadCode):
-    """The pairwise step with rank(R1) = r1 >= rank(R2), both above
-    (dim-1)/2: mu of the pair codeword [1 : mu], or the failure reason."""
-    ktil = R1.nrows
-    if ktil == code.k and r1 == code.k:
-        # The leading block of a canonical pair is I at full rank, so
-        # only a swapped step needs the inverse.
-        A = R2 if R1 == Matrix.identity(R1.field, ktil) else inverse(R1) @ R2
-        mu = _membership_point(code, A)
-        if mu is not None:
-            return mu
-        return _nonsingular_core(A, code)
-    return _pencil_point(R1, R2, code)
-
-
 def _pencil_point(R1: Matrix, R2: Matrix, code: SpreadCode):
-    """The general pencil search under the preconditions of
-    :func:`_ordered_point`: mu of the pair codeword [1 : mu], or the
+    """The general pencil search on a pair with rank(R1) >= rank(R2),
+    both above (dim-1)/2: mu of the pair codeword [1 : mu], or the
     failure reason."""
     ktil = R1.nrows
     support = pair_support(R1, R2, code)
@@ -284,20 +273,30 @@ def _nonsingular_core(A: Matrix, code: SpreadCode):
     return REASON_NO_CODEWORD
 
 
-def _pair_step(pair: Subspace, rj: int, ri: int, code: SpreadCode):
-    """The pair step on a canonical two-block space (j, i), both ranks
-    above (dim-1)/2: y of the codeword [1 : y], or the failure reason."""
-    k = code.k
-    Rj = pair.basis.columns_slice(0, k)
-    Ri = pair.basis.columns_slice(k, 2 * k)
-    if rj >= ri:
-        return _ordered_point(Rj, Ri, rj, code)
-    # [x : 1] = [1 : 1/x]; x is never 0, which would need rank(R_j) at
-    # or below the threshold.
-    x = _ordered_point(Ri, Rj, ri, code)
-    if isinstance(x, str) or x == code.ext.one:
-        return x
-    return code.ext.inv(x)
+def _pair_step(Rj: Matrix, Ri: Matrix, rj: int, ri: int, code: SpreadCode):
+    """The pair step on the blocks (Rj Ri) of a two-block space in RREF,
+    with ranks rj and ri above (dim-1)/2: y of the codeword [1 : y], or
+    the failure reason.  The higher-rank block leads; a full-rank
+    leading block takes membership, then the closed form, and any other
+    pair the pencil search."""
+    swap = ri > rj
+    if swap:
+        Rj, Ri, rj = Ri, Rj, ri
+    ktil = Rj.nrows
+    if ktil == code.k and rj == code.k:
+        # The leading block of a canonical pair is I at full rank, so
+        # only a swapped step needs the inverse.
+        A = Ri if Rj == Matrix.identity(Rj.field, ktil) else inverse(Rj) @ Ri
+        mu = _membership_point(code, A)
+        if mu is None:
+            mu = _nonsingular_core(A, code)
+    else:
+        mu = _pencil_point(Rj, Ri, code)
+    # [x : 1] = [1 : 1/x]; x is never 0, which would put the lower-rank
+    # block at or below the threshold.
+    if not swap or isinstance(mu, str) or mu == code.ext.one:
+        return mu
+    return code.ext.inv(mu)
 
 
 def decode_pair(R1: Matrix, R2: Matrix, code: SpreadCode) -> DecodeResult:
@@ -336,22 +335,21 @@ def decode(received: ReceivedSpace, code: SpreadCode) -> DecodeResult:
     j = high[0]
     point = [code.ext.zero] * r
     point[j] = code.ext.one
-    if r > 2:
-        # The blocks that hold the pivots of the received RREF.  If they
-        # all lie in blocks j and i, those two blocks side by side are
-        # in RREF.
-        held = {next(c for c, a in enumerate(row) if a) // k
-                for row in received.subspace.basis.data}
+    # The blocks that hold the pivots of the received RREF.  If they all
+    # lie in blocks j and i, those two blocks side by side are in RREF,
+    # as they always are for r = 2.
+    held = set() if r == 2 else {
+        next(c for c, a in enumerate(row) if a) // k
+        for row in received.subspace.basis.data}
     for i in high[1:]:
-        # A column slice of any basis of the pair space has the rank of
-        # the same slice of the received basis, so the ranks carry over.
-        if r == 2:
-            pair = received.subspace
-        elif held <= {j, i}:
-            pair = Subspace(hstack(blocks[j], blocks[i]))
-        else:
-            pair = Subspace.from_generators(hstack(blocks[j], blocks[i]))
-        found = _pair_step(pair, ranks[j], ranks[i], code)
+        Rj, Ri = blocks[j], blocks[i]
+        if not held <= {j, i}:
+            # A column slice of any basis of the pair space has the rank
+            # of the same slice of the received basis, so the ranks
+            # carry over.
+            pair = Subspace.from_generators(hstack(Rj, Ri)).basis
+            Rj, Ri = pair.columns_slice(0, k), pair.columns_slice(k, 2 * k)
+        found = _pair_step(Rj, Ri, ranks[j], ranks[i], code)
         if isinstance(found, str):
             return _fail(found)
         point[i] = found

@@ -130,9 +130,29 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _power(mul, a, e: int):
+    """a^e for e >= 0 by square-and-multiply through ``mul``."""
+    out = 1
+    while e:
+        if e & 1:
+            out = mul(out, a)
+        a = mul(a, a)
+        e >>= 1
+    return out
+
+
+def parse_uint(s: str) -> int:
+    """A non-negative integer written in the ASCII digits 0-9 only;
+    ``int`` alone would also take a sign, underscores and other
+    scripts' digits."""
+    if not (s.isascii() and s.isdigit()):
+        raise ValueError(f"{s!r} is not a number in digits 0-9")
+    return int(s)
+
+
 def _parse_digit(s: str, q: int) -> int:
-    d = int(s)
-    if not 0 <= d < q:
+    d = parse_uint(s)
+    if d >= q:
         raise ValueError(f"digit {d} is outside 0..{q - 1}")
     return d
 
@@ -206,14 +226,7 @@ class PrimeField:
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(a), -e)
-        out = self.one
-        base = a % self.q
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
+        return _power(self.mul, a % self.q, e)
 
     def elements(self):
         return range(self.q)
@@ -377,20 +390,12 @@ class ExtField:
         self.one = 1
         self._char2 = q == 2
         # The packed kernels reduce by p: as a bit pattern for q = 2;
-        # for odd q as _red[i] = digits of x^(k+i) mod p, i in 0..k-2.
+        # for odd q as _red = digits of x^k mod p.
         self._bits = self._red = None
         if self._char2:
             self._bits = sum(c << i for i, c in enumerate(modulus))
         else:
-            red = [[(-c) % q for c in modulus[:k]]]
-            for _ in range(k - 2):
-                cur = red[-1]
-                nxt = [0] + cur[:k - 1]
-                top = cur[k - 1]
-                if top:
-                    nxt = [(x + top * y) % q for x, y in zip(nxt, red[0])]
-                red.append(nxt)
-            self._red = red
+            self._red = [(-c) % q for c in modulus[:k]]
         self._exp = self._log = self._zech = self._frob = None
         self._half = 0
         if self.order <= TABLE_LIMIT:
@@ -423,7 +428,7 @@ class ExtField:
                 return e ^ bits if e >> k else e
         else:
             top = q ** (k - 1)
-            terms = [(q ** j, r) for j, r in enumerate(self._red[0]) if r]
+            terms = [(q ** j, r) for j, r in enumerate(self._red) if r]
 
             def times_x(e):
                 t, s = divmod(e, top)
@@ -596,12 +601,14 @@ class ExtField:
             if ai:
                 for j, bj in enumerate(db):
                     prod[i + j] += ai * bj
+        # x^i = x^(i-k) * x^k, folded from the top down so each fold
+        # lands below the digit it clears.
+        red = self._red
         for i in range(2 * k - 2, k - 1, -1):
             c = prod[i] % q
             if c:
-                row = self._red[i - k]
-                for j in range(k):
-                    prod[j] += c * row[j]
+                for j, rj in enumerate(red, i - k):
+                    prod[j] += c * rj
         return _from_digits([prod[j] % q for j in range(k)], q)
 
     def _window_tables(self, g):
@@ -738,26 +745,12 @@ class ExtField:
         return _from_digits([x * scale % q for x in s1], q)
 
     def _pow_raw(self, a, e: int):
-        out = self.one
-        base = a
-        while e:
-            if e & 1:
-                out = self._mul_raw(out, base)
-            base = self._mul_raw(base, base)
-            e >>= 1
-        return out
+        return _power(self._mul_raw, a, e)
 
     def pow(self, a, e: int):
         if e < 0:
             return self.pow(self.inv(a), -e)
-        out = self.one
-        base = a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
+        return _power(self.mul, a, e)
 
     # -- Frobenius and trace ---------------------------------------------------
 

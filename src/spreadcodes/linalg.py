@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .gf import PrimeField
+from .gf import PrimeField, parse_uint
 
 
 class Matrix:
@@ -298,8 +298,6 @@ def minor(M: Matrix, rows: tuple, cols: tuple):
     in tuple order.  Empty tuples give 1; repeated indices give 0."""
     if len(rows) != len(cols):
         raise ValueError("row and column tuples must have equal length")
-    if not rows:
-        return M.field.one
     if any(i < 1 or i > M.nrows for i in rows):
         raise IndexError("row index out of range")
     if any(j < 1 or j > M.ncols for j in cols):
@@ -402,7 +400,7 @@ def parse_matrix_lines(field, lines) -> Matrix:
     ValueError starts with "line N:" for the line at fault."""
     size_no, size = lines[0]
     try:
-        nrows, ncols = map(int, size.split())
+        nrows, ncols = map(parse_uint, size.split())
     except ValueError as exc:
         raise ValueError(f"line {size_no}: bad size line {size!r}") from exc
     if len(lines) != nrows + 1:

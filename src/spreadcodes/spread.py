@@ -17,10 +17,11 @@ where M is the coefficient-wise isomorphism onto F_q[P].
 from __future__ import annotations
 
 import copy
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .gf import ExtField, PrimeField, find_irreducible
+from .gf import ExtField, PrimeField, find_irreducible, parse_uint
 from .linalg import (Matrix, hstack, inverse, parse_matrix_lines, rank,
                      rref, vstack)
 
@@ -258,12 +259,13 @@ class SpreadCode:
         return Codeword(tuple(self.ext.digits(v) for v in coords), sub)
 
     def codewords(self):
-        """All (q^n - 1)/(q^k - 1) codewords, one per projective point."""
+        """All (q^n - 1)/(q^k - 1) codewords, one per projective point,
+        the coordinate after the leading 1 varying fastest."""
         ext = self.ext
         for lead in range(self.r):
             tail = self.r - lead - 1
-            for rest in _tuples(ext, tail):
-                point = (ext.zero,) * lead + (ext.one,) + rest
+            for rest in itertools.product(ext.elements(), repeat=tail):
+                point = (ext.zero,) * lead + (ext.one,) + rest[::-1]
                 yield self.encode(point)
 
     @cached_property
@@ -278,45 +280,21 @@ class SpreadCode:
 
     # -- membership ----------------------------------------------------------
 
-    def split_blocks(self, M: Matrix) -> list[Matrix]:
-        if M.ncols != self.n:
-            raise ValueError(f"expected {self.n} columns, got {M.ncols}")
-        return [M.columns_slice(i * self.k, (i + 1) * self.k)
-                for i in range(self.r)]
-
     def is_codeword(self, W: Subspace) -> bool:
-        """Exact membership test working entirely over F_q: the first
-        full-rank block must be preceded by zero blocks, and every later
-        block B must satisfy commutation of R_j^(-1) B with P and be
-        invertible or zero."""
+        """Exact membership read off the RREF basis of W, over F_q.  A
+        codeword's RREF is (0 ... 0 | I | M(v) ...), so W is one when its
+        first nonzero block is I and every later block lies in F_q[P].
+        Every nonzero element of F_q[P] is invertible, so a later block
+        needs no rank test."""
         if W.dim != self.k or W.ambient != self.n:
             return False
-        blocks = self.split_blocks(W.basis)
-        ranks = [rank(b) for b in blocks]
-        j = next((i for i, t in enumerate(ranks) if t == self.k), None)
-        if j is None:
-            return False
-        if any(not blocks[i].is_zero() for i in range(j)):
-            return False
-        Rj_inv = inverse(blocks[j])
-        for i in range(j + 1, self.r):
-            A = Rj_inv @ blocks[i]
-            if A.is_zero():
-                continue
-            if ranks[i] != self.k:
-                return False
-            if not self.commutes_with_companion(A):
-                return False
-        return True
-
-
-def _tuples(ext: ExtField, length: int):
-    if length == 0:
-        yield ()
-        return
-    for rest in _tuples(ext, length - 1):
-        for v in ext.elements():
-            yield (v,) + rest
+        k, basis = self.k, W.basis
+        # Row 0 of an RREF basis starts at the leftmost pivot.
+        j = next(c for c, a in enumerate(basis.row(0)) if a) // k
+        lead, *rest = (basis.columns_slice(i * k, (i + 1) * k)
+                       for i in range(j, self.r))
+        return (lead == Matrix.identity(self.base, k)
+                and all(map(self.commutes_with_companion, rest)))
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +305,7 @@ def parse_header(line: str) -> tuple[int, ...]:
     """The integers of a code header "q k r p_0 ... p_{k-1}", checked
     for shape only; ValueError when the line is malformed."""
     try:
-        parts = tuple(int(x) for x in line.split())
+        parts = tuple(parse_uint(x) for x in line.split())
     except ValueError as exc:
         raise ValueError(f"bad code header {line!r}") from exc
     if len(parts) < 4:

@@ -162,6 +162,7 @@ class TestEncodeDecode:
         ("decode", None, "/nonexistent/file"),
         ("encode", "1 0\n0 2\n", "line 2"),
         ("encode", "1 0\n", "line 1"),
+        ("encode", "", "line 1:"),
         ("decode", "2 2 2 1 1\n1 4\n1 0 0\n", "line 3"),
     ])
     def test_input_errors_share_one_report(self, tmp_path, capsys, command,
@@ -218,6 +219,16 @@ class TestSimulateAndBench:
         for k, line in zip((2, 3), out.splitlines()[1:]):
             rec = simulate(SpreadCode(3, k, 2), 4, [(0, 1)], 2)[0]
             assert line == f"{k} {2 * k} {rec.mean_ops:.2f} {rec.max_ops}"
+
+    @pytest.mark.parametrize("k,p,what", [
+        ("3,5", ["1", "1", "0"], "modulus must have degree 5"),
+        ("2", ["1", "0"], "reducible"),
+    ])
+    def test_bench_bad_modulus_prints_nothing(self, capsys, k, p, what):
+        # Every code is built before the header is printed.
+        code, out, err = run(capsys, "bench", "--q", "2", "--k", k,
+                             "--trials", "1", "--p", *p)
+        assert code == 1 and out == "" and what in err
 
     def test_bench_bad_list(self, capsys):
         code, _, err = run(capsys, "bench", "--q", "2", "--k", "2,x",

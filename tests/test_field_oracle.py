@@ -146,7 +146,8 @@ def test_row_kernel(q, k, data):
 
 
 @pytest.mark.parametrize("q,k", [(2, 3), (3, 2), (2, 24), (3, 13)])
-@pytest.mark.parametrize("bad", ["q", "-1", "x", "1.0"])
+@pytest.mark.parametrize("bad", ["q", "-1", "x", "1.0", "+1", "0_1",
+                                 "\u0661"])
 def test_from_str_rejects_bad_digits(q, k, bad):
     ext, _ = fields(q, k)
     digit = str(q) if bad == "q" else bad

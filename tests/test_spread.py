@@ -1,7 +1,9 @@
+import functools
 import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from spreadcodes.gf import PrimeField, find_irreducible
 from spreadcodes.linalg import Matrix, hstack, minor, rank
@@ -341,6 +343,8 @@ class TestHeadersAndFiles:
         ("2 3 2 1 1 0\n1 6\n1 0 0 0 0\n", 3),               # row width
         ("2 3 2 1 1 0\n1 6\n\n1 0 0 0 0 2\n", 4),           # digit range
         ("2 3 2 1 1 0\n2 6\n0 0 0 0 0 0\n0 0 0 0 0 0\n", 2),  # zero
+        ("2 3 2 1 +1 0\n1 6\n1 0 0 0 0 0\n", 1),            # signed
+        ("2 3 2 1 1 0\n0_1 6\n1 0 0 0 0 0\n", 2),           # underscore
     ])
     def test_malformed_file_names_its_line(self, code32, text, line):
         with pytest.raises(ValueError, match=rf"^line {line}:"):
@@ -353,3 +357,68 @@ class TestHeadersAndFiles:
             SpreadCode(2, 2, 2, (1, 0))  # x^2 + 1 reducible over F_2
         with pytest.raises(ValueError):
             SpreadCode(4, 2, 2)
+
+
+# ---------------------------------------------------------------------------
+# Properties of the subspace file format over q = 2, 3, 5 and r = 2..4.
+
+@functools.cache
+def file_code(q, k, r):
+    return SpreadCode(q, k, r)
+
+
+@st.composite
+def code_and_space(draw):
+    """A small code and a random nonzero subspace of its ambient space."""
+    q = draw(st.sampled_from([2, 3, 5]))
+    k = draw(st.sampled_from([2, 3]))
+    code = file_code(q, k, draw(st.integers(2, 4)))
+    nrows = draw(st.integers(1, code.n))
+    rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=code.n,
+                                  max_size=code.n),
+                         min_size=nrows, max_size=nrows))
+    sub = Subspace.from_generators(Matrix(code.base, rows))
+    assume(sub.dim >= 1)
+    return code, sub
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=code_and_space())
+def test_subspace_file_round_trip(case):
+    code, sub = case
+    text = format_subspace(code, sub)
+    assert parse_subspace(text, code) == (code, sub)
+    parsed_code, parsed = parse_subspace(text)
+    assert parsed_code.header() == code.header() and parsed == sub
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=code_and_space(), data=st.data())
+def test_mutated_subspace_file_names_its_line(case, data):
+    # Lines are 1: header, 2: size, 3..: rows.  A dropped row breaks the
+    # row count the size line states, so that error names line 2.
+    code, sub = case
+    lines = format_subspace(code, sub).splitlines()
+    kind = data.draw(st.sampled_from(
+        ["digit q", "digit +1", "drop row", "widen row", "header"]))
+    if kind == "header":
+        at = data.draw(st.integers(3, 2 + code.k))
+        fields = lines[0].split()
+        old = int(fields[at])
+        fields[at] = str(data.draw(st.integers(0, code.q - 1).filter(
+            lambda c: c != old)))
+        lines[0], line = " ".join(fields), 1
+    elif kind == "drop row":
+        del lines[data.draw(st.integers(2, len(lines) - 1))]
+        line = 2
+    else:
+        line = data.draw(st.integers(3, len(lines)))
+        digits = lines[line - 1].split()
+        if kind == "widen row":
+            digits.append("0")
+        else:
+            at = data.draw(st.integers(0, len(digits) - 1))
+            digits[at] = str(code.q) if kind == "digit q" else "+1"
+        lines[line - 1] = " ".join(digits)
+    with pytest.raises(ValueError, match=rf"^line {line}:"):
+        parse_subspace("\n".join(lines) + "\n", code)
