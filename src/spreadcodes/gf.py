@@ -9,6 +9,12 @@ is ``range(q**k)``.  Digit tuples appear only at the text boundary
 (``to_str``/``from_str``, point and subspace files) and in the public
 ``Codeword.point``.
 
+The default modulus of F_{q^k} is the first monic irreducible of degree
+k in a fixed candidate order (:func:`find_irreducible`).  Each candidate
+is tested by Ben-Or's gcd test on coefficient lists in at most
+O(k^3 log q) base operations, where trial division needs up to q^(k/2)
+divisions.
+
 Extension-field multiplication uses one of three kernels, fixed when
 the field is built:
 
@@ -290,23 +296,34 @@ def _poly_sub(f, g, q: int) -> list[int]:
 
 @functools.lru_cache(maxsize=1)
 def poly_is_irreducible(p: tuple[int, ...], q: int) -> bool:
-    """Trial-divide a monic polynomial by every monic divisor of degree
-    at most deg(p)/2.  Exact, intended for small q and degree.  The last
-    answer is kept, so the ExtField built on the modulus that
+    """Ben-Or's test (Ben-Or, *Probabilistic algorithms in finite
+    fields*, FOCS 1981; the early-exit form of Rabin's test).  x^(q^i)
+    - x is the product of the monic irreducibles of degree dividing i,
+    so a monic p of degree k is irreducible iff gcd(x^(q^i) - x, p) = 1
+    for i = 1 .. k/2.  Step i raises h = x^(q^(i-1)) mod p to the q-th
+    power by left-to-right square-and-multiply, O(log q) products mod
+    p, so a p with a small factor fails within the first steps.  The
+    last answer is kept, so the ExtField built on the modulus that
     :func:`find_irreducible` has just returned does not test it again,
     while a later search still runs in full."""
     p = tuple(c % q for c in p)
     k = len(p) - 1
     if k < 1 or p[-1] != 1:
         raise ValueError("polynomial must be monic of degree >= 1")
-    if k == 1:
-        return True
-    for d in range(1, k // 2 + 1):
-        for tail in itertools.product(range(q), repeat=d):
-            divisor = list(tail) + [1]
-            _, rem = _poly_divmod(list(p), divisor, q)
-            if not rem:
-                return False
+    p = list(p)
+    bits = bin(q)[3:]                  # q's bits after the leading 1
+    h = [0, 1]
+    for _ in range(k // 2):
+        base = h
+        for bit in bits:
+            h = _poly_divmod(_poly_mul(h, h, q), p, q)[1]
+            if bit == "1":
+                h = _poly_divmod(_poly_mul(h, base, q), p, q)[1]
+        a, b = p, _poly_sub(h, [0, 1], q)
+        while b:
+            a, b = b, _poly_divmod(a, b, q)[1]
+        if len(a) > 1:
+            return False
     return True
 
 
@@ -427,16 +444,24 @@ class ExtField:
                 e <<= 1
                 return e ^ bits if e >> k else e
         else:
-            top = q ** (k - 1)
-            terms = [(q ** j, r) for j, r in enumerate(self._red) if r]
+            # e = low + t*x^(k-1) gives e*x = low*x + t*(x^k mod p).  Digit
+            # 0 of low*x is 0, so t*red_0 lands as it is; for each higher
+            # nonzero red_j, rows[t] holds the change of the whole int for
+            # every value d of its digit j.
+            top, red = q ** (k - 1), self._red
+            low0 = [t * red[0] % q for t in range(q)]
+            rows = [[(q ** j, [((d + t * r) % q - d) * q ** j
+                               for d in range(q)])
+                     for j, r in enumerate(red) if j and r]
+                    for t in range(q)]
 
             def times_x(e):
                 t, s = divmod(e, top)
-                s *= q
-                if t:
-                    for qj, r in terms:
-                        d = s // qj % q
-                        s += ((d + t * r) % q - d) * qj
+                if not t:
+                    return s * q
+                s = s * q + low0[t]
+                for qj, row in rows[t]:
+                    s += row[s // qj % q]
                 return s
 
         def orbit(e):                          # e, e*x, e*x^2, ... until e

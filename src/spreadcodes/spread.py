@@ -27,19 +27,30 @@ from .linalg import (Matrix, hstack, inverse, parse_matrix_lines, rank,
 
 
 class Subspace:
-    """Row space of a full-row-rank RREF matrix over F_q."""
+    """Row space of a matrix over F_q, held as its canonical basis: the
+    RREF with zero rows dropped.  Equal subspaces have equal bases,
+    which equality, hashing, :meth:`SpreadCode.is_codeword` and the
+    decoder read."""
 
     __slots__ = ("basis",)
 
-    def __init__(self, basis: Matrix):
-        self.basis = basis
+    def __init__(self, M: Matrix):
+        res = rref(M)
+        self.basis = res.matrix.submatrix(range(res.rank), range(M.ncols))
 
     @classmethod
     def from_generators(cls, M: Matrix) -> "Subspace":
-        """Canonicalize an arbitrary generator matrix: reduce to RREF and
-        drop zero rows."""
-        res = rref(M)
-        return cls(res.matrix.submatrix(range(res.rank), range(M.ncols)))
+        """The row space of an arbitrary generator matrix; the same as
+        ``Subspace(M)``."""
+        return cls(M)
+
+    @classmethod
+    def _of_rref(cls, basis: Matrix) -> "Subspace":
+        """The row space of a matrix already in RREF with no zero rows,
+        taken as its basis with no elimination."""
+        sub = cls.__new__(cls)
+        sub.basis = basis
+        return sub
 
     @property
     def field(self):
@@ -255,7 +266,8 @@ class SpreadCode:
         be field elements or digit sequences.  The normalized point makes
         that matrix (0 ... 0 | I | M(v) ...), which is already in RREF."""
         coords = self.normalize_point(point)
-        sub = Subspace(hstack(*(self.matrix_rep(v) for v in coords)))
+        sub = Subspace._of_rref(
+            hstack(*(self.matrix_rep(v) for v in coords)))
         return Codeword(tuple(self.ext.digits(v) for v in coords), sub)
 
     def codewords(self):

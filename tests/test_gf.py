@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -100,6 +101,105 @@ class TestFindIrreducible:
             ExtField(PrimeField(2), (1, 0, 0, 0, 0, 0, 0, 0, 1))
 
 
+# The search's results before the gcd test replaced trial division,
+# computed once by trial division: (q, k) -> (p_0, ..., p_j), the low
+# coefficients of the modulus up to its last nonzero one below x^k.
+# Every (q, k) with q^k <= 2^16.
+PARENT_MODULI = {
+    (2, 2): (1, 1), (2, 3): (1, 1), (2, 4): (1, 1), (2, 5): (1, 0, 1),
+    (2, 6): (1, 1), (2, 7): (1, 1), (2, 8): (1, 1, 0, 1, 1), (2, 9): (1, 1),
+    (2, 10): (1, 0, 0, 1), (2, 11): (1, 0, 1), (2, 12): (1, 0, 0, 1),
+    (2, 13): (1, 1, 0, 1, 1), (2, 14): (1, 0, 0, 0, 0, 1), (2, 15): (1, 1),
+    (2, 16): (1, 1, 0, 1, 0, 1), (3, 2): (1,), (3, 3): (1, 2), (3, 4): (2, 1),
+    (3, 5): (1, 2), (3, 6): (2, 1), (3, 7): (2, 0, 1), (3, 8): (2, 0, 1),
+    (3, 9): (1, 0, 1, 2), (3, 10): (1, 0, 2), (5, 2): (2,), (5, 3): (1, 1),
+    (5, 4): (2,), (5, 5): (1, 4), (5, 6): (2, 1), (7, 2): (1,), (7, 3): (2,),
+    (7, 4): (1, 1), (7, 5): (3, 1), (11, 2): (1,), (11, 3): (4, 1),
+    (11, 4): (2, 1), (13, 2): (2,), (13, 3): (2,), (13, 4): (2,),
+    (17, 2): (3,), (17, 3): (3, 1), (19, 2): (1,), (19, 3): (2,),
+    (23, 2): (1,), (23, 3): (3, 1), (29, 2): (2,), (29, 3): (4, 1),
+    (31, 2): (1,), (31, 3): (3,), (37, 2): (2,), (37, 3): (2,), (41, 2): (3,),
+    (43, 2): (1,), (47, 2): (1,), (53, 2): (2,), (59, 2): (1,), (61, 2): (2,),
+    (67, 2): (1,), (71, 2): (1,), (73, 2): (5,), (79, 2): (1,), (83, 2): (1,),
+    (89, 2): (3,), (97, 2): (5,), (101, 2): (2,), (103, 2): (1,),
+    (107, 2): (1,), (109, 2): (2,), (113, 2): (3,), (127, 2): (1,),
+    (131, 2): (1,), (137, 2): (3,), (139, 2): (1,), (149, 2): (2,),
+    (151, 2): (1,), (157, 2): (2,), (163, 2): (1,), (167, 2): (1,),
+    (173, 2): (2,), (179, 2): (1,), (181, 2): (2,), (191, 2): (1,),
+    (193, 2): (5,), (197, 2): (2,), (199, 2): (1,), (211, 2): (1,),
+    (223, 2): (1,), (227, 2): (1,), (229, 2): (2,), (233, 2): (3,),
+    (239, 2): (1,), (241, 2): (7,), (251, 2): (1,),
+}
+
+# The largest fields the CLI accepts, where trial division took 1.9 to
+# 21 s: (q, k) -> (low coefficients as above, bound on _poly_divmod
+# calls in the search).  Each bound is about twice the count of the gcd
+# test (1419, 598, 5747, 27637 and 489); trial division needs over
+# 2^16 calls at (2, 32) and over 10^6 at (1619, 3).
+LARGE_FIELDS = {
+    (2, 32): ((1, 0, 1, 1, 0, 0, 0, 1), 2800),
+    (3, 20): ((1, 2, 0, 1), 1200),
+    (251, 4): ((4, 1), 11500),
+    (1619, 3): ((6, 1), 55000),
+    (65521, 2): ((17,), 1000),
+}
+
+
+def full_modulus(k, low):
+    return low + (0,) * (k - len(low)) + (1,)
+
+
+def monic_polynomials(q, max_order):
+    """Every monic polynomial of degree >= 2 over F_q with q^k <= max_order,
+    as full coefficient tuples."""
+    k = 2
+    while q ** k <= max_order:
+        for tail in itertools.product(range(q), repeat=k):
+            yield tail + (1,)
+        k += 1
+
+
+class TestIrreducibilityTest:
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_agrees_with_trial_division(self, q):
+        for p in monic_polynomials(q, 1 << 12):
+            assert (poly_is_irreducible(p, q)
+                    == irreducible_by_trial_division(p, q)), p
+
+    @pytest.mark.parametrize("q", [2, 3, 7])
+    def test_linear_is_irreducible(self, q):
+        for c in range(q):
+            assert poly_is_irreducible((c, 1), q)
+
+    def test_rejects_non_monic(self):
+        with pytest.raises(ValueError):
+            poly_is_irreducible((1, 1, 2), 3)
+        with pytest.raises(ValueError):
+            poly_is_irreducible((1,), 3)
+
+    def test_search_keeps_every_small_modulus(self):
+        expected = {(q, k): full_modulus(k, low)
+                    for (q, k), low in PARENT_MODULI.items()}
+        found = {(q, k): find_irreducible(q, k) for q in range(2, 257)
+                 if is_prime(q) for k in range(2, 17) if q ** k <= 1 << 16}
+        assert found == expected
+
+    @pytest.mark.parametrize("q,k", sorted(LARGE_FIELDS))
+    def test_largest_fields_take_polynomial_work(self, q, k, monkeypatch):
+        low, bound = LARGE_FIELDS[q, k]
+        calls = 0
+        real = gf._poly_divmod
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(gf, "_poly_divmod", counting)
+        assert find_irreducible(q, k) == full_modulus(k, low)
+        assert calls <= bound
+
+
 class TestPrimeField:
     def test_requires_prime(self):
         with pytest.raises(ValueError):
@@ -185,6 +285,28 @@ class TestExtField:
         assert els[0] == f4.zero
 
 
+# Digests of the exp, log and zech tables of every odd-q table field
+# with q^k <= 2^12 under its default modulus, taken before the odd-q walk
+# by x folded the top digit through precomputed rows.
+ODD_TABLE_DIGESTS = {
+    (3, 2): "811a000683e87932", (3, 3): "c3d7c6dbbb5df7b5",
+    (3, 4): "9c55c67b9e27c12d", (3, 5): "2d5d242e8ea3385f",
+    (3, 6): "2cdcfeb71a98c2b2", (3, 7): "8589f28cf85d02e2",
+    (5, 2): "08e11c15b38b3124", (5, 3): "0790aba27bf31f82",
+    (5, 4): "57b3c775f4f91b19", (5, 5): "29dbb8dd716eacc6",
+    (7, 2): "05f73b8e9e2cfd0f", (7, 3): "3b58f068584ff08f",
+    (7, 4): "defa5f8d216d104f", (11, 2): "11a5316686f23a42",
+    (11, 3): "fe7d6d7c8f911e9f", (13, 2): "9983b78435aec7bf",
+    (13, 3): "3da1b59cce686d21", (17, 2): "abba02b11d2a071a",
+    (19, 2): "c9289671dd27cff7", (23, 2): "df4fc13f36b5d233",
+    (29, 2): "7a758702258b0b7f", (31, 2): "eeb3a06243d2bcdf",
+    (37, 2): "065ed8eebff08b69", (41, 2): "f9bb95059629ca7a",
+    (43, 2): "61f568a746b26d41", (47, 2): "d4051129e0e2ca1d",
+    (53, 2): "7d0e3ec379183f50", (59, 2): "5bd0f27474a75c64",
+    (61, 2): "53610c3d2d820a31",
+}
+
+
 class TestTableBuild:
     # (q, k, modulus or None for the default, cosets c = (q^k - 1) / ord(x))
     CASES = [
@@ -246,6 +368,14 @@ class TestTableBuild:
             assert ext.mul(a, b) == ext._mul_raw(a, b)
             if q % 2:
                 assert ext.add(a, b) == ext._digitwise(a, b, 1)
+
+    @pytest.mark.parametrize("q,k", sorted(ODD_TABLE_DIGESTS))
+    def test_odd_tables_are_unchanged(self, q, k):
+        ext = ExtField(PrimeField(q), find_irreducible(q, k))
+        h = hashlib.sha256()
+        for table in (ext._exp, ext._log, ext._zech):
+            h.update(",".join(map(str, table)).encode() + b";")
+        assert h.hexdigest()[:16] == ODD_TABLE_DIGESTS[q, k]
 
     @pytest.mark.parametrize("width", [0, 1, 4, 5, 13, 24])
     def test_packed_row_kernel_by_top_window(self, width):

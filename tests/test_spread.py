@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from spreadcodes import spread
 from spreadcodes.gf import PrimeField, find_irreducible
 from spreadcodes.linalg import Matrix, hstack, minor, rank
 from spreadcodes.spread import (SpreadCode, Subspace, companion_matrix,
@@ -188,6 +189,12 @@ class TestEncode:
             blocks = [code.matrix_rep(code.ext.element(v)) for v in cw.point]
             assert cw.subspace == Subspace.from_generators(hstack(*blocks))
 
+    def test_encode_runs_no_elimination(self, code32, monkeypatch):
+        monkeypatch.setattr(spread, "rref", None)
+        cw = code32.encode((1, code32.alpha))
+        assert cw.subspace.basis == hstack(Matrix.identity(code32.base, 3),
+                                           code32.P)
+
     def test_rejects_zero_point(self, code22):
         with pytest.raises(ValueError):
             code22.encode((0, 0))
@@ -253,6 +260,15 @@ class TestMembership:
         W = Subspace.from_generators(
             hstack(Matrix.identity(code32.base, 3), N))
         assert not code32.is_codeword(W)
+
+    def test_constructor_takes_any_basis(self, code32):
+        # (P | P) spans the codeword [1 : 1] but is not in RREF; the
+        # constructor stores its canonical basis.
+        M = hstack(code32.P, code32.P)
+        W = Subspace(M)
+        assert W == Subspace.from_generators(M)
+        assert W == code32.encode((1, 1)).subspace
+        assert code32.is_codeword(W)
 
     def test_wrong_dimension_rejected(self, code22):
         W = Subspace.from_generators(Matrix(code22.base, [[1, 0, 0, 0]]))
