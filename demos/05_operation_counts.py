@@ -1,25 +1,27 @@
 """Profile the decoder in field operations rather than wall time.
 
 Every extension-field multiplication and inversion performed inside an
-active OpCount context is tallied.  The pairwise decode costs a handful
-of k-by-k eigenbasis conversions plus one rank test per candidate root,
-so counts grow like a low-degree polynomial in k; the r-block decode
-adds one pairwise instance per nonzero block, linear in n - k.
+active OpCount context is tallied.  A pair step is one Welch-Berlekamp
+solve: forward elimination of a d-by-(2t+2) system over F_{q^k}, with
+d about k and t = floor((d-1)/2), so a pair costs about k^3/3 ext ops,
+one factor of k below the paper's O((n-k)k^3) bound per decode; the
+r-block decode adds one pair step per nonzero block, linear in n - k.
 """
 
 from spreadcodes import OpCount, SpreadCode, decode
 from spreadcodes.channel import ChannelSpec, corrupt, random_codeword, trial_rng
 
 
-def mean_ops(q, k, r, trials=10, seed=1):
+def mean_ops(q, k, r, trials=10, seed=1, erasures=1, errors=0):
     code = SpreadCode(q, k, r)
     total = 0
     for t in range(trials):
         rng = trial_rng(seed, k, r, t)
         cw = random_codeword(code, rng)
-        received = corrupt(cw, ChannelSpec(erasures=1, errors=0), code, rng)
+        received = corrupt(cw, ChannelSpec(erasures=erasures, errors=errors),
+                           code, rng)
         with OpCount() as counter:
-            assert decode(received, code).ok
+            assert decode(received, code).codeword == cw
         total += counter.ext_total
     return total / trials
 
@@ -32,6 +34,15 @@ for k in (3, 5, 7, 9):
     ratio = "" if prev is None else f"{ops / prev:.2f}"
     print(f"{k:<4} {ops:<9.0f} {ratio}")
     prev = ops
+
+print("\nnear the radius, (k-1)//2 erasures and as many errors (one fewer"
+      " for odd k), q = 2, r = 2;")
+print("the paper bounds a decode by O((n-k)k^3), here k^3 for one pair:")
+print("k    ext ops   ext ops / k^3")
+for k in (9, 16, 24, 32):
+    eps = (k - 1) // 2
+    ops = mean_ops(2, k, 2, trials=4, erasures=eps, errors=eps - k % 2)
+    print(f"{k:<4} {ops:<9.0f} {ops / k ** 3:.2f}")
 
 print("\nfixed k = 3, growing block count:")
 print("r    n-k   ext ops")

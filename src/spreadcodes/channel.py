@@ -10,14 +10,14 @@ distance holds exactly (budget 100 draws per sample).
 Randomness is numpy based and splittable.  Trial t of cell (e, eps)
 under master seed s draws from ``SeedSequence(s, spawn_key=(e, eps, t))``,
 so any single trial can be reproduced in isolation and trials may run
-in any order or in parallel without changing the statistics.
+in any order or in parallel without changing the statistics.  numpy is
+imported on the first draw, so a process that only decodes never loads
+it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .decoder import ReceivedSpace, decode
 from .gf import OpCount
@@ -38,8 +38,10 @@ class ChannelSpec:
         return self.errors + self.erasures
 
 
-def trial_rng(seed: int, *key: int) -> np.random.Generator:
-    """Independent generator for one labeled trial of a master seed."""
+def trial_rng(seed: int, *key: int):
+    """Independent numpy Generator for one labeled trial of a master
+    seed."""
+    import numpy as np
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 

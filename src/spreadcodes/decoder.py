@@ -1,34 +1,50 @@
 """Minimum-distance decoding of spread codes.
 
-The received space is a subspace of F_q^(rk) of dimension at most k,
-kept as the blocks R_1 ... R_r of its RREF basis.  :func:`decode` pins
-blocks of rank at most (dim-1)/2 to zero; each other block i is found
-by one pair step against the first high-rank block j.  The step gets
-the two blocks (R_j, R_i) as they stand in the received RREF; only when
-a pivot of the received space lies outside blocks j and i is the pair
-re-canonicalized first.  The higher-rank block leads, and the step
-undoes that swap on its answer:
+The received space W, of dimension d, is kept as the blocks R_1 ... R_r
+of its RREF basis.  :func:`decode` pins blocks of rank at most (d-1)/2
+to zero; each other block i is found by one pair step against the first
+high-rank block j, which always leads.  The step reads the d rows
+(u | v) of the raw blocks (R_j R_i) as pairs of field elements
+a = phi(u), b = phi(v), where phi reads digits as ``ext.element`` does.
+The pair codeword [1 : mu] holds the rows (u, u M(mu)), and
+phi(u M(mu)) = mu phi(u), so finding mu decodes a one-dimensional
+Gabidulin code whose evaluation points are the a (Gabidulin 1985; Silva,
+Kschischang and Koetter 2008: a spread-code pair led by I is a lifted
+MRD code).  With t = floor((d-1)/2), one linear Welch-Berlekamp system
 
-* exact membership is accepted immediately,
-* otherwise the pair is moved to the eigenbasis of the companion matrix,
-  where the codeword parameter mu appears as the unknown of an affine
-  matrix pencil R(x) whose columns carry successive Frobenius powers of
-  x.  A row-operation search picks disjoint row/column tuples spanning
-  the non-diagonal part of R(0); appending one free diagonal index to
-  both tuples yields a minor that is linear in a single Frobenius power,
-  so each free index contributes one closed-form candidate root.  The
-  candidate that drops the pencil rank below half the received dimension
-  is the decoded parameter; with an invertible first block the pivot
-  structure is the identity and a single candidate comes straight from
-  one minor ratio.
+    sum_{j=0..t} N_j a^(q^j) + sum_{j=1..t} V_j b^(q^j) = b
 
-:func:`decode_pair` is :func:`decode` on a two-block space.  Pair
-steps do not encode; the assembled point is encoded once and accepted
-only within distance k - 1 of the received space W, so out-of-contract
-inputs fail rather than miscorrect.  A
-projection onto blocks (j, i) is injective on a codeword C whose block
-j is the identity, so it does not increase d(W, C): per-pair checks
-would accept nothing the final check rejects.
+over all d rows gives mu = N_0.  Within distance k - 1 of a codeword,
+Q(x) = mu x - V(mu x) - N(x) has q-degree at most t and vanishes on
+the images a of W's intersection with the codeword, a space of
+dimension above t, so Q = 0 and every solution has N_0 = mu.  The Moore
+columns a^(q^j) are u S[:, j] for the eigenvector matrix S of the
+companion matrix, a product that costs nothing for q = 2 and 3.  A
+space led by I is tested for exact membership first.
+
+Pair steps do not encode; the assembled point is encoded once and
+accepted only within distance k - 1 of W, so out-of-contract inputs
+fail rather than miscorrect.  For r > 2 a pair whose answer leaves
+2 rank(R_j M(mu) - R_i) above d - 1 ends the decode early; for r = 2
+the final check is the same test.  A space of dimension 2k or more
+lies at distance k or more from every codeword and is refused at once.
+
+:func:`decode_pair` is :func:`decode` on a two-block space.
+
+The paper's pencil search stays in this module as a reference that the
+tests check the pair step against; :func:`decode` calls none of it.
+There the pair moves to the eigenbasis of the companion matrix, where mu
+appears as the unknown of an affine matrix pencil R(x)
+(:class:`AffinePencil`) whose columns carry successive Frobenius powers
+of x.  :func:`pair_support` picks disjoint row/column tuples spanning
+the non-diagonal part of R(0); appending one free diagonal index to
+both yields a minor linear in a single Frobenius power, so each free
+index gives one closed-form candidate root (:func:`candidate_roots`),
+and :func:`_pencil_point` keeps the candidate that drops the pencil
+rank below half the dimension.  With an invertible first block,
+:func:`_nonsingular_core` takes a single candidate straight from one
+minor ratio.
+
 All functions are pure; concurrent calls are safe and their operation
 counts (see :class:`spreadcodes.gf.OpCount`) tally independently.
 """
@@ -37,13 +53,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, hstack, inverse, minor, rank, rref
+from .linalg import Matrix, _eliminate, hstack, minor, rank, rref
 from .linalg import disjoint_pivot_tuples
 from .spread import Codeword, SpreadCode, Subspace, subspace_distance
 
 REASON_NO_CODEWORD = "no codeword within distance"
 REASON_AMBIGUOUS = "multiple candidates passed the rank test"
-REASON_DIMENSION = "received dimension exceeds the codeword dimension"
+REASON_DIMENSION = "received dimension is at least twice the codeword dimension"
 
 
 @dataclass(frozen=True)
@@ -219,9 +235,9 @@ def _checked(code: SpreadCode, received: Subspace, point) -> DecodeResult:
 
 
 def _membership_point(code: SpreadCode, A: Matrix):
-    """Step-1 acceptance: the input itself is a codeword, detected over
-    F_q through commutation of A = R1^(-1) R2 with the companion matrix.
-    Returns mu of the pair codeword [1 : mu], or None."""
+    """Step-1 acceptance: the pair (I A) is a codeword, detected over
+    F_q through commutation of A with the companion matrix.  Returns mu
+    of the pair codeword [1 : mu], or None."""
     if code.commutes_with_companion(A):
         return code.element_of(A)
     return None
@@ -273,30 +289,28 @@ def _nonsingular_core(A: Matrix, code: SpreadCode):
     return REASON_NO_CODEWORD
 
 
-def _pair_step(Rj: Matrix, Ri: Matrix, rj: int, ri: int, code: SpreadCode):
-    """The pair step on the blocks (Rj Ri) of a two-block space in RREF,
-    with ranks rj and ri above (dim-1)/2: y of the codeword [1 : y], or
-    the failure reason.  The higher-rank block leads; a full-rank
-    leading block takes membership, then the closed form, and any other
-    pair the pencil search."""
-    swap = ri > rj
-    if swap:
-        Rj, Ri, rj = Ri, Rj, ri
-    ktil = Rj.nrows
-    if ktil == code.k and rj == code.k:
-        # The leading block of a canonical pair is I at full rank, so
-        # only a swapped step needs the inverse.
-        A = Ri if Rj == Matrix.identity(Rj.field, ktil) else inverse(Rj) @ Ri
-        mu = _membership_point(code, A)
-        if mu is None:
-            mu = _nonsingular_core(A, code)
-    else:
-        mu = _pencil_point(Rj, Ri, code)
-    # [x : 1] = [1 : 1/x]; x is never 0, which would put the lower-rank
-    # block at or below the threshold.
-    if not swap or isinstance(mu, str) or mu == code.ext.one:
-        return mu
-    return code.ext.inv(mu)
+def _pair_point(Rj: Matrix, Ri: Matrix, d: int, code: SpreadCode):
+    """The rank-metric pair step on the d rows of the blocks (Rj Ri) of
+    a received space of dimension d: mu of the pair codeword [1 : mu],
+    or the failure reason.  Row l of the system lists the Moore entries
+    b^(q^1..q^t), a^(q^1..q^t), a, then b; after forward elimination
+    N_0 is fixed exactly when the column of a holds the last pivot."""
+    ext = code.ext
+    t = (d - 1) // 2
+    S = code.diagonalizer.columns_slice(0, t + 1)
+    rows = [list(b[1:] + a[1:] + (a[0], b[0]))
+            for a, b in zip((Rj.lift(ext) @ S).data,
+                            (Ri.lift(ext) @ S).data)]
+    pivots, _ = _eliminate(ext, rows, 2 * t + 2)
+    col, inv = pivots[-1]
+    if col != 2 * t:
+        # A pivot in b's column leaves no solution; none in a's leaves
+        # N_0 free.  Either way no codeword is within the radius.
+        return REASON_NO_CODEWORD
+    pivot, rhs = rows[len(pivots) - 1][col:]
+    if inv is None:
+        inv = ext.inv(pivot)
+    return rhs if inv == ext.one else ext.mul(rhs, inv)
 
 
 def decode_pair(R1: Matrix, R2: Matrix, code: SpreadCode) -> DecodeResult:
@@ -315,43 +329,36 @@ def decode_pair(R1: Matrix, R2: Matrix, code: SpreadCode) -> DecodeResult:
 def decode(received: ReceivedSpace, code: SpreadCode) -> DecodeResult:
     """Minimum-distance decoding of an r-block received space.
 
-    Block ranks below half the received dimension pin the matching
-    codeword blocks to zero; the first block above that threshold is the
-    identity position, and each remaining high-rank block is recovered
-    by a pair step against it.  Any pair-step failure, and any
-    assembled answer at distance k or more, is a failure.
+    Block ranks at most (d-1)/2 pin the matching codeword blocks to
+    zero; the first block above that threshold is the identity
+    position, and each remaining high-rank block is recovered by a pair
+    step against it.  Any pair-step failure, and any assembled answer
+    at distance k or more, is a failure.
     """
-    ktil = received.dim
+    d = received.dim
     k, r = code.k, code.r
     if received.r != r or received.subspace.ambient != code.n:
         raise ValueError("received space does not match the code layout")
-    if ktil > k:
+    if d >= 2 * k:
         return _fail(REASON_DIMENSION)
     blocks = received.blocks
     ranks = [rank(b) for b in blocks]
-    high = [i for i, t in enumerate(ranks) if 2 * t > ktil - 1]
+    high = [i for i, t in enumerate(ranks) if 2 * t > d - 1]
     if not high:
         return _fail(REASON_NO_CODEWORD)
     j = high[0]
+    Rj = blocks[j]
     point = [code.ext.zero] * r
     point[j] = code.ext.one
-    # The blocks that hold the pivots of the received RREF.  If they all
-    # lie in blocks j and i, those two blocks side by side are in RREF,
-    # as they always are for r = 2.
-    held = set() if r == 2 else {
-        next(c for c, a in enumerate(row) if a) // k
-        for row in received.subspace.basis.data}
+    leads_with_identity = Rj == Matrix.identity(code.base, k)
     for i in high[1:]:
-        Rj, Ri = blocks[j], blocks[i]
-        if not held <= {j, i}:
-            # A column slice of any basis of the pair space has the rank
-            # of the same slice of the received basis, so the ranks
-            # carry over.
-            pair = Subspace.from_generators(hstack(Rj, Ri)).basis
-            Rj, Ri = pair.columns_slice(0, k), pair.columns_slice(k, 2 * k)
-        found = _pair_step(Rj, Ri, ranks[j], ranks[i], code)
-        if isinstance(found, str):
-            return _fail(found)
-        point[i] = found
+        Ri = blocks[i]
+        mu = _membership_point(code, Ri) if leads_with_identity else None
+        if mu is None:
+            mu = _pair_point(Rj, Ri, d, code)
+            if isinstance(mu, str):
+                return _fail(mu)
+            if r > 2 and 2 * rank(Rj @ code.matrix_rep(mu) - Ri) > d - 1:
+                return _fail(REASON_NO_CODEWORD)
+        point[i] = mu
     return _checked(code, received.subspace, point)
-

@@ -196,10 +196,12 @@ def _clear(f, row: list, g, prow: list, col: int):
 
 def _eliminate(f, R: list, ncols: int, stop_at_gap: bool = False):
     """Forward elimination of the row lists R, in place, to row echelon
-    form.  Returns one (column, pivot inverse or None if no row below
-    needed it) pair per pivot row and the number of row swaps;
+    form.  Returns one (column, pivot inverse) pair per pivot row, the
+    inverse None if no row below needed it and never computed for a
+    pivot of +-1, and the number of row swaps;
     ``stop_at_gap`` stops at the first column without a pivot."""
     z, one = f.zero, f.one
+    minus_one = f.neg(one)
     pivots, swaps = [], 0
     for col in range(ncols):
         r = len(pivots)
@@ -214,12 +216,15 @@ def _eliminate(f, R: list, ncols: int, stop_at_gap: bool = False):
             R[r], R[p] = R[p], R[r]
             swaps += 1
         piv = R[r][col]
-        inv = one if piv == one else None
+        # +-1 is its own inverse, and g = +-row[col] needs no product.
+        inv = piv if piv == one or piv == minus_one else None
         for row in R[r + 1:]:
             if row[col] != z:
                 if inv is None:
                     inv = f.inv(piv)
-                g = row[col] if inv == one else f.mul(row[col], inv)
+                g = (row[col] if inv == one
+                     else f.neg(row[col]) if inv == minus_one
+                     else f.mul(row[col], inv))
                 _clear(f, row, g, R[r], col)
         pivots.append((col, inv))
     return pivots, swaps

@@ -145,23 +145,30 @@ class SpreadCode:
         self.modulus = full
         self.P = companion_matrix(self.base, full)
         self.alpha = self.ext.gen()
-        self.diagonalizer, self.diagonalizer_inv = self._build_diagonalizer()
+        self.diagonalizer = self._build_diagonalizer()
 
-    def _build_diagonalizer(self):
+    def _build_diagonalizer(self) -> Matrix:
         """S, whose column j is the eigenvector (1, b, ..., b^(k-1)) of P
-        for b = alpha^(q^j), and its inverse.  ExtField has accepted the
-        modulus as irreducible, so the k conjugates b are distinct: S is
-        invertible, S^(-1) P S = diag(alpha, alpha^q, ...), and as
-        Frobenius shifts the columns of S cyclically, row i+1 of S^(-1)
-        is the Frobenius image of row i."""
+        for b = alpha^(q^j).  ExtField has accepted the modulus as
+        irreducible, so the k conjugates b are distinct: S is invertible
+        and S^(-1) P S = diag(alpha, alpha^q, ...).  Row u of a base
+        matrix times column j of S is phi(u)^(q^j), where phi reads u as
+        the digits of a field element."""
         ext, k = self.ext, self.k
         # alpha^i = x^i is already reduced for i < k: the int q^i.
         col = [self.q ** i for i in range(k)]
         cols = [col]
         for _ in range(k - 1):
             cols.append([ext.frobenius(v, 1) for v in cols[-1]])
-        S = Matrix(ext, list(zip(*cols)))
-        return S, inverse(S)
+        return Matrix(ext, list(zip(*cols)))
+
+    @cached_property
+    def diagonalizer_inv(self) -> Matrix:
+        """S^(-1), built on first use.  Only the eigenbasis change of
+        :meth:`conjugate` reads it, and :func:`decoder.decode` never
+        does.  As Frobenius shifts the columns of S cyclically, row i+1
+        of S^(-1) is the Frobenius image of row i."""
+        return inverse(self.diagonalizer)
 
     # -- code parameters ----------------------------------------------------
 

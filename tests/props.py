@@ -15,8 +15,9 @@ from spreadcodes import (OpCount, SpreadCode, Subspace, brute_force_decode,
                          nondiagonal_rank, disjoint_pivot_tuples, rank)
 from spreadcodes.channel import ChannelSpec, corrupt, random_codeword, trial_rng
 from spreadcodes.decoder import (DecodeResult, ReceivedSpace, _checked,
-                                 _nonsingular_core, _pencil_point,
-                                 candidate_roots, pair_support)
+                                 _nonsingular_core, _pair_point,
+                                 _pencil_point, candidate_roots,
+                                 pair_support)
 from spreadcodes.gf import PrimeField
 from spreadcodes.linalg import Matrix
 
@@ -34,18 +35,24 @@ def random_matrix(rnd: random.Random, field, nrows: int, ncols: int) -> Matrix:
 
 
 def all_subspaces(q: int, n: int, dims) -> list[Subspace]:
-    """Every subspace of F_q^n whose dimension lies in dims.  Exponential;
-    desk scale only."""
+    """Every subspace of F_q^n whose dimension lies in dims, one per
+    RREF basis: each set of pivot columns with every free entry (right
+    of its row's pivot, outside the pivot columns) running over F_q.
+    Exponential; desk scale only."""
     f = PrimeField(q)
-    vecs = [v for v in itertools.product(range(q), repeat=n) if any(v)]
-    seen: dict = {}
+    spaces = []
     for d in dims:
-        for combo in itertools.combinations(vecs, d):
-            M = Matrix(f, combo)
-            if rank(M) == d:
-                s = Subspace.from_generators(M)
-                seen.setdefault(s.basis.data, s)
-    return list(seen.values())
+        for pivots in itertools.combinations(range(n), d):
+            free = [(i, c) for i, p in enumerate(pivots)
+                    for c in range(p + 1, n) if c not in pivots]
+            for values in itertools.product(range(q), repeat=len(free)):
+                rows = [[0] * n for _ in range(d)]
+                for i, p in enumerate(pivots):
+                    rows[i][p] = 1
+                for (i, c), v in zip(free, values):
+                    rows[i][c] = v
+                spaces.append(Subspace(Matrix(f, rows)))
+    return spaces
 
 
 # -- minor identities --------------------------------------------------------
@@ -198,7 +205,8 @@ def oracle_agreement_cases(code: SpreadCode, spaces) -> tuple[int, int]:
 
 
 def oracle_agreement_exhaustive(code: SpreadCode) -> tuple[int, int]:
-    spaces = all_subspaces(code.q, code.n, range(1, code.k + 1))
+    """Oracle agreement on every subspace of dimension 1..n-1."""
+    spaces = all_subspaces(code.q, code.n, range(1, code.n))
     return oracle_agreement_cases(code, spaces)
 
 
@@ -255,16 +263,29 @@ def root_evaluation_trials(code: SpreadCode, cells, per_cell: int,
     return instances, nonzero, wrong
 
 
-# -- fast path equivalence ----------------------------------------------------
+# -- the pair step against the paper's pencil search ------------------------
+
+def pencil_pair_point(R1: Matrix, R2: Matrix, code: SpreadCode):
+    """The paper's pair step on the blocks of a pair of dimension at
+    most k in RREF, both blocks above the rank threshold: the pencil
+    search led by the higher-rank block, its answer turned back to mu of
+    the pair codeword [1 : mu] ([x : 1] = [1 : 1/x]), or the failure
+    reason."""
+    if rank(R2) <= rank(R1):
+        return _pencil_point(R1, R2, code)
+    mu = _pencil_point(R2, R1, code)
+    return mu if isinstance(mu, str) else code.ext.inv(mu)
+
 
 def fast_general_agreement(code: SpreadCode, trials: int,
                            seed: int) -> tuple[int, int]:
-    """Random pairs (R1 R2) with R1 invertible whose pair step reaches
-    the closed form (A = R1^(-1) R2 above the rank threshold and not a
-    codeword block): the closed form and the general pencil search must
-    return the same parameter or failure reason, and decode_pair must
-    return the pencil search's answer after the final distance check.
-    Returns (compared, disagreements)."""
+    """Random pairs (R1 R2) with R1 invertible whose canonical pair
+    (I A) is above the rank threshold and not a codeword, the case the
+    closed form covers.  The closed form and the general pencil search
+    must return the same parameter or failure reason; where they accept,
+    the rank-metric pair step must return that parameter; and
+    decode_pair must return the pencil search's answer after the final
+    distance check.  Returns (compared, disagreements)."""
     rnd = random.Random(seed)
     k = code.k
     I = Matrix.identity(code.base, k)
@@ -280,10 +301,12 @@ def fast_general_agreement(code: SpreadCode, trials: int,
             continue
         fast = _nonsingular_core(A, code)
         slow = _pencil_point(I, A, code)
+        new = slow if isinstance(slow, str) else _pair_point(I, A, k, code)
         want = (DecodeResult(None, slow) if isinstance(slow, str)
                 else _checked(code, pair, (code.ext.one, slow)))
         done += 1
-        disagree += fast != slow or decode_pair(R1, R2, code) != want
+        disagree += (fast != slow or new != slow
+                     or decode_pair(R1, R2, code) != want)
     return done, disagree
 
 

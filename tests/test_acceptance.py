@@ -51,12 +51,23 @@ def test_criterion_2_spread_partition():
 
 
 def test_criterion_3_decoder_oracle_equivalence():
-    cases, mismatches = oracle_agreement_exhaustive(SpreadCode(2, 2, 2))
-    lines = [f"(2,2,2) exhaustive {cases} subspaces"]
+    cases = mismatches = 0
+    lines = []
+    for q, k, r in [(2, 2, 2), (3, 2, 2)]:
+        c, m = oracle_agreement_exhaustive(SpreadCode(q, k, r))
+        cases += c
+        mismatches += m
+        lines.append(f"({q},{k},{r}) exhaustive {c} subspaces")
+    # Cells with more errors than erasures receive spaces of dimension
+    # above k; inside the radius they decode, beyond it they fail.
     sampled = [
         ((2, 3, 2), [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2)], 220),
         ((3, 2, 2), [(0, 0), (0, 1), (1, 1)], 340),
         ((2, 2, 3), [(0, 0), (0, 1), (1, 1)], 340),
+        ((2, 3, 2), [(1, 0), (2, 0), (2, 1), (3, 0)], 60),
+        ((2, 4, 2), [(2, 0), (2, 1), (3, 0), (4, 1)], 30),
+        ((3, 3, 2), [(1, 0), (2, 0), (2, 1)], 30),
+        ((2, 3, 3), [(1, 0), (2, 0), (3, 1)], 30),
     ]
     for (q, k, r), cells, per_cell in sampled:
         code = SpreadCode(q, k, r)
@@ -106,7 +117,8 @@ def test_criterion_6_fast_path_equivalence():
     done, disagree = done1 + done2, dis1 + dis2
     report(6, done >= 1000 and disagree == 0,
            f"{done} invertible-first-block instances, {disagree} "
-           f"disagreements between closed-form and general paths")
+           f"disagreements between the rank-metric pair step, the closed "
+           f"form and the pencil search")
 
 
 def test_criterion_7_operation_count_scaling():

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from spreadcodes.channel import (ChannelSpec, corrupt, random_codeword,
@@ -275,3 +280,15 @@ class TestLimits:
         code, out, _ = run(capsys, "params", "--q", "5", "--k", "8")
         assert code == 0 and out.splitlines()[1] == "|S|=390626 dmin=16"
 
+
+
+def test_decoding_process_leaves_numpy_unloaded():
+    # Only channel draws need numpy, so a one-shot decode or encode
+    # process does not pay for importing it.
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys, spreadcodes.cli; "
+             "print('numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "False"

@@ -1,23 +1,36 @@
 import collections
+import functools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import spreadcodes.decoder as decoder_module
+import spreadcodes.linalg as linalg_module
+import spreadcodes.spread as spread_module
 
 from spreadcodes.channel import ChannelSpec, corrupt, random_codeword, trial_rng
 from spreadcodes.decoder import (AffinePencil, ReceivedSpace,
                                  REASON_DIMENSION, REASON_NO_CODEWORD,
-                                 _nonsingular_core, _pencil_point,
-                                 candidate_roots, decode, decode_pair)
+                                 _nonsingular_core, _pair_point,
+                                 _pencil_point, candidate_roots, decode,
+                                 decode_pair)
 from spreadcodes.gf import OpCount, PrimeField
-from spreadcodes.linalg import Matrix, hstack, rank
+from spreadcodes.linalg import Matrix, hstack, rank, vstack
 from spreadcodes.oracle import brute_force_decode, mu_characterization
 from spreadcodes.spread import SpreadCode, Subspace, subspace_distance
 
-from props import (fast_general_agreement, oracle_agreement_exhaustive,
-                   oracle_agreement_sampled, random_element, random_matrix,
+from props import (fast_general_agreement, oracle_agreement_cases,
+                   oracle_agreement_exhaustive, oracle_agreement_sampled,
+                   pencil_pair_point, random_element, random_matrix,
                    root_evaluation_trials)
+
+
+@functools.cache
+def small_code(qkr):
+    """One code per parameters, so its codeword list is built once."""
+    return SpreadCode(*qkr)
 
 
 @pytest.fixture(scope="module")
@@ -91,32 +104,33 @@ class TestPairwise:
             decode_pair(Z, Z, code32)
 
     def test_oversized_dimension_fails_cleanly(self, code22):
+        # A space of dimension k + 1 holding the codeword [1 : 0] lies at
+        # distance 1 from it and decodes to it, as brute force says.  At
+        # dimension 2k every codeword is at distance k or more, and the
+        # decoder refuses at once.
         rows = Matrix(code22.base, [[1, 0, 0, 0], [0, 1, 0, 0],
                                     [0, 0, 1, 0]])
         sub = Subspace.from_generators(rows)
+        best, nearest = brute_force_decode(ReceivedSpace(sub, 2), code22)
+        assert best == 1 and nearest == [code22.encode((1, 0))]
         blocks = ReceivedSpace(sub, 2).blocks
         result = decode_pair(blocks[0], blocks[1], code22)
+        assert result.ok and result.codeword == nearest[0]
+        whole = Subspace.from_generators(Matrix.identity(code22.base, 4))
+        result = decode(ReceivedSpace(whole, 2), code22)
         assert not result.ok and result.reason == REASON_DIMENSION
 
-
     @pytest.mark.parametrize("q,k", [(2, 3), (3, 3), (5, 2)])
-    def test_decode_pair_is_decode_on_two_blocks(self, monkeypatch, q, k):
+    def test_decode_pair_is_decode_on_two_blocks(self, q, k):
         # Both block orders give what decode gives on the row space of
-        # the stacked blocks, and wherever a pair step takes the closed
-        # form, the general pencil search returns the same parameter or
-        # failure reason.
+        # the stacked blocks.  On every pair with both blocks above the
+        # rank threshold, wherever the paper's pencil search accepts a
+        # parameter, the rank-metric pair step returns the same one; and
+        # wherever the closed form applies, it returns what the pencil
+        # search returns, parameter or failure reason.
         code = SpreadCode(q, k, 2)
-        closed_form = decoder_module._nonsingular_core
         I = Matrix.identity(code.base, k)
-        agree = []
-
-        def both_paths(A, code):
-            got = closed_form(A, code)
-            agree.append(got == _pencil_point(I, A, code))
-            return got
-
-        monkeypatch.setattr(decoder_module, "_nonsingular_core", both_paths)
-        checked = 0
+        checked = accepted = closed = 0
         for e, eps in [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (0, k - 1)]:
             for t in range(6):
                 rng = trial_rng(q * 10 + k, e, eps, t)
@@ -124,12 +138,24 @@ class TestPairwise:
                                    ChannelSpec(eps, e), code, rng)
                 A, B = received.blocks
                 for X, Y in ((A, B), (B, A)):
-                    want = decode(ReceivedSpace(
-                        Subspace.from_generators(hstack(X, Y)), k), code)
+                    pair = Subspace.from_generators(hstack(X, Y))
+                    want = decode(ReceivedSpace(pair, k), code)
                     assert decode_pair(X, Y, code) == want
                     checked += 1
+                    d = pair.dim
+                    P1, P2 = ReceivedSpace(pair, k).blocks
+                    if min(rank(P1), rank(P2)) <= (d - 1) / 2:
+                        continue
+                    ref = pencil_pair_point(P1, P2, code)
+                    if not isinstance(ref, str):
+                        accepted += 1
+                        assert _pair_point(P1, P2, d, code) == ref
+                        assert want.ok
+                    if P1 == I and not code.commutes_with_companion(P2):
+                        closed += 1
+                        assert _nonsingular_core(P2, code) == ref
         assert checked == 6 * 6 * 2
-        assert agree and all(agree)
+        assert accepted and closed
 
 
 class TestPencil:
@@ -267,13 +293,43 @@ class TestCandidateRoots:
 
 
 class TestOracleAgreement:
+    # Every subspace of dimension 1..n-1: 15 + 35 + 15 of F_2^4,
+    # 40 + 130 + 40 of F_3^4, and 63 + 651 + 1395 + 651 + 63 of F_2^6.
     def test_exhaustive_smallest_code(self, code22):
         cases, mismatches = oracle_agreement_exhaustive(code22)
-        assert cases == 50 and mismatches == 0
+        assert cases == 65 and mismatches == 0
+
+    def test_exhaustive_odd_q(self):
+        cases, mismatches = oracle_agreement_exhaustive(SpreadCode(3, 2, 2))
+        assert cases == 210 and mismatches == 0
 
     def test_exhaustive_three_blocks(self):
         cases, mismatches = oracle_agreement_exhaustive(SpreadCode(2, 2, 3))
-        assert cases == 714 and mismatches == 0
+        assert cases == 2823 and mismatches == 0
+
+    @pytest.mark.parametrize("qkr", [(2, 3, 2), (2, 2, 3), (3, 3, 2)])
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_random_subspaces_of_any_dimension(self, qkr, data):
+        # Random combinations of a codeword's basis rows plus random
+        # rows: every dimension 1..n-1, inside the radius and beyond it.
+        code = small_code(qkr)
+        q, n = code.q, code.n
+        cw = data.draw(st.sampled_from(code.codeword_list()))
+        coeffs = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+        kept = data.draw(st.lists(st.lists(st.integers(0, q - 1),
+                                           min_size=code.k,
+                                           max_size=code.k),
+                                  max_size=code.k))
+        extra = data.draw(st.lists(coeffs, max_size=n - 1))
+        parts = [Matrix(code.base, kept) @ cw.subspace.basis] if kept else []
+        if extra:
+            parts.append(Matrix(code.base, extra))
+        assume(parts)
+        sub = Subspace.from_generators(vstack(*parts))
+        assume(1 <= sub.dim <= n - 1)
+        cases, mismatches = oracle_agreement_cases(code, [sub])
+        assert cases == 1 and mismatches == 0
 
     @pytest.mark.parametrize("q,k,r,cells", [
         (2, 3, 2, [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2)]),
@@ -359,10 +415,10 @@ class TestMultiBlock:
 
 class TestWorkDoneOnce:
     """The pair path reuses what its caller holds: one rank per input
-    block, at most one canonical RREF per pair (none when the received
-    space is the pair or its two blocks hold every pivot), no inverse of
-    an identity block, one encode and one distance check per answer,
-    also when the blocks are swapped."""
+    block, the raw blocks of the received RREF with no re-canonicalized
+    pair and no inverse, one early-exit rank per solved pair for r > 2,
+    and one encode and one distance check per answer, whichever block
+    has the higher rank."""
 
     @staticmethod
     def tally(monkeypatch):
@@ -382,8 +438,6 @@ class TestWorkDoneOnce:
             return real_rank(M)
 
         monkeypatch.setattr(decoder_module, "rank", rank_of_blocks)
-        monkeypatch.setattr(decoder_module, "inverse", counted(
-            "inverse", decoder_module.inverse))
         monkeypatch.setattr(decoder_module, "subspace_distance", counted(
             "distance", decoder_module.subspace_distance))
         monkeypatch.setattr(SpreadCode, "encode",
@@ -403,32 +457,20 @@ class TestWorkDoneOnce:
         assert rank(low) < rank(high)
         return code, cw, low, high
 
-    @pytest.mark.parametrize("closed_form", [True, False])
-    def test_decode_pair_swap(self, monkeypatch, closed_form):
-        # The swapped step reaches the closed form; with closed_form
-        # False that call runs the general pencil search on the same
-        # pair (I A) instead, and the tally must not change.
+    @pytest.mark.parametrize("low_first", [True, False])
+    def test_decode_pair_swap(self, monkeypatch, low_first):
+        # The first block leads whether or not it has the higher rank,
+        # so both orders cost the same calls.
         code, cw, low, high = self.swap_case()
         want = code.encode((cw.point[1], cw.point[0]))
-        I = Matrix.identity(code.base, code.k)
-        real_core = decoder_module._nonsingular_core
-        reached = []
-
-        def core(A, code):
-            reached.append(A)
-            return real_core(A, code) if closed_form else _pencil_point(
-                I, A, code)
-
-        monkeypatch.setattr(decoder_module, "_nonsingular_core", core)
+        if not low_first:
+            low, high, want = high, low, cw
         calls = self.tally(monkeypatch)
         result = decode_pair(low, high, code)
         assert result.ok and result.codeword == want
         # One RREF for the pair; the encode builds its RREF directly.
-        # The leading block of the pair is the low-rank one, so the
-        # swapped step inverts a block that is not I.
         assert calls == {"base rank": 2, "from_generators": 1,
-                         "inverse": 1, "encode": 1, "distance": 1}
-        assert len(reached) == 1
+                         "encode": 1, "distance": 1}
 
     def test_decode_two_blocks(self, monkeypatch):
         code, cw, low, high = self.swap_case()
@@ -437,16 +479,15 @@ class TestWorkDoneOnce:
         calls = self.tally(monkeypatch)
         result = decode(received, code)
         assert result.ok and result.codeword == cw
-        # The received space is the pair, so nothing is canonicalized.
+        # For r = 2 the final check is the early exit: no extra rank.
         assert calls == {"base rank": 2, "encode": 1, "distance": 1}
 
     @pytest.mark.parametrize("qkr,seed", [((2, 3, 3), 4), ((3, 3, 4), 2)])
     def test_decode_many_blocks(self, monkeypatch, qkr, seed):
         # Every block is above the rank threshold and the first is not
-        # the largest, so r - 1 pair steps run, some of them swapped;
-        # none encodes, and one check against the received space ends.
-        # A pair is canonicalized unless its two blocks hold every pivot
-        # of the received space; only swapped steps invert.
+        # the largest, so r - 1 pair steps run on the raw blocks, each
+        # followed by one early-exit rank; none encodes or
+        # canonicalizes, and one check against the received space ends.
         code = SpreadCode(*qkr)
         rng = trial_rng(seed)
         cw = random_codeword(code, rng)
@@ -456,21 +497,57 @@ class TestWorkDoneOnce:
         calls = self.tally(monkeypatch)
         result = decode(received, code)
         assert result.ok and result.codeword == cw
-        rrefs, inverses = {(2, 3, 3): (1, 0), (3, 3, 4): (2, 3)}[qkr]
-        want = {"base rank": code.r, "from_generators": rrefs,
-                "inverse": inverses, "encode": 1, "distance": 1}
-        assert calls == {name: n for name, n in want.items() if n}
+        assert calls == {"base rank": 2 * code.r - 1, "encode": 1,
+                         "distance": 1}
 
     def test_decode_pivots_in_first_block(self, monkeypatch):
         # Block 0 has full rank, so it holds every pivot of the received
-        # RREF and is I: each pair (0, i) is canonical as it stands and
-        # no pair step inverts anything.
+        # RREF and is I: each pair (0, i) takes the membership test
+        # first, then the solve and its early-exit rank.
         code = SpreadCode(3, 3, 4)
         rng = trial_rng(10)
         cw = random_codeword(code, rng)
         received = corrupt(cw, ChannelSpec(erasures=1, errors=1), code, rng)
         assert [rank(b) for b in received.blocks] == [3, 3, 3, 3]
         calls = self.tally(monkeypatch)
+        membership = []
+        real_membership = decoder_module._membership_point
+
+        def recorded(*args):
+            membership.append(real_membership(*args))
+            return membership[-1]
+
+        monkeypatch.setattr(decoder_module, "_membership_point", recorded)
         result = decode(received, code)
         assert result.ok and result.codeword == cw
-        assert calls == {"base rank": 4, "encode": 1, "distance": 1}
+        assert calls == {"base rank": 4 + 3, "encode": 1, "distance": 1}
+        assert membership == [None] * 3
+
+    def test_paper_path_unused(self, monkeypatch):
+        # Neither construction nor decode reaches the pencil search, the
+        # closed form, the eigenbasis change or any matrix inverse, on
+        # every cell inside the radius and beyond it, at every
+        # dimension the channel makes.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the paper's pencil path was called")
+
+        for module in (decoder_module, spread_module, linalg_module):
+            for name in ("pair_support", "candidate_roots", "_pencil_point",
+                         "_nonsingular_core", "disjoint_pivot_tuples",
+                         "inverse", "minor"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        monkeypatch.setattr(SpreadCode, "conjugate", forbidden)
+        monkeypatch.setattr(AffinePencil, "at", forbidden)
+        for qkr in [(2, 4, 2), (3, 3, 2), (2, 3, 3), (3, 3, 4), (5, 2, 2)]:
+            code = SpreadCode(*qkr)
+            k = code.k
+            for e in range(k + 1):
+                for eps in range(k):
+                    rng = trial_rng(3, e, eps)
+                    cw = random_codeword(code, rng)
+                    received = corrupt(cw, ChannelSpec(eps, e), code, rng)
+                    result = decode(received, code)
+                    if e + eps < k:
+                        assert result.ok and result.codeword == cw
+

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from spreadcodes.gf import ExtField, PrimeField, find_irreducible
+from spreadcodes.gf import ExtField, OpCount, PrimeField, find_irreducible
 from spreadcodes.linalg import (Matrix, det, disjoint_pivot_tuples,
                                 format_matrix, hstack, inverse, minor,
                                 nondiagonal_rank, parse_matrix, rank, rref,
@@ -112,6 +112,23 @@ class TestKernel:
                     continue
                 assert inverse(M) @ M == Matrix.identity(field, n)
         assert 0 < singular < 100
+
+    def test_f3_elimination_inverts_nothing(self):
+        # Every nonzero of F_3 is +-1, its own inverse, and the row
+        # kernel charges nothing for a product by +-1: rank and rref
+        # over F_3 cost no base-field operation at all.
+        rnd = random.Random(3)
+        pivots = 0
+        for _ in range(40):
+            M = sparse_matrix(rnd, F3, 5, 6)
+            with OpCount() as c:
+                r = rank(M)
+                res = rref(M)
+            assert (c.base_mul, c.base_inv) == (0, 0)
+            assert res.rank == r
+            assert_reduced(res, F3)
+            pivots += r
+        assert pivots > 100
 
     @pytest.mark.parametrize("field", KERNEL_FIELDS)
     def test_matmul_matches_entry_sums(self, field):
