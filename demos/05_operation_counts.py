@@ -1,11 +1,14 @@
 """Profile the decoder in field operations rather than wall time.
 
 Every extension-field multiplication and inversion performed inside an
-active OpCount context is tallied.  A pair step is one Welch-Berlekamp
-solve: forward elimination of a d-by-(2t+2) system over F_{q^k}, with
-d about k and t = floor((d-1)/2), so a pair costs about k^3/3 ext ops,
-one factor of k below the paper's O((n-k)k^3) bound per decode; the
-r-block decode adds one pair step per nonzero block, linear in n - k.
+active OpCount context is tallied.  For q = 2 and a received dimension
+d >= 5 a pair step is a linearized Koetter interpolation over the d
+rows, about d^2 ext ops; with d about k a pair costs about k^2 ext ops,
+two factors of k below the paper's O((n-k)k^3) bound per decode.  For
+odd q and d <= 4 it is one Welch-Berlekamp solve, forward elimination
+of a d-by-(2t+2) system with t = floor((d-1)/2), about d^3/3 ext ops.
+The r-block decode adds one pair step per nonzero block, linear in
+n - k.
 """
 
 from spreadcodes import OpCount, SpreadCode, decode
@@ -37,12 +40,13 @@ for k in (3, 5, 7, 9):
 
 print("\nnear the radius, (k-1)//2 erasures and as many errors (one fewer"
       " for odd k), q = 2, r = 2;")
-print("the paper bounds a decode by O((n-k)k^3), here k^3 for one pair:")
-print("k    ext ops   ext ops / k^3")
+print("the paper bounds a decode by O((n-k)k^3), here k^3 for one pair;")
+print("the interpolation stays near k^2 per pair:")
+print("k    ext ops   ext ops / k^2   ext ops / k^3")
 for k in (9, 16, 24, 32):
     eps = (k - 1) // 2
     ops = mean_ops(2, k, 2, trials=4, erasures=eps, errors=eps - k % 2)
-    print(f"{k:<4} {ops:<9.0f} {ops / k ** 3:.2f}")
+    print(f"{k:<4} {ops:<9.0f} {ops / k ** 2:<15.2f} {ops / k ** 3:.3f}")
 
 print("\nfixed k = 3, growing block count:")
 print("r    n-k   ext ops")

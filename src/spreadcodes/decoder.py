@@ -22,6 +22,21 @@ columns a^(q^j) are u S[:, j] for the eigenvector matrix S of the
 companion matrix, a product that costs nothing for q = 2 and 3.  A
 space led by I is tested for exact membership first.
 
+Forward elimination of that dense d x (2t+2) system costs about d^3/3
+ext ops.  For q = 2 and t >= 2 (d >= 5) the pair step instead finds the
+least bivariate linearized Q(x, y) = N(x) + V(y) of q-degree at most t
+that vanishes on the d points by Koetter's interpolation in its
+linearized form (Koetter and Kschischang 2008; Loidreau's
+Welch-Berlekamp-like decoder, 2006, is the same algorithm), in about d^2
+ext ops: :func:`_interpolated_point`.  Within the radius that Q is
+c L(y - mu x) for the subspace polynomial L of the error values, so
+mu = -N_0 / V_0.  It builds no Moore matrix: in characteristic 2 the
+update s^q - D^(q-1) s of a value v is v (v + D), one product.  For odd
+q that update needs two or more products per value while the Moore
+columns of the dense solve cost nothing, and for t <= 1 the dense
+system is at most 4 x 4; in both cases the dense solve stays, and it
+is cheaper there in counted ops.
+
 Pair steps do not encode; the assembled point is encoded once and
 accepted only within distance k - 1 of W, so out-of-contract inputs
 fail rather than miscorrect.  For r > 2 a pair whose answer leaves
@@ -292,9 +307,64 @@ def _nonsingular_core(A: Matrix, code: SpreadCode):
 def _pair_point(Rj: Matrix, Ri: Matrix, d: int, code: SpreadCode):
     """The rank-metric pair step on the d rows of the blocks (Rj Ri) of
     a received space of dimension d: mu of the pair codeword [1 : mu],
-    or the failure reason.  Row l of the system lists the Moore entries
-    b^(q^1..q^t), a^(q^1..q^t), a, then b; after forward elimination
-    N_0 is fixed exactly when the column of a holds the last pivot."""
+    or the failure reason.  Interpolation for q = 2 and t >= 2, the
+    dense solve otherwise (see the module docstring)."""
+    if code.q == 2 and d >= 5:
+        return _interpolated_point(Rj, Ri, d, code)
+    return _dense_point(Rj, Ri, d, code)
+
+
+def _interpolated_point(Rj: Matrix, Ri: Matrix, d: int, code: SpreadCode):
+    """The pair step for q = 2 by linearized Koetter interpolation on
+    the d points (a, b) read off the rows of (Rj Ri): mu of the pair
+    codeword [1 : mu], or the failure reason.
+
+    Each live polynomial is [its values at the points ahead, last point
+    first; its x- and y-coefficients of q-degree 0; its q-degree],
+    starting as x and y.  At each point the live polynomial s of least
+    (degree, index) among those with a nonzero value D there clears the
+    other's value with one ``axpy``, then becomes s^2 - D s: each value
+    v ahead becomes v (v + D) and the coefficients scale by D.  An s at
+    degree t is dropped instead, after clearing the other: past degree t
+    it can never be the answer, and the survivor, now of lower degree,
+    would only ever clear it, never the reverse.  The survivor of least
+    (degree, index) gives mu = N_0 / V_0.
+    """
+    ext = code.ext
+    t = (d - 1) // 2
+    live = [[[ext.element(row) for row in reversed(Rj.data)], 1, 0, 0],
+            [[ext.element(row) for row in reversed(Ri.data)], 0, 1, 0]]
+    for _ in range(d):
+        hit = [(p[0].pop(), p) for p in live]
+        hit = [(v, p) for v, p in hit if v]
+        if not hit:
+            continue
+        ds, s = min(hit, key=lambda vp: vp[1][3])
+        for v, o in hit:
+            if o is not s:
+                c = v if ds == 1 else ext.mul(v, ext.inv(ds))
+                o[0] = ext.axpy(o[0], c, s[0])
+                o[1], o[2] = ext.axpy(o[1:3], c, s[1:3])
+        if s[3] == t:
+            live.remove(s)
+            if not live:
+                return REASON_NO_CODEWORD
+        else:
+            s[0] = [ext.mul(v, v ^ ds) for v in s[0]]
+            s[1], s[2] = ext.mul(s[1], ds), ext.mul(s[2], ds)
+            s[3] += 1
+    n0, v0 = min(live, key=lambda p: p[3])[1:3]
+    if not v0:
+        return REASON_NO_CODEWORD
+    return n0 if v0 == 1 else ext.mul(n0, ext.inv(v0))
+
+
+def _dense_point(Rj: Matrix, Ri: Matrix, d: int, code: SpreadCode):
+    """The pair step as one dense Welch-Berlekamp solve: mu of the pair
+    codeword [1 : mu], or the failure reason.  Row l of the system lists
+    the Moore entries b^(q^1..q^t), a^(q^1..q^t), a, then b; after
+    forward elimination N_0 is fixed exactly when the column of a holds
+    the last pivot."""
     ext = code.ext
     t = (d - 1) // 2
     S = code.diagonalizer.columns_slice(0, t + 1)

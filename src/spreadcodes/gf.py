@@ -137,13 +137,15 @@ def is_prime(n: int) -> bool:
 
 
 def _power(mul, a, e: int):
-    """a^e for e >= 0 by square-and-multiply through ``mul``."""
-    out = 1
-    while e:
-        if e & 1:
+    """a^e for e >= 0 by left-to-right square-and-multiply through
+    ``mul``: bit_length(e) - 1 squarings and popcount(e) - 1 products."""
+    if not e:
+        return 1
+    out = a
+    for bit in bin(e)[3:]:
+        out = mul(out, out)
+        if bit == "1":
             out = mul(out, a)
-        a = mul(a, a)
-        e >>= 1
     return out
 
 

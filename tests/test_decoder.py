@@ -1,6 +1,7 @@
 import collections
 import functools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,6 +14,7 @@ import spreadcodes.spread as spread_module
 from spreadcodes.channel import ChannelSpec, corrupt, random_codeword, trial_rng
 from spreadcodes.decoder import (AffinePencil, ReceivedSpace,
                                  REASON_DIMENSION, REASON_NO_CODEWORD,
+                                 _dense_point, _interpolated_point,
                                  _nonsingular_core, _pair_point,
                                  _pencil_point, candidate_roots, decode,
                                  decode_pair)
@@ -21,10 +23,10 @@ from spreadcodes.linalg import Matrix, hstack, rank, vstack
 from spreadcodes.oracle import brute_force_decode, mu_characterization
 from spreadcodes.spread import SpreadCode, Subspace, subspace_distance
 
-from props import (fast_general_agreement, oracle_agreement_cases,
-                   oracle_agreement_exhaustive, oracle_agreement_sampled,
-                   pencil_pair_point, random_element, random_matrix,
-                   root_evaluation_trials)
+from props import (all_subspaces, fast_general_agreement,
+                   oracle_agreement_cases, oracle_agreement_exhaustive,
+                   oracle_agreement_sampled, pencil_pair_point,
+                   random_element, random_matrix, root_evaluation_trials)
 
 
 @functools.cache
@@ -344,6 +346,83 @@ class TestOracleAgreement:
         assert cases == 40 * len(cells) and mismatches == 0
 
 
+def dense_decode(received, code):
+    """decode with the dense Welch-Berlekamp solve in every pair step."""
+    with mock.patch.object(decoder_module, "_pair_point", _dense_point):
+        return decode(received, code)
+
+
+class TestInterpolation:
+    """The q = 2, t >= 2 pair step (linearized Koetter interpolation)
+    against the dense Welch-Berlekamp solve that every other case runs."""
+
+    @pytest.mark.parametrize("qkr", [(2, 5, 2), (2, 6, 2), (2, 8, 2),
+                                     (2, 4, 3), (2, 5, 3)])
+    def test_same_mu_on_every_pair_inside_the_radius(self, qkr):
+        code = small_code(qkr)
+        ext, k = code.ext, code.k
+        compared = 0
+        for e in range(k):
+            for eps in range(k - e):
+                for t in range(3):
+                    rng = trial_rng(11, e, eps, t)
+                    cw = random_codeword(code, rng)
+                    received = corrupt(cw, ChannelSpec(eps, e), code, rng)
+                    d = received.dim
+                    if d < 5:
+                        continue
+                    blocks = received.blocks
+                    high = [i for i, b in enumerate(blocks)
+                            if 2 * rank(b) > d - 1]
+                    point = [ext.element(c) for c in cw.point]
+                    j = high[0]
+                    for i in high[1:]:
+                        want = ext.mul(point[i], ext.inv(point[j]))
+                        args = (blocks[j], blocks[i], d, code)
+                        assert _interpolated_point(*args) == want
+                        assert _dense_point(*args) == want
+                        compared += 1
+        assert compared >= 20
+
+    def test_every_five_dimensional_space(self):
+        # The 63 hyperplanes of F_2^6: both pair steps give the same
+        # outcome, which is brute force's.
+        code = small_code((2, 3, 2))
+        spaces = all_subspaces(2, 6, [5])
+        assert len(spaces) == 63
+        decoded = 0
+        for sub in spaces:
+            received = ReceivedSpace(sub, 3)
+            result = decode(received, code)
+            assert result == dense_decode(received, code)
+            decoded += result.ok
+        assert decoded
+        assert oracle_agreement_cases(code, spaces) == (63, 0)
+
+    @pytest.mark.parametrize("qkr", [(2, 4, 2), (2, 5, 2), (2, 4, 3)])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_random_spaces_of_dimension_five_and_up(self, qkr, data):
+        # A random part of a codeword plus random rows, as in the oracle
+        # property above, kept only at d >= 5.
+        code = small_code(qkr)
+        q, n, k = code.q, code.n, code.k
+        cw = data.draw(st.sampled_from(code.codeword_list()))
+        kept = data.draw(st.lists(st.lists(st.integers(0, q - 1),
+                                           min_size=k, max_size=k),
+                                  min_size=1, max_size=k))
+        extra = data.draw(st.lists(
+            st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
+            max_size=n - 1))
+        parts = [Matrix(code.base, kept) @ cw.subspace.basis]
+        if extra:
+            parts.append(Matrix(code.base, extra))
+        sub = Subspace.from_generators(vstack(*parts))
+        assume(5 <= sub.dim <= n - 1)
+        received = ReceivedSpace(sub, k)
+        assert decode(received, code) == dense_decode(received, code)
+
+
 class TestSoundness:
     @pytest.mark.parametrize("q,k,r", [(2, 2, 2), (2, 3, 2), (3, 2, 2),
                                        (2, 2, 3)])
@@ -522,6 +601,37 @@ class TestWorkDoneOnce:
         assert result.ok and result.codeword == cw
         assert calls == {"base rank": 4 + 3, "encode": 1, "distance": 1}
         assert membership == [None] * 3
+
+    @pytest.mark.parametrize("qkr,dense", [((2, 5, 2), False),
+                                           ((3, 5, 2), True)])
+    def test_extension_products_only_in_dense_solve(self, monkeypatch, qkr,
+                                                    dense):
+        # At q = 2 and d >= 5 the pair step reads its points straight
+        # off the rows; the dense solve (odd q here) lifts both blocks
+        # and multiplies them by S over the extension field.
+        code = SpreadCode(*qkr)
+        rng = trial_rng(5)
+        cw = random_codeword(code, rng)
+        received = corrupt(cw, ChannelSpec(erasures=2, errors=2), code, rng)
+        assert received.dim == 5
+        calls = collections.Counter()
+        real_matmul, real_lift = Matrix.__matmul__, Matrix.lift
+
+        def matmul(A, B):
+            if not isinstance(A.field, PrimeField):
+                calls["ext matmul"] += 1
+            return real_matmul(A, B)
+
+        def lift(M, ext):
+            calls["lift"] += 1
+            return real_lift(M, ext)
+
+        monkeypatch.setattr(Matrix, "__matmul__", matmul)
+        monkeypatch.setattr(Matrix, "lift", lift)
+        result = decode(received, code)
+        assert result.ok and result.codeword == cw
+        want = {"ext matmul": 2, "lift": 2} if dense else {}
+        assert calls == want
 
     def test_paper_path_unused(self, monkeypatch):
         # Neither construction nor decode reaches the pencil search, the

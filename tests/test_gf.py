@@ -269,6 +269,24 @@ class TestExtField:
             assert f4.pow(lam, e) == acc
             acc = f4.mul(acc, lam)
 
+    @pytest.mark.parametrize("q,k", [(2, 5), (3, 3), (2, 17)])
+    def test_pow_product_count(self, q, k):
+        # Left-to-right square-and-multiply: bit_length(e) - 1 squarings
+        # and popcount(e) - 1 further products, so a^2 is one product.
+        ext = ExtField(PrimeField(q), find_irreducible(q, k))
+        a = ext.gen()
+        for e in [1, 2, 3, 4, 7, 8, 13, 64, 255, 1000]:
+            with OpCount() as c:
+                got = ext.pow(a, e)
+            want = ext.one
+            for _ in range(e):
+                want = ext._mul_raw(want, a)
+            assert got == want
+            assert c.ext_mul == e.bit_length() - 1 + bin(e).count("1") - 1
+        with OpCount() as c:
+            assert ext.pow(a, 0) == ext.one
+        assert c.ext_mul == 0
+
     def test_element_coercion_and_strings(self, f4):
         assert f4.element(1) == 1
         assert f4.element([1, 1]) == 3
