@@ -5,7 +5,7 @@ active OpCount context is tallied.  For q = 2 and a received dimension
 d >= 5 a pair step is a linearized Koetter interpolation over the d
 rows, about d^2 ext ops; with d about k a pair costs about k^2 ext ops,
 two factors of k below the paper's O((n-k)k^3) bound per decode.  For
-odd q and d <= 4 it is one Welch-Berlekamp solve, forward elimination
+odd q, or d <= 4, it is one Welch-Berlekamp solve, forward elimination
 of a d-by-(2t+2) system with t = floor((d-1)/2), about d^3/3 ext ops.
 The r-block decode adds one pair step per nonzero block, linear in
 n - k.

@@ -14,7 +14,8 @@ File formats
                     "rows cols", then one basis row per line
 
 Every digit must lie in 0..q-1; anything else is an input error that
-names its line.
+names its line.  Every number, in a file or a flag, is written in the
+ASCII digits 0-9.
 
 Limits, checked before any output or field work: q^k <= 2^32, r <= 64
 (so |S| < 2^2048 prints in at most 617 digits) and trials <= 100000.
@@ -27,7 +28,7 @@ import sys
 
 from .channel import simulate
 from .decoder import ReceivedSpace, decode
-from .gf import is_prime
+from .gf import is_prime, parse_uint
 from .spread import SpreadCode, format_subspace, parse_subspace
 
 
@@ -45,15 +46,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _uint(s: str) -> int:
+    """A number flag: ASCII digits 0-9 only, as in every input file."""
+    try:
+        return parse_uint(s)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _add_code_flags(p, k_list: bool = False):
-    p.add_argument("--q", type=int, required=True, help="base field order")
+    p.add_argument("--q", type=_uint, required=True, help="base field order")
     if k_list:
         p.add_argument("--k", type=str, required=True,
                        help="comma-separated block sizes, e.g. 3,5,7,9")
     else:
-        p.add_argument("--k", type=int, required=True, help="block size")
-    p.add_argument("--r", type=int, default=2, help="number of blocks")
-    p.add_argument("--p", type=int, nargs="+", default=None,
+        p.add_argument("--k", type=_uint, required=True, help="block size")
+    p.add_argument("--r", type=_uint, default=2, help="number of blocks")
+    p.add_argument("--p", type=_uint, nargs="+", default=None,
                    help="modulus coefficients p_0 ... p_{k-1}")
 
 
@@ -147,7 +156,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_bench(args) -> int:
     try:
-        ks = [int(x) for x in args.k.split(",") if x.strip()]
+        ks = [parse_uint(x.strip()) for x in args.k.split(",") if x.strip()]
     except ValueError as exc:
         raise UsageError(f"bad --k list {args.k!r}") from exc
     if not ks:
@@ -190,16 +199,16 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="seeded channel statistics")
     _add_code_flags(p)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--errors", type=int, default=0)
-    p.add_argument("--erasures", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_uint, required=True)
+    p.add_argument("--errors", type=_uint, default=0)
+    p.add_argument("--erasures", type=_uint, default=0)
+    p.add_argument("--seed", type=_uint, default=0)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("bench", help="operation-count table over block sizes")
     _add_code_flags(p, k_list=True)
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_uint, default=10)
+    p.add_argument("--seed", type=_uint, default=0)
     p.set_defaults(func=_cmd_bench)
 
     return parser

@@ -393,13 +393,16 @@ class ExtField:
                  "_half", "_frob")
 
     def __init__(self, base: PrimeField, modulus):
-        modulus = tuple(c % base.q for c in modulus)
+        q, modulus = base.q, tuple(modulus)
+        for i, c in enumerate(modulus):
+            if not 0 <= c < q:
+                raise ValueError(f"modulus coefficient p_{i} = {c} is "
+                                 f"outside 0..{q - 1}")
         k = len(modulus) - 1
         if k < 2 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree >= 2")
-        if not poly_is_irreducible(modulus, base.q):
-            raise ValueError(f"modulus {modulus} is reducible over F_{base.q}")
-        q = base.q
+        if not poly_is_irreducible(modulus, q):
+            raise ValueError(f"modulus {modulus} is reducible over F_{q}")
         self.base = base
         self.q = q
         self.k = k
@@ -420,7 +423,7 @@ class ExtField:
         if self.order <= TABLE_LIMIT:
             self._build_tables()
         else:
-            self._build_frobenius_maps()
+            self._build_frobenius_map()
 
     def _build_tables(self):
         """exp/log over a primitive element g: exp[i] = g^i, stored twice
@@ -508,26 +511,16 @@ class ExtField:
                 log[e + 1 if e % q != q - 1 else e - (q - 1)]
                 for d, e in enumerate(exp[:n])))
 
-    def _build_frobenius_maps(self):
-        """For the packed kernels: _frob[j][i] is (x^i)^(q^j), an int for
-        q = 2 and a digit list for odd q."""
+    def _build_frobenius_map(self):
+        """For the packed kernels, the one Frobenius map a -> a^q:
+        _frob[i] = (x^i)^q, an int for q = 2, a digit list for odd q."""
         q, k = self.q, self.k
         xq = self._pow_raw(q, q)
         images = [1]
         for _ in range(1, k):
             images.append(self._mul_raw(images[-1], xq))
-
-        def stored(values):
-            if self._char2:
-                return values
-            return [_to_digits(v, q, k) for v in values]
-
-        first = stored(images)
-        maps = [None, first]
-        for _ in range(k - 2):
-            images = [self._apply(v, first) for v in images]
-            maps.append(stored(images))
-        self._frob = maps
+        self._frob = (images if self._char2
+                      else [_to_digits(v, q, k) for v in images])
 
     def __repr__(self):
         return f"ExtField(q={self.q}, k={self.k}, p={self.modulus})"
@@ -801,8 +794,8 @@ class ExtField:
         return _from_digits([x % q for x in acc], q)
 
     def frobenius(self, a, j: int):
-        """a raised to the q^j power.  An F_q-linear map; charges k*k
-        base multiplications, no extension-field ops."""
+        """a raised to the q^j power, j mod k.  An F_q-linear map; charges
+        k*k base multiplications per call, no extension-field ops."""
         j %= self.k
         if j == 0:
             return a
@@ -816,7 +809,9 @@ class ExtField:
                 return 0
             n = self.order - 1
             return self._exp[log[a] * pow(self.q, j, n) % n]
-        return self._apply(a, self._frob[j])
+        for _ in range(j):                     # a packed field's one map
+            a = self._apply(a, self._frob)
+        return a
 
     def trace(self, a) -> int:
         """Trace down to F_q: the sum of all Frobenius conjugates."""

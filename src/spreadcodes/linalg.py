@@ -194,12 +194,11 @@ def _clear(f, row: list, g, prow: list, col: int):
     row[col:] = [f.zero] + f.axpy(row[col + 1:], f.neg(g), prow[col + 1:])
 
 
-def _eliminate(f, R: list, ncols: int, stop_at_gap: bool = False):
+def _eliminate(f, R: list, ncols: int):
     """Forward elimination of the row lists R, in place, to row echelon
     form.  Returns one (column, pivot inverse) pair per pivot row, the
     inverse None if no row below needed it and never computed for a
-    pivot of +-1, and the number of row swaps;
-    ``stop_at_gap`` stops at the first column without a pivot."""
+    pivot of +-1, and the number of row swaps."""
     z, one = f.zero, f.one
     minus_one = f.neg(one)
     pivots, swaps = [], 0
@@ -209,8 +208,6 @@ def _eliminate(f, R: list, ncols: int, stop_at_gap: bool = False):
             break
         p = next((i for i in range(r, len(R)) if R[i][col] != z), None)
         if p is None:
-            if stop_at_gap:
-                break
             continue
         if p != r:
             R[r], R[p] = R[p], R[r]
@@ -278,7 +275,7 @@ def det(M: Matrix):
         raise ValueError("determinant needs a square matrix")
     f = M.field
     R = [list(row) for row in M.data]
-    pivots, swaps = _eliminate(f, R, M.ncols, stop_at_gap=True)
+    pivots, swaps = _eliminate(f, R, M.ncols)
     if len(pivots) < M.nrows:
         return f.zero
     acc = R[0][0] if R else f.one

@@ -105,7 +105,6 @@ class Codeword:
 def companion_matrix(field: PrimeField, modulus) -> Matrix:
     """Companion matrix of a monic polynomial: ones on the first upper
     off-diagonal, negated low coefficients in the last row."""
-    modulus = tuple(c % field.q for c in modulus)
     k = len(modulus) - 1
     if k < 1 or modulus[-1] != 1:
         raise ValueError("modulus must be monic of degree >= 1")
@@ -119,6 +118,8 @@ class SpreadCode:
     """A spread code instance with everything fixed per code: the base
     and extension fields, the companion matrix P, and the matrix of
     Frobenius-conjugate eigenvectors of P used by the decoder.
+    ``modulus`` is None for the default, or the k low coefficients
+    p_0 ... p_{k-1}, each in 0..q-1, of a monic irreducible.
 
     Immutable after construction; safe to share across threads.
     """
@@ -129,14 +130,11 @@ class SpreadCode:
         self.base = PrimeField(q)
         if modulus is None:
             full = find_irreducible(q, k)
+        elif len(modulus) == k:
+            full = tuple(modulus) + (1,)
         else:
-            modulus = tuple(c % q for c in modulus)
-            if len(modulus) == k:
-                full = modulus + (1,)
-            elif len(modulus) == k + 1:
-                full = modulus
-            else:
-                raise ValueError(f"modulus must have degree {k}")
+            raise ValueError(f"modulus must have degree {k}, given as its "
+                             f"{k} low coefficients")
         self.ext = ExtField(self.base, full)
         self.q = q
         self.k = k

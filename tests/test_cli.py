@@ -60,6 +60,15 @@ class TestParams:
                            "--r", "2", "--p", "1", "0")
         assert code == 1 and "reducible" in err
 
+    @pytest.mark.parametrize("q,p,what", [
+        ("3", ["4", "0"], "p_0 = 4"),               # not a digit mod 3
+        ("2", ["1", "1", "1"], "degree 2"),         # k + 1 coefficients
+    ])
+    def test_modulus_is_k_digits(self, capsys, q, p, what):
+        code, out, err = run(capsys, "params", "--q", q, "--k", "2",
+                             "--p", *p)
+        assert code == 1 and out == "" and what in err
+
 
 class TestEncodeDecode:
     def test_round_trip(self, tmp_path, capsys):
@@ -263,6 +272,14 @@ class TestLimits:
         (["bench", "--q", "2", "--k", "3", "--r", "65"], "--r"),
         (["bench", "--q", "2", "--k", "3", "--trials", "100000000"],
          "--trials"),
+        # Every number flag takes the ASCII digits 0-9 only.
+        (["params", "--q", "2", "--k", "\u0663"], "--k"),   # Arabic-Indic 3
+        (["bench", "--q", "2", "--k", "3,+5", "--trials", "1"], "--k"),
+        (["simulate", "--q", "2", "--k", "3", "--trials", "1",
+          "--errors", "-1"], "--errors"),
+        (["simulate", "--q", "2", "--k", "3", "--trials", "1",
+          "--seed", "-1"], "--seed"),
+        (["params", "--q", "2", "--k", "3", "--r", "0_2"], "--r"),
     ])
     def test_over_limit_refused_before_any_work(self, capsys, monkeypatch,
                                                 argv, what):

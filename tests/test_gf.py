@@ -237,6 +237,15 @@ class TestExtField:
         with pytest.raises(ValueError):
             ExtField(PrimeField(2), (1, 0, 1))  # x^2 + 1 = (x+1)^2 over F_2
 
+    @pytest.mark.parametrize("q,modulus,what", [
+        (3, (4, 0, 1), "p_0 = 4"),   # x^2 + 1 once 4 is reduced mod 3
+        (2, (1, 1, 3), "p_2 = 3"),   # x^2 + x + 1 once 3 is reduced mod 2
+        (3, (1, -1, 1), "p_1 = -1"),
+    ])
+    def test_refuses_coefficient_outside_base_field(self, q, modulus, what):
+        with pytest.raises(ValueError, match=what):
+            ExtField(PrimeField(q), modulus)
+
     def test_f4_generator_square(self, f4):
         lam = f4.gen()
         assert f4.mul(lam, lam) == 3  # x^2 = x + 1 mod x^2+x+1
@@ -434,7 +443,9 @@ class TestFrobenius:
                     == ext.mul(ext.frobenius(a, 1), ext.frobenius(b, 1)))
             assert ext.frobenius(a, 1) == ext.pow(a, q)
 
-    @pytest.mark.parametrize("q,k", [(2, 3), (3, 3), (2, 5)])
+    # (2, 17) and (3, 11) are packed: a^(q^j) applies one map j times.
+    @pytest.mark.parametrize("q,k", [(2, 3), (3, 3), (2, 5), (2, 17),
+                                     (3, 11)])
     def test_unit_steps_cycle(self, q, k):
         ext = ExtField(PrimeField(q), find_irreducible(q, k))
         rnd = random.Random(k)

@@ -373,6 +373,18 @@ class TestHeadersAndFiles:
             SpreadCode(2, 2, 2, (1, 0))  # x^2 + 1 reducible over F_2
         with pytest.raises(ValueError):
             SpreadCode(4, 2, 2)
+        # The modulus is exactly k digits: not k + 1 coefficients, and no
+        # 4 over F_3.
+        with pytest.raises(ValueError, match="degree 2"):
+            SpreadCode(2, 2, 2, (1, 1, 1))
+        with pytest.raises(ValueError, match="p_0 = 4"):
+            SpreadCode(3, 2, 2, (4, 0))
+
+    def test_header_modulus_digit_out_of_range(self):
+        # 3 = 1 mod 2 would make x^3 + x + 1, but a header digit is taken
+        # as written.
+        with pytest.raises(ValueError, match=r"^line 1:.*p_0 = 3"):
+            parse_subspace("2 3 2 3 1 0\n1 6\n1 0 0 0 0 0\n")
 
 
 # ---------------------------------------------------------------------------
