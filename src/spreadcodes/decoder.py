@@ -319,41 +319,42 @@ def _interpolated_point(Rj: Matrix, Ri: Matrix, d: int, code: SpreadCode):
     the d points (a, b) read off the rows of (Rj Ri): mu of the pair
     codeword [1 : mu], or the failure reason.
 
-    Each live polynomial is [its values at the points ahead, last point
-    first; its x- and y-coefficients of q-degree 0; its q-degree],
-    starting as x and y.  At each point the live polynomial s of least
-    (degree, index) among those with a nonzero value D there clears the
-    other's value with one ``axpy``, then becomes s^2 - D s: each value
-    v ahead becomes v (v + D) and the coefficients scale by D.  An s at
-    degree t is dropped instead, after clearing the other: past degree t
-    it can never be the answer, and the survivor, now of lower degree,
-    would only ever clear it, never the reverse.  The survivor of least
+    Each live polynomial is one row [N_0, V_0, its values at the points
+    ahead, last point first] and its q-degree, starting as x and y: N_0
+    and V_0 are its x- and y-coefficients of q-degree 0.  At each point
+    the live polynomial s of least (degree, index) among those with a
+    nonzero value D there clears the other's value with one ``axpy`` on
+    the whole row, then becomes s^2 - D s: each value v ahead becomes
+    v (v + D) and the coefficients scale by D.  An s at degree t is
+    dropped instead, after clearing the other: past degree t it can
+    never be the answer, and the survivor, now of lower degree, would
+    only ever clear it, never the reverse.  The survivor of least
     (degree, index) gives mu = N_0 / V_0.
     """
     ext = code.ext
     t = (d - 1) // 2
-    live = [[[ext.element(row) for row in reversed(Rj.data)], 1, 0, 0],
-            [[ext.element(row) for row in reversed(Ri.data)], 0, 1, 0]]
+    live = [[[1, 0] + [ext.element(row) for row in reversed(Rj.data)], 0],
+            [[0, 1] + [ext.element(row) for row in reversed(Ri.data)], 0]]
     for _ in range(d):
         hit = [(p[0].pop(), p) for p in live]
         hit = [(v, p) for v, p in hit if v]
         if not hit:
             continue
-        ds, s = min(hit, key=lambda vp: vp[1][3])
+        ds, s = min(hit, key=lambda vp: vp[1][1])
         for v, o in hit:
             if o is not s:
                 c = v if ds == 1 else ext.mul(v, ext.inv(ds))
                 o[0] = ext.axpy(o[0], c, s[0])
-                o[1], o[2] = ext.axpy(o[1:3], c, s[1:3])
-        if s[3] == t:
+        if s[1] == t:
             live.remove(s)
             if not live:
                 return REASON_NO_CODEWORD
         else:
-            s[0] = [ext.mul(v, v ^ ds) for v in s[0]]
-            s[1], s[2] = ext.mul(s[1], ds), ext.mul(s[2], ds)
-            s[3] += 1
-    n0, v0 = min(live, key=lambda p: p[3])[1:3]
+            n0, v0, *ahead = s[0]
+            s[0] = ([ext.mul(n0, ds), ext.mul(v0, ds)]
+                    + [ext.mul(v, v ^ ds) for v in ahead])
+            s[1] += 1
+    n0, v0 = min(live, key=lambda p: p[1])[0]
     if not v0:
         return REASON_NO_CODEWORD
     return n0 if v0 == 1 else ext.mul(n0, ext.inv(v0))

@@ -22,8 +22,13 @@ the field is built:
   held in ``array`` storage.  ``mul``, ``inv`` and ``frobenius`` are
   lookups; for odd q, addition goes through a table of Zech logarithms
   (Huber, *Some comments on Zech's logarithms*, IEEE Trans. IT 1990).
-* larger fields with q = 2: carry-less shift/xor multiplication of the
-  packed ints, reduced by the modulus.
+* larger fields with q = 2: a carry-less product of the packed ints
+  from a table of the 16 multiples a*n, one shifted lookup per 4-bit
+  window n of b.  The high half h of the product, at most k - 1 bits, is
+  reduced by fold tables built once per field, fold_i[n] = n*x^(k+8i)
+  mod p: one lookup and XOR per byte of h.  Every q = 2 field builds
+  them, since the exp/log fill multiplies through this kernel when x is
+  not primitive.
 * larger fields with odd q: schoolbook multiplication of digit lists.
 
 For q = 2, addition and subtraction are XOR in every case.
@@ -36,7 +41,10 @@ odd-q tables one Zech addition per entry, for packed odd q one raw
 product per nonzero entry.  The packed q = 2 branch first builds, once
 per call, the tables T_i[n] = g*n*x^(4i) mod p for every 4-bit window
 value n, reducing as it shifts; g*y is then the XOR of T_i[n_i] over
-the 4-bit windows n_i of y, with no reduction step.
+the 4-bit windows n_i of y, with no reduction step.  That build costs
+about as much as a few single products, so a caller that updates
+several rows by the same g, as the decoder's interpolation does, joins
+them into one row first.
 
 Multiplications and inversions are tallied on the innermost active
 :class:`OpCount` of the current thread, separately per field layer, so
@@ -59,6 +67,11 @@ from array import array
 TABLE_LIMIT = 1 << 16
 # Array type code for table entries: signed, at least 32 bits.
 _TYPECODE = "i" if array("i").itemsize >= 4 else "l"
+
+
+# Digits 0..9 as ASCII, for int() to read a base-q string when q <= 10;
+# a byte of 10 or more becomes "?", which no base accepts.
+_DIGIT_CHARS = b"0123456789" + b"?" * 246
 
 
 class _Local(threading.local):
@@ -163,6 +176,14 @@ def _parse_digit(s: str, q: int) -> int:
     if d >= q:
         raise ValueError(f"digit {d} is outside 0..{q - 1}")
     return d
+
+
+def check_coefficients(coeffs, q: int) -> None:
+    """A ValueError unless every polynomial coefficient lies in 0..q-1."""
+    for i, c in enumerate(coeffs):
+        if not 0 <= c < q:
+            raise ValueError(f"modulus coefficient p_{i} = {c} is "
+                             f"outside 0..{q - 1}")
 
 
 class PrimeField:
@@ -377,6 +398,15 @@ def _from_digits(digits, q: int) -> int:
     return n
 
 
+def _window_values(a0, a1, a2, a3):
+    """The XOR of the a_i picked by the bits i of n, for every 4-bit
+    value n: with a_i = a*x^i, the table of a*n."""
+    a01, a23 = a0 ^ a1, a2 ^ a3
+    return (0, a0, a1, a01, a2, a2 ^ a0, a2 ^ a1, a2 ^ a01,
+            a3, a3 ^ a0, a3 ^ a1, a3 ^ a01,
+            a23, a23 ^ a0, a23 ^ a1, a23 ^ a01)
+
+
 class ExtField:
     """The extension field F_{q^k} = F_q[x]/(p) for monic irreducible p.
 
@@ -390,14 +420,11 @@ class ExtField:
 
     __slots__ = ("base", "q", "k", "modulus", "order", "zero", "one",
                  "_char2", "_bits", "_red", "_exp", "_log", "_zech",
-                 "_half", "_frob")
+                 "_half", "_frob", "_fold")
 
     def __init__(self, base: PrimeField, modulus):
         q, modulus = base.q, tuple(modulus)
-        for i, c in enumerate(modulus):
-            if not 0 <= c < q:
-                raise ValueError(f"modulus coefficient p_{i} = {c} is "
-                                 f"outside 0..{q - 1}")
+        check_coefficients(modulus, q)
         k = len(modulus) - 1
         if k < 2 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree >= 2")
@@ -413,9 +440,12 @@ class ExtField:
         self._char2 = q == 2
         # The packed kernels reduce by p: as a bit pattern for q = 2;
         # for odd q as _red = digits of x^k mod p.
-        self._bits = self._red = None
+        self._bits = self._red = self._fold = None
         if self._char2:
             self._bits = sum(c << i for i, c in enumerate(modulus))
+            # Before the tables: their build calls _mul_raw when x is
+            # not primitive.
+            self._build_fold_tables()
         else:
             self._red = [(-c) % q for c in modulus[:k]]
         self._exp = self._log = self._zech = self._frob = None
@@ -511,6 +541,24 @@ class ExtField:
                 log[e + 1 if e % q != q - 1 else e - (q - 1)]
                 for d, e in enumerate(exp[:n])))
 
+    def _build_fold_tables(self):
+        """For the q = 2 _mul_raw: _fold[i][n] = n*x^(k+8i) mod p, one
+        table per byte of the high half of a product, which has at most
+        k - 1 bits; the last table has 2^w entries for its w <= 8 bits.
+        Each bit doubles the table, appending it XORed with the next
+        power of x."""
+        k, bits = self.k, self._bits
+        e = bits ^ (1 << k)                    # x^k mod p
+        self._fold = folds = []
+        for i in range(0, k - 1, 8):
+            table = [0]
+            for _ in range(min(8, k - 1 - i)):
+                table += [v ^ e for v in table]
+                e <<= 1
+                if e >> k:
+                    e ^= bits
+            folds.append(table)
+
     def _build_frobenius_map(self):
         """For the packed kernels, the one Frobenius map a -> a^q:
         _frob[i] = (x^i)^q, an int for q = 2, a digit list for odd q."""
@@ -538,16 +586,27 @@ class ExtField:
 
     def element(self, value) -> int:
         """An element from its int encoding, or from a sequence of at
-        most k base-q digits, lowest first, each reduced mod q."""
+        most k base-q digits, lowest first, each in 0..q-1."""
         if isinstance(value, int):
             if not 0 <= value < self.order:
                 raise ValueError(f"{value} does not encode an element of "
                                  f"F_{self.q}^{self.k}")
             return value
-        digits = [c % self.q for c in value]
+        digits = tuple(value)
         if len(digits) > self.k:
             raise ValueError(f"too many coefficients for degree {self.k}")
-        return _from_digits(digits, self.q)
+        if not digits:
+            return 0
+        q = self.q
+        if q <= 10:
+            try:
+                # bytes() refuses a negative digit, int() one of q or more.
+                return int(bytes(digits[::-1]).translate(_DIGIT_CHARS), q)
+            except ValueError:
+                pass
+        elif min(digits) >= 0 and max(digits) < q:
+            return _from_digits(digits, q)
+        raise ValueError(f"a digit of {digits} is outside 0..{q - 1}")
 
     def digits(self, a: int) -> tuple[int, ...]:
         """The k base-q digits of a, lowest first."""
@@ -604,15 +663,24 @@ class ExtField:
         """Uncounted product by the packed kernel of this characteristic."""
         k = self.k
         if self._char2:
-            r = 0
+            # Carry-less a*b: one shifted multiple a*n per 4-bit window
+            # n of b.
+            t = _window_values(a, a << 1, a << 2, a << 3)
+            r = t[b & 15]
+            b >>= 4
+            s = 4
             while b:
-                low = b & -b
-                r ^= a * low
-                b ^= low
-            top = r.bit_length() - 1
-            while top >= k:
-                r ^= self._bits << (top - k)
-                top = r.bit_length() - 1
+                r ^= t[b & 15] << s
+                b >>= 4
+                s += 4
+            # r = low + h*x^k with deg h <= k - 2: each byte of h is
+            # reduced by one lookup in its fold table.
+            h = r >> k
+            if h:
+                r ^= h << k
+                for fold in self._fold:
+                    r ^= fold[h & 255]
+                    h >>= 8
             return r
         q = self.q
         da, db = _to_digits(a, q, k), _to_digits(b, q, k)
@@ -655,10 +723,7 @@ class ExtField:
             g = a3 << 1
             if g >> k:
                 g ^= bits
-            a01, a23 = a0 ^ a1, a2 ^ a3
-            tables.append([0, a0, a1, a01, a2, a2 ^ a0, a2 ^ a1, a2 ^ a01,
-                           a3, a3 ^ a0, a3 ^ a1, a3 ^ a01,
-                           a23, a23 ^ a0, a23 ^ a1, a23 ^ a01])
+            tables.append(_window_values(a0, a1, a2, a3))
         return tables
 
     def mul(self, a, b):

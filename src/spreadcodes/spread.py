@@ -21,7 +21,8 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .gf import ExtField, PrimeField, find_irreducible, parse_uint
+from .gf import (ExtField, PrimeField, check_coefficients, find_irreducible,
+                 parse_uint)
 from .linalg import (Matrix, hstack, inverse, parse_matrix_lines, rank,
                      rref, vstack)
 
@@ -104,10 +105,12 @@ class Codeword:
 
 def companion_matrix(field: PrimeField, modulus) -> Matrix:
     """Companion matrix of a monic polynomial: ones on the first upper
-    off-diagonal, negated low coefficients in the last row."""
+    off-diagonal, negated low coefficients in the last row.  Each
+    coefficient must lie in 0..q-1."""
     k = len(modulus) - 1
     if k < 1 or modulus[-1] != 1:
         raise ValueError("modulus must be monic of degree >= 1")
+    check_coefficients(modulus, field.q)
     z, o = field.zero, field.one
     rows = [[o if j == i + 1 else z for j in range(k)] for i in range(k - 1)]
     rows.append([field.neg(modulus[j]) for j in range(k)])

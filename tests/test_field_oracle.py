@@ -2,10 +2,13 @@
 reference in ``tuple_field``, through the digit conversion.
 
 The fields cover every multiplication kernel: exp/log tables at
-(2,2..9), (3,2..5) and (5,3), the packed q = 2 kernel at (2,17) and
-(2,24) and the packed odd-q kernel at (3,13).  The row kernel ``axpy``
-is checked against the per-entry ``add`` and ``mul`` of the same field;
-at (2,17) the last 4-bit window of its packed q = 2 branch is partial.
+(2,2..9), (3,2..5) and (5,3), the packed q = 2 kernel at (2,17), (2,24),
+(2,29) and (2,33) and the packed odd-q kernel at (3,13).  A packed q = 2
+product reduces its high half one byte per fold table: at (2,29) the
+last byte is partial, and (2,33) needs four tables.  The row kernel
+``axpy`` is checked against the per-entry ``add`` and ``mul`` of the
+same field; at (2,17) the last 4-bit window of its packed q = 2 branch
+is partial.
 """
 
 import pytest
@@ -18,7 +21,7 @@ from tuple_field import TupleExtField
 
 TABLE_FIELDS = ([(2, k) for k in range(2, 10)]
                 + [(3, k) for k in range(2, 6)] + [(5, 3)])
-PACKED_FIELDS = [(2, 17), (2, 24), (3, 13)]
+PACKED_FIELDS = [(2, 17), (2, 24), (2, 29), (2, 33), (3, 13)]
 FIELDS = TABLE_FIELDS + PACKED_FIELDS
 
 _built = {}

@@ -306,6 +306,19 @@ class TestExtField:
         with pytest.raises(ValueError):
             f4.element([1, 0, 1])
 
+    @pytest.mark.parametrize("q,k", [(2, 3), (3, 2), (2, 17), (3, 11),
+                                     (7, 2), (13, 2)])
+    def test_element_rejects_out_of_range_digits(self, q, k):
+        ext = ExtField(PrimeField(q), find_irreducible(q, k))
+        assert ext.element([q - 1, 0]) == q - 1
+        assert ext.element([1, q - 1]) == 1 + (q - 1) * q
+        assert ext.element(()) == 0
+        # 11 reads as "b": "0b1" must not pass as a base-2 literal.
+        for bad in ([q, 0], [-1], [0, q + 1], [1, 2 * q], [256],
+                    [0, max(q, 10)], [1, max(q, 11), 0][:k]):
+            with pytest.raises(ValueError):
+                ext.element(bad)
+
     def test_element_order(self, f4):
         els = list(f4.elements())
         assert len(els) == 4 and len(set(els)) == 4
@@ -417,6 +430,45 @@ class TestTableBuild:
         g = rnd.randrange(2, ext.order)
         assert ext.axpy(xs, g, ys) == [ext.add(x, ext.mul(g, y))
                                        for x, y in zip(xs, ys)]
+
+
+def shift_and_fold(a, b, k, bits):
+    """Reference q = 2 product: carry-less by one set bit of b at a
+    time, then reduced by the modulus bit pattern one top bit at a time."""
+    r = 0
+    while b:
+        low = b & -b
+        r ^= a * low
+        b ^= low
+    top = r.bit_length() - 1
+    while top >= k:
+        r ^= bits << (top - k)
+        top = r.bit_length() - 1
+    return r
+
+
+class TestPackedProduct:
+    # (2, 9) multiplies by tables but builds them with _mul_raw; (2, 29)
+    # leaves a 4-bit last byte in the high half, (2, 33) needs four fold
+    # tables.
+    @pytest.mark.parametrize("k", [2, 3, 9, 16, 17, 24, 29, 33])
+    def test_matches_shift_and_fold(self, k):
+        ext = ExtField(PrimeField(2), find_irreducible(2, k))
+        assert len(ext._fold) == -(-(k - 1) // 8)
+        rnd = random.Random(k)
+        top = (1 << k) - 1
+        pairs = [(0, 0), (0, top), (1, top), (top, top), (top, 1 << k >> 1)]
+        pairs += [(rnd.getrandbits(k), rnd.getrandbits(k))
+                  for _ in range(500)]
+        for _ in range(200):
+            # deg a + deg b <= k - 1: the high half is zero
+            i = rnd.randrange(k)
+            a, b = rnd.getrandbits(i + 1), rnd.getrandbits(k - i)
+            assert shift_and_fold(a, b, k, 0) < 1 << k
+            pairs.append((a, b))
+        for a, b in pairs:
+            assert ext._mul_raw(a, b) == shift_and_fold(a, b, k, ext._bits)
+            assert ext._mul_raw(b, a) == ext._mul_raw(a, b)
 
 
 class TestFrobenius:

@@ -41,6 +41,7 @@ PINNED_COUNTS = {
     (3, 3, 4): {(0, 0): (0, 0, 0, 0), (1, 1): (171, 39, 0, 0),
                 (0, 2): (17, 17, 0, 0), (1, 2): (6, 1, 0, 0),
                 (2, 2): (78, 21, 0, 0)},
+    (2, 17, 2): {(8, 8): (2123, 104, 0, 0), (9, 8): (2309, 98, 0, 0)},
 }
 
 PINNED_LINES = {

@@ -42,6 +42,12 @@ class TestCompanionMatrix:
         P = companion_matrix(PrimeField(3), (1, 0, 1))
         assert P.data == ((0, 1), (2, 0))
 
+    @pytest.mark.parametrize("q,modulus", [(3, (4, 0, 1)), (3, (-1, 0, 1)),
+                                           (2, (1, 2, 0, 1))])
+    def test_rejects_out_of_range_coefficients(self, q, modulus):
+        with pytest.raises(ValueError):
+            companion_matrix(PrimeField(q), modulus)
+
     @pytest.mark.parametrize("q,k", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2)])
     def test_modulus_annihilates_companion(self, q, k):
         f = PrimeField(q)
@@ -198,6 +204,12 @@ class TestEncode:
     def test_rejects_zero_point(self, code22):
         with pytest.raises(ValueError):
             code22.encode((0, 0))
+
+    def test_rejects_out_of_range_digits(self, code32):
+        with pytest.raises(ValueError):
+            code32.encode(((3, 0, 0), (0, 2, 0)))
+        with pytest.raises(ValueError):
+            code32.encode(((1, 0, 0), (0, -1, 0)))
 
 
 class TestEnumeration:
