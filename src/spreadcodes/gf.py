@@ -69,11 +69,6 @@ TABLE_LIMIT = 1 << 16
 _TYPECODE = "i" if array("i").itemsize >= 4 else "l"
 
 
-# Digits 0..9 as ASCII, for int() to read a base-q string when q <= 10;
-# a byte of 10 or more becomes "?", which no base accepts.
-_DIGIT_CHARS = b"0123456789" + b"?" * 246
-
-
 class _Local(threading.local):
     current = None
 
@@ -598,15 +593,9 @@ class ExtField:
         if not digits:
             return 0
         q = self.q
-        if q <= 10:
-            try:
-                # bytes() refuses a negative digit, int() one of q or more.
-                return int(bytes(digits[::-1]).translate(_DIGIT_CHARS), q)
-            except ValueError:
-                pass
-        elif min(digits) >= 0 and max(digits) < q:
-            return _from_digits(digits, q)
-        raise ValueError(f"a digit of {digits} is outside 0..{q - 1}")
+        if min(digits) < 0 or max(digits) >= q:
+            raise ValueError(f"a digit of {digits} is outside 0..{q - 1}")
+        return _from_digits(digits, q)
 
     def digits(self, a: int) -> tuple[int, ...]:
         """The k base-q digits of a, lowest first."""

@@ -313,7 +313,6 @@ class TestExtField:
         assert ext.element([q - 1, 0]) == q - 1
         assert ext.element([1, q - 1]) == 1 + (q - 1) * q
         assert ext.element(()) == 0
-        # 11 reads as "b": "0b1" must not pass as a base-2 literal.
         for bad in ([q, 0], [-1], [0, q + 1], [1, 2 * q], [256],
                     [0, max(q, 10)], [1, max(q, 11), 0][:k]):
             with pytest.raises(ValueError):
