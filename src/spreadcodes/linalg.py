@@ -7,13 +7,17 @@ and every operation returns a fresh matrix, so they can be shared
 freely between threads.
 
 One elimination loop, :func:`_eliminate`, serves :func:`rref`,
-:func:`det`, :func:`inverse` and :func:`rank` (bit-packed over F_2).
-Its row updates, the back pass of :func:`rref` and every product
-``A @ B`` (each output row a sum of rows of B scaled by the entries of
-A) run through the field's row kernel ``axpy``.  The kernel charges
-nothing for a product by 0 or +-1, so a product with a base-field
-matrix of 0/+-1 entries, such as a lifted F_2 or F_3 matrix, costs no
-multiplication at all.
+:func:`det`, :func:`inverse` and :func:`rank`.  Its row updates, the
+back pass of :func:`rref` and every product ``A @ B`` (each output row
+a sum of rows of B scaled by the entries of A) run through the field's
+row kernel ``axpy``.  The kernel charges nothing for a product by 0 or
++-1, so a product with a base-field matrix of 0/+-1 entries, such as a
+lifted F_2 or F_3 matrix, costs no multiplication at all.
+
+Over F_2 itself, :func:`rref` (and so :func:`inverse`), :func:`rank`
+and ``A @ B`` skip both: they run on rows packed into ints, one byte
+per column, where every row update is one XOR and nothing is charged.
+Only :func:`det` runs the loop over F_2.
 
 Row and column tuples for minors are 1-based and order-sensitive: the
 minor of rows (2, 1) is the negative of the minor of rows (1, 2), and a
@@ -24,6 +28,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
+from operator import xor
 
 from .gf import PrimeField, parse_uint
 
@@ -80,12 +86,16 @@ class Matrix:
         """Each output row is the sum of the rows of ``other`` scaled by
         the nonzero entries of the matching row of ``self``, through the
         field's row kernel ``axpy``: a coefficient of +-1 costs no
-        multiplication."""
+        multiplication.  Over F_2 the sum is an XOR of packed rows."""
         if self.field != other.field:
             raise ValueError("field mismatch")
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
         f = self.field
+        if _is_gf2(f):
+            rows = _pack(other.data)
+            return _unpack(f, [reduce(xor, itertools.compress(rows, arow), 0)
+                               for arow in self.data], other.ncols)
         zero = [f.zero] * other.ncols
         out = []
         for arow in self.data:
@@ -229,6 +239,8 @@ def _eliminate(f, R: list, ncols: int):
 
 def rref(M: Matrix) -> RrefResult:
     f = M.field
+    if _is_gf2(f):
+        return _rref_gf2(M)
     R = [list(row) for row in M.data]
     pivots, _ = _eliminate(f, R, M.ncols)
     # Bottom up, so each pivot row is already clear in the later pivot
@@ -248,10 +260,42 @@ def rref(M: Matrix) -> RrefResult:
                       tuple(col + 1 for col, _ in pivots))
 
 
+def _is_gf2(f) -> bool:
+    return isinstance(f, PrimeField) and f.q == 2
+
+
+def _pack(rows) -> list[int]:
+    """Rows over F_2 as ints, column j in byte j: XOR never carries
+    between bytes, so the bytes stay 0 or 1, and the entry in column j
+    is bit 8j."""
+    return [int.from_bytes(bytes(row), "little") for row in rows]
+
+
+def _unpack(f, xs, ncols: int) -> Matrix:
+    return Matrix(f, [x.to_bytes(ncols, "little") for x in xs])
+
+
+def _rref_gf2(M: Matrix) -> RrefResult:
+    # Gauss-Jordan: the basis rows stay fully reduced, each keyed by the
+    # bit of its pivot, so a new row is reduced in one pass over them.
+    basis = []
+    for x in _pack(M.data):
+        for low, b in basis:
+            if x & low:
+                x ^= b
+        if x:
+            low = x & -x
+            basis = [(l, b ^ x if b & low else b) for l, b in basis]
+            basis.append((low, x))
+    basis.sort()
+    rows = [b for _, b in basis]
+    R = _unpack(M.field, rows + [0] * (M.nrows - len(rows)), M.ncols)
+    return RrefResult(R, len(rows), tuple((low.bit_length() - 1) // 8 + 1
+                                          for low, _ in basis))
+
+
 def _rank_gf2(M: Matrix) -> int:
-    # Each row packed into one int, column j in byte j: XOR never
-    # carries between bytes, so the bytes stay 0 or 1.
-    rows = [int.from_bytes(bytes(row), "little") for row in M.data]
+    rows = _pack(M.data)
     r = 0
     while rows:
         piv = rows.pop()
@@ -265,7 +309,7 @@ def _rank_gf2(M: Matrix) -> int:
 
 def rank(M: Matrix) -> int:
     f = M.field
-    if isinstance(f, PrimeField) and f.q == 2:
+    if _is_gf2(f):
         return _rank_gf2(M)
     return len(_eliminate(f, [list(row) for row in M.data], M.ncols)[0])
 

@@ -66,8 +66,14 @@ class Subspace:
         return self.basis.nrows
 
     def contains(self, vector) -> bool:
-        row = Matrix(self.field, [list(vector)])
-        return rank(vstack(self.basis, row)) == self.dim
+        """Whether the space holds the vector, whose entries must lie
+        in 0..q-1."""
+        row = list(vector)
+        q = self.field.q
+        for c in row:
+            if not 0 <= c < q:
+                raise ValueError(f"vector entry {c} is outside 0..{q - 1}")
+        return rank(vstack(self.basis, Matrix(self.field, [row]))) == self.dim
 
     def __eq__(self, other):
         return isinstance(other, Subspace) and other.basis == self.basis

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spreadcodes.gf import ExtField, OpCount, PrimeField, find_irreducible
 from spreadcodes.linalg import (Matrix, det, disjoint_pivot_tuples,
@@ -53,6 +54,32 @@ def assert_reduced(res, field):
         assert all(R[h, c - 1] == field.zero
                    for h in range(R.nrows) if h != i)
     assert all(a == field.zero for row in R.data[res.rank:] for a in row)
+
+
+GF4 = ExtField(F2, (1, 1, 1))
+
+
+def assert_packed_matches_generic(M) -> bool:
+    """rref, rank, products and inverse of an F_2 matrix equal the same
+    calls on its lift into F_4, which run the generic kernel.  Returns
+    whether M was invertible."""
+    L = M.lift(GF4)
+    res, ref = rref(M), rref(L)
+    assert res.matrix.data == ref.matrix.data
+    assert (res.rank, res.pivot_cols) == (ref.rank, ref.pivot_cols)
+    assert rank(M) == ref.rank
+    assert (M @ M.transpose()).data == (L @ L.transpose()).data
+    assert (M.transpose() @ M).data == (L.transpose() @ L).data
+    if M.nrows != M.ncols:
+        return False
+    try:
+        inv = inverse(M)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            inverse(L)
+        return False
+    assert inv.data == inverse(L).data
+    return True
 
 
 class TestRref:
@@ -113,20 +140,23 @@ class TestKernel:
                 assert inverse(M) @ M == Matrix.identity(field, n)
         assert 0 < singular < 100
 
-    def test_f3_elimination_inverts_nothing(self):
-        # Every nonzero of F_3 is +-1, its own inverse, and the row
-        # kernel charges nothing for a product by +-1: rank and rref
-        # over F_3 cost no base-field operation at all.
-        rnd = random.Random(3)
+    @pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
+    def test_elimination_and_products_charge_nothing(self, field):
+        # Every nonzero of F_2 and F_3 is +-1, its own inverse, and the
+        # row kernel charges nothing for a product by +-1: rank, rref and
+        # A @ B over F_3 cost no base-field operation at all.  The packed
+        # F_2 path must charge nothing either.
+        rnd = random.Random(field.q)
         pivots = 0
         for _ in range(40):
-            M = sparse_matrix(rnd, F3, 5, 6)
+            M = sparse_matrix(rnd, field, 5, 6)
             with OpCount() as c:
                 r = rank(M)
                 res = rref(M)
+                M @ M.transpose()
             assert (c.base_mul, c.base_inv) == (0, 0)
             assert res.rank == r
-            assert_reduced(res, F3)
+            assert_reduced(res, field)
             pivots += r
         assert pivots > 100
 
@@ -205,20 +235,40 @@ class TestPlumbing:
         assert hstack(A, B).data == ((0, 0, 1, 0), (0, 0, 0, 1))
 
     def test_rank_gf2_fast_path_matches_generic(self):
+        # rank, rref, inverse and products over F_2 run on packed rows;
+        # lifted into F_4 the same matrix takes the generic kernel.
         rnd = random.Random(12)
-        ext = ExtField(F2, (1, 1, 1))
+        cases = [Matrix(F2, []), Matrix.zeros(F2, 3, 5),
+                 Matrix(F2, [[0, 0, 1], [0, 0, 1], [0, 0, 0]])]
         for _ in range(60):
-            M = random_matrix(rnd, F2, rnd.randrange(1, 6),
-                              rnd.randrange(1, 7))
-            assert rank(M) == rank(M.lift(ext))
+            n = rnd.randrange(1, 6)
+            M = (sparse_matrix if rnd.random() < 0.5 else random_matrix)(
+                rnd, F2, n, rnd.randrange(1, 7))
+            # A duplicate and a zero row, both somewhere in the middle.
+            rows = list(M.data)
+            rows.insert(rnd.randrange(n + 1), rows[rnd.randrange(n)])
+            rows.insert(rnd.randrange(n + 2), (0,) * M.ncols)
+            cases += [M, Matrix(F2, rows)]
+        for n in range(1, 6):
+            cases += [sparse_matrix(rnd, F2, n, n) for _ in range(6)]
         # Rows wider than 64 columns, with dependent rows and a pivot in
         # the last column: the packed rows are longer than a machine word.
         for ncols in (65, 100, 200):
             M = sparse_matrix(rnd, F2, 12, ncols)
             sums = M + Matrix(F2, [M.row(0)] * 12)
             last = Matrix(F2, [[0] * (ncols - 1) + [1]])
-            for A in (M, vstack(M, sums, last)):
-                assert rank(A) == rank(A.lift(ext))
+            cases += [M, vstack(M, sums, last)]
+        invertible = 0
+        for M in cases:
+            invertible += assert_packed_matches_generic(M)
+        assert invertible > 5
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(1, 80).flatmap(lambda ncols: st.lists(
+        st.lists(st.integers(0, 1), min_size=ncols, max_size=ncols),
+        max_size=10)))
+    def test_gf2_packed_path_matches_generic_property(self, rows):
+        assert_packed_matches_generic(Matrix(F2, rows))
 
     def test_text_roundtrip(self):
         rnd = random.Random(5)

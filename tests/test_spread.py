@@ -292,6 +292,17 @@ class TestMembership:
             hstack(Matrix.identity(code22.base, 2), B))
         assert not code22.is_codeword(W)
 
+    @pytest.mark.parametrize("q,vector,bad", [
+        (2, (3, 0), 3), (2, (-1, 0), -1), (2, (0, 256), 256),
+        (3, (4, 0), 4), (3, (0, -2), -2)])
+    def test_contains_rejects_out_of_range_entries(self, q, vector, bad):
+        # Each entry must already be reduced: over F_2, (3, 0) is not
+        # read as (1, 0), nor -1 as 1.
+        W = Subspace(Matrix(PrimeField(q), [[1, 0]]))
+        with pytest.raises(ValueError, match=f"entry {bad} is outside"):
+            W.contains(vector)
+        assert W.contains([1, 0]) and not W.contains([0, 1])
+
 
 class TestEigenbasisFacts:
     @pytest.mark.parametrize("q,k", [(2, 3), (2, 4), (3, 3), (2, 5), (3, 5)])
