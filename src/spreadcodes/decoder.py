@@ -31,7 +31,9 @@ Welch-Berlekamp-like decoder, 2006, is the same algorithm), in about d^2
 ext ops: :func:`_interpolated_point`.  Within the radius that Q is
 c L(y - mu x) for the subspace polynomial L of the error values, so
 mu = -N_0 / V_0.  It builds no Moore matrix: in characteristic 2 the
-update s^q - D^(q-1) s of a value v is v (v + D), one product.  For odd
+update s^q - D^(q-1) s of a value v is v (v + D), one counted product,
+which the row kernel ``ExtField.square_plus`` reads as v^2 + D v from
+the field's squaring tables.  For odd
 q that update needs two or more products per value while the Moore
 columns of the dense solve cost nothing, and for t <= 1 the dense
 system is at most 4 x 4; in both cases the dense solve stays, and it
@@ -352,7 +354,7 @@ def _interpolated_point(Rj: Matrix, Ri: Matrix, d: int, code: SpreadCode):
         else:
             n0, v0, *ahead = s[0]
             s[0] = ([ext.mul(n0, ds), ext.mul(v0, ds)]
-                    + [ext.mul(v, v ^ ds) for v in ahead])
+                    + ext.square_plus(ahead, ds))
             s[1] += 1
     n0, v0 = min(live, key=lambda p: p[1])[0]
     if not v0:

@@ -28,8 +28,11 @@ the field is built:
   reduced by fold tables built once per field, fold_i[n] = n*x^(k+8i)
   mod p: one lookup and XOR per byte of h.  Every q = 2 field builds
   them, since the exp/log fill multiplies through this kernel when x is
-  not primitive.
-* larger fields with odd q: schoolbook multiplication of digit lists.
+  not primitive.  Squaring is F_2-linear, so ``frobenius`` reads a^2
+  off byte tables frob_i[n] = (n*x^(8i))^2 mod p (Hankerson, Menezes
+  and Vanstone 2004, polynomial squaring), one lookup per byte of a.
+* larger fields with odd q: schoolbook multiplication of digit lists;
+  ``frobenius`` applies the k images (x^i)^q to the digits of a.
 
 For q = 2, addition and subtraction are XOR in every case.
 
@@ -44,13 +47,17 @@ value n, reducing as it shifts; g*y is then the XOR of T_i[n_i] over
 the 4-bit windows n_i of y, with no reduction step.  That build costs
 about as much as a few single products, so a caller that updates
 several rows by the same g, as the decoder's interpolation does, joins
-them into one row first.
+them into one row first.  For q = 2 a second row kernel,
+``square_plus(ys, g)`` = y*(y + g) = y^2 + g*y per entry, is that
+interpolation's value update; packed, it XORs the squaring tables with
+the window tables of g.
 
 Multiplications and inversions are tallied on the innermost active
 :class:`OpCount` of the current thread, separately per field layer, so
 decoding costs can be profiled in field operations rather than wall time.
-The row kernel charges its products in one step: one multiplication per
-nonzero entry of ys, and none at all when g is 0 or +-1.
+The row kernels charge their products in one step: ``axpy`` one
+multiplication per nonzero entry of ys, and none at all when g is 0 or
++-1; ``square_plus`` one per entry.
 """
 
 from __future__ import annotations
@@ -438,9 +445,11 @@ class ExtField:
         self._bits = self._red = self._fold = None
         if self._char2:
             self._bits = sum(c << i for i, c in enumerate(modulus))
-            # Before the tables: their build calls _mul_raw when x is
-            # not primitive.
-            self._build_fold_tables()
+            # For the q = 2 _mul_raw: _fold[i][n] = n*x^(k+8i) mod p, one
+            # table per byte of the high half of a product, which has at
+            # most k - 1 bits.  Built before the exp/log tables, whose
+            # fill calls _mul_raw when x is not primitive.
+            self._fold = self._byte_tables(self._bits ^ (1 << k), k - 1, 1)
         else:
             self._red = [(-c) % q for c in modulus[:k]]
         self._exp = self._log = self._zech = self._frob = None
@@ -536,34 +545,39 @@ class ExtField:
                 log[e + 1 if e % q != q - 1 else e - (q - 1)]
                 for d, e in enumerate(exp[:n])))
 
-    def _build_fold_tables(self):
-        """For the q = 2 _mul_raw: _fold[i][n] = n*x^(k+8i) mod p, one
-        table per byte of the high half of a product, which has at most
-        k - 1 bits; the last table has 2^w entries for its w <= 8 bits.
-        Each bit doubles the table, appending it XORed with the next
-        power of x."""
+    def _byte_tables(self, e, nbits: int, step: int):
+        """For q = 2: the F_2-linear map sending bit j of an nbits-bit
+        int to e*x^(step*j) mod p, as one table per byte, table i
+        mapping n to the image of n << 8i; the last table has 2^w entries
+        for its w <= 8 bits.  Each bit doubles the table, appending it
+        XORed with the next image."""
         k, bits = self.k, self._bits
-        e = bits ^ (1 << k)                    # x^k mod p
-        self._fold = folds = []
-        for i in range(0, k - 1, 8):
+        tables = []
+        for i in range(0, nbits, 8):
             table = [0]
-            for _ in range(min(8, k - 1 - i)):
+            for _ in range(min(8, nbits - i)):
                 table += [v ^ e for v in table]
-                e <<= 1
-                if e >> k:
-                    e ^= bits
-            folds.append(table)
+                for _ in range(step):
+                    e <<= 1
+                    if e >> k:
+                        e ^= bits
+            tables.append(table)
+        return tables
 
     def _build_frobenius_map(self):
-        """For the packed kernels, the one Frobenius map a -> a^q:
-        _frob[i] = (x^i)^q, an int for q = 2, a digit list for odd q."""
+        """For the packed kernels, the one Frobenius map a -> a^q.  For
+        q = 2 squaring is F_2-linear: _frob[i][n] = (n*x^(8i))^2 mod p,
+        one table per byte of a, doubling from the images x^(2j) mod p.
+        For odd q, _frob[i] = the digits of (x^i)^q."""
         q, k = self.q, self.k
+        if self._char2:
+            self._frob = self._byte_tables(1, k, 2)
+            return
         xq = self._pow_raw(q, q)
         images = [1]
         for _ in range(1, k):
             images.append(self._mul_raw(images[-1], xq))
-        self._frob = (images if self._char2
-                      else [_to_digits(v, q, k) for v in images])
+        self._frob = [_to_digits(v, q, k) for v in images]
 
     def __repr__(self):
         return f"ExtField(q={self.q}, k={self.k}, p={self.modulus})"
@@ -782,6 +796,35 @@ class ExtField:
             out.append(x)
         return out
 
+    def square_plus(self, ys, g) -> list:
+        """The row y*(y + g) = y^2 + g*y, entry by entry, for q = 2: the
+        value update of the decoder's interpolation.  Charges one ext_mul
+        per entry, zeros included, as ``mul(y, y ^ g)`` would."""
+        if not self._char2:
+            raise ValueError("square_plus needs characteristic 2")
+        if _open_counters:
+            c = _ACTIVE.current
+            if c is not None:
+                c.ext_mul += len(ys)
+        log = self._log
+        if log is not None:
+            exp = self._exp
+            return [exp[log[y] + log[y ^ g]] if y and y != g else 0
+                    for y in ys]
+        # y^2 is one lookup per byte of y, g*y one per 4-bit window.
+        frob, tables = self._frob, self._window_tables(g)
+        out = []
+        for y in ys:
+            r, z = 0, y
+            for t in frob:
+                r ^= t[z & 255]
+                z >>= 8
+            for t in tables:
+                r ^= t[y & 15]
+                y >>= 4
+            out.append(r)
+        return out
+
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero in F_{q^k}")
@@ -828,20 +871,19 @@ class ExtField:
 
     # -- Frobenius and trace ---------------------------------------------------
 
-    def _apply(self, a: int, images) -> int:
-        """The F_q-linear map sending x^i to images[i] (see _frob)."""
+    def _apply(self, a: int) -> int:
+        """a^q by the packed field's Frobenius map (see _frob): for
+        q = 2 one lookup per byte of a."""
+        frob = self._frob
         if self._char2:
             out = 0
-            i = 0
-            while a:
-                if a & 1:
-                    out ^= images[i]
-                a >>= 1
-                i += 1
+            for table in frob:
+                out ^= table[a & 255]
+                a >>= 8
             return out
         q, k = self.q, self.k
         acc = [0] * k
-        for ai, image in zip(_to_digits(a, q, k), images):
+        for ai, image in zip(_to_digits(a, q, k), frob):
             if ai:
                 for j, v in enumerate(image):
                     acc[j] += ai * v
@@ -864,7 +906,7 @@ class ExtField:
             n = self.order - 1
             return self._exp[log[a] * pow(self.q, j, n) % n]
         for _ in range(j):                     # a packed field's one map
-            a = self._apply(a, self._frob)
+            a = self._apply(a)
         return a
 
     def trace(self, a) -> int:

@@ -16,8 +16,9 @@ lifted F_2 or F_3 matrix, costs no multiplication at all.
 
 Over F_2 itself, :func:`rref` (and so :func:`inverse`), :func:`rank`
 and ``A @ B`` skip both: they run on rows packed into ints, one byte
-per column, where every row update is one XOR and nothing is charged.
-Only :func:`det` runs the loop over F_2.
+per column, where every row update is one XOR and nothing is charged;
+an entry outside 0..1 is a ValueError there.  Only :func:`det` runs the
+loop over F_2.
 
 Row and column tuples for minors are 1-based and order-sensitive: the
 minor of rows (2, 1) is the negative of the minor of rows (1, 2), and a
@@ -93,6 +94,7 @@ class Matrix:
             raise ValueError("shape mismatch")
         f = self.field
         if _is_gf2(f):
+            _pack(self.data)               # refuses an entry outside 0..1
             rows = _pack(other.data)
             return _unpack(f, [reduce(xor, itertools.compress(rows, arow), 0)
                                for arow in self.data], other.ncols)
@@ -267,8 +269,13 @@ def _is_gf2(f) -> bool:
 def _pack(rows) -> list[int]:
     """Rows over F_2 as ints, column j in byte j: XOR never carries
     between bytes, so the bytes stay 0 or 1, and the entry in column j
-    is bit 8j."""
-    return [int.from_bytes(bytes(row), "little") for row in rows]
+    is bit 8j.  An entry outside 0..1 is a ValueError: ``bytes`` refuses
+    one outside 0..255, and any byte left after deleting the 0s and 1s
+    is the rest."""
+    blobs = [bytes(row) for row in rows]
+    if b"".join(blobs).translate(None, b"\0\1"):
+        raise ValueError("an F_2 matrix entry is outside 0..1")
+    return [int.from_bytes(b, "little") for b in blobs]
 
 
 def _unpack(f, xs, ncols: int) -> Matrix:

@@ -37,7 +37,7 @@ class Subspace:
 
     def __init__(self, M: Matrix):
         res = rref(M)
-        self.basis = res.matrix.submatrix(range(res.rank), range(M.ncols))
+        self.basis = Matrix(M.field, res.matrix.data[:res.rank])
 
     @classmethod
     def from_generators(cls, M: Matrix) -> "Subspace":

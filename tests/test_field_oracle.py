@@ -8,7 +8,9 @@ product reduces its high half one byte per fold table: at (2,29) the
 last byte is partial, and (2,33) needs four tables.  The row kernel
 ``axpy`` is checked against the per-entry ``add`` and ``mul`` of the
 same field; at (2,17) the last 4-bit window of its packed q = 2 branch
-is partial.
+is partial.  The q = 2 kernel ``square_plus`` reads y^2 off one
+Frobenius table per byte of y in packed fields: at (2,29) the last byte
+is partial, and (2,33) needs five tables.
 """
 
 import pytest
@@ -146,6 +148,29 @@ def test_row_kernel(q, k, data):
                           else (c.base_mul, c.ext_mul))
                 assert counts == (charged, 0)
                 assert c.ext_inv == c.base_inv == 0
+
+
+@pytest.mark.parametrize("q,k", FIELDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_square_plus(q, k, data):
+    # square_plus(ys, g) = y*(y + g) per entry, against mul and add and
+    # against the oracle, zeros and y == g included; it charges one
+    # ext_mul per entry and nothing else.  Odd q has no such kernel.
+    ext, ref = fields(q, k)
+    g = data.draw(element_values(ext))
+    if q != 2:
+        with pytest.raises(ValueError):
+            ext.square_plus([g], g)
+        return
+    ys = data.draw(st.lists(element_values(ext), max_size=2 * k)) + [0, g]
+    with OpCount() as c:
+        got = ext.square_plus(ys, g)
+    assert (c.ext_mul, c.ext_inv, c.base_mul, c.base_inv) == (len(ys), 0, 0, 0)
+    assert got == [ext.mul(y, ext.add(y, g)) for y in ys]
+    dg = ext.digits(g)
+    assert [ext.digits(v) for v in got] == [
+        ref.mul(dy, ref.add(dy, dg)) for dy in map(ext.digits, ys)]
 
 
 @pytest.mark.parametrize("q,k", [(2, 3), (3, 2), (2, 24), (3, 13)])

@@ -270,6 +270,17 @@ class TestPlumbing:
     def test_gf2_packed_path_matches_generic_property(self, rows):
         assert_packed_matches_generic(Matrix(F2, rows))
 
+    def test_gf2_packed_path_rejects_out_of_range_entries(self):
+        # The packed path reads each entry as one byte of an int; an
+        # entry outside 0..1 must be refused, not reduced as garbage.
+        I = Matrix.identity(F2, 2)
+        for bad in (2, 3, 255, 256, -1):
+            M = Matrix(F2, [[1, 0], [bad, 1]])
+            for call in (lambda: rref(M), lambda: rank(M), lambda: I @ M,
+                         lambda: M @ I):
+                with pytest.raises(ValueError):
+                    call()
+
     def test_text_roundtrip(self):
         rnd = random.Random(5)
         ext = ExtField(F3, find_irreducible(3, 2))

@@ -63,13 +63,15 @@ PINNED_LINES = {
 # constructor that builds the diagonalizer S, checks nothing about it
 # (tests/test_spread.py does) and leaves its inverse to first use.
 # (3, 5, 4) is the code that one-shot CLI requests at q = 3, k = 5
-# rebuild on every call.
+# rebuild on every call.  (2, 17, 2) builds a packed field, whose
+# Frobenius calls run through its byte tables.
 PINNED_BUILD_COUNTS = {
     (2, 5, 2): (0, 0, 500, 0),
     (3, 3, 2): (0, 0, 54, 0),
     (2, 3, 3): (0, 0, 54, 0),
     (3, 3, 4): (0, 0, 54, 0),
     (3, 5, 4): (0, 0, 500, 0),
+    (2, 17, 2): (0, 0, 78608, 0),
 }
 
 
