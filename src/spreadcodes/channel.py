@@ -47,7 +47,7 @@ def trial_rng(seed: int, *key: int):
 
 def _random_matrix(rng, field, nrows: int, ncols: int) -> Matrix:
     vals = rng.integers(0, field.q, size=(nrows, ncols))
-    return Matrix(field, [[int(v) for v in row] for row in vals])
+    return Matrix._of_rows(field, vals.tolist())
 
 
 def random_codeword(code: SpreadCode, rng) -> Codeword:

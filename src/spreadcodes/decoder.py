@@ -154,7 +154,7 @@ class AffinePencil:
                                  else ext.neg(p) if a == minus_one
                                  else ext.mul(a, p) if a else a, b)
                          for a, p, b in zip(arow, pows, brow)])
-        return Matrix(ext, rows)
+        return Matrix._of_rows(ext, rows)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,11 @@
 
 A single :class:`Matrix` type serves both F_q and F_{q^k}; entries are
 the fields' int elements, and a base-field entry 0..q-1 is already its
-own embedding in the extension field.  Matrices are immutable
-and every operation returns a fresh matrix, so they can be shared
-freely between threads.
+own embedding in the extension field.  ``Matrix(field, rows)`` checks
+each entry once; a matrix derived from checked ones is not checked
+again, so no kernel checks entries.  Matrices are immutable and every
+operation returns a fresh matrix, so they can be shared freely between
+threads.
 
 One elimination loop, :func:`_eliminate`, serves :func:`rref`,
 :func:`det`, :func:`inverse` and :func:`rank`.  Its row updates, the
@@ -16,9 +18,9 @@ lifted F_2 or F_3 matrix, costs no multiplication at all.
 
 Over F_2 itself, :func:`rref` (and so :func:`inverse`), :func:`rank`
 and ``A @ B`` skip both: they run on rows packed into ints, one byte
-per column, where every row update is one XOR and nothing is charged;
-an entry outside 0..1 is a ValueError there.  Only :func:`det` runs the
-loop over F_2.
+per column, where every row update is one XOR and nothing is charged.
+One packed reduction gives :func:`rank`; :func:`rref` runs it again,
+backward over that basis.  Only :func:`det` runs the loop over F_2.
 
 Row and column tuples for minors are 1-based and order-sensitive: the
 minor of rows (2, 1) is the negative of the minor of rows (1, 2), and a
@@ -36,30 +38,43 @@ from .gf import PrimeField, parse_uint
 
 
 class Matrix:
-    """Immutable dense matrix over a PrimeField or ExtField."""
+    """Immutable dense matrix over a PrimeField or ExtField.  Its rows
+    have equal length and each entry is an element of the field, an int
+    in 0..q-1 over F_q or 0..q^k-1 over F_{q^k}: the constructor raises
+    a ValueError that names the first entry outside."""
 
     __slots__ = ("field", "nrows", "ncols", "data")
 
     def __init__(self, field, rows):
         data = tuple(map(tuple, rows))
-        width = len(data[0]) if data else 0
         if len(set(map(len, data))) > 1:
             raise ValueError("ragged rows")
-        self.field = field
-        self.nrows = len(data)
-        self.ncols = width
-        self.data = data
+        n = len(field.elements())
+        bad = next((a for row in data for a in row if not 0 <= a < n), None)
+        if bad is not None:
+            raise ValueError(f"entry {bad} is outside 0..{n - 1}")
+        self.field, self.data, self.nrows = field, data, len(data)
+        self.ncols = len(data[0]) if data else 0
+
+    @classmethod
+    def _of_rows(cls, field, rows) -> "Matrix":
+        """A matrix from equal-length rows of field elements, unchecked:
+        the rows of checked matrices or field operations on them."""
+        M = cls.__new__(cls)
+        M.field, M.data = field, tuple(map(tuple, rows))
+        M.nrows, M.ncols = len(M.data), len(M.data[0]) if M.data else 0
+        return M
 
     @classmethod
     def zeros(cls, field, nrows: int, ncols: int) -> "Matrix":
         z = field.zero
-        return cls(field, [[z] * ncols for _ in range(nrows)])
+        return cls._of_rows(field, [[z] * ncols for _ in range(nrows)])
 
     @classmethod
     def identity(cls, field, n: int) -> "Matrix":
         z, o = field.zero, field.one
-        return cls(field, [[o if i == j else z for j in range(n)]
-                           for i in range(n)])
+        return cls._of_rows(field, [[o if i == j else z for j in range(n)]
+                                    for i in range(n)])
 
     @classmethod
     def diagonal(cls, field, values) -> "Matrix":
@@ -94,7 +109,6 @@ class Matrix:
             raise ValueError("shape mismatch")
         f = self.field
         if _is_gf2(f):
-            _pack(self.data)               # refuses an entry outside 0..1
             rows = _pack(other.data)
             return _unpack(f, [reduce(xor, itertools.compress(rows, arow), 0)
                                for arow in self.data], other.ncols)
@@ -106,23 +120,24 @@ class Matrix:
                 if a:
                     acc = f.axpy(acc, a, brow)
             out.append(acc)
-        return Matrix(f, out)
+        return Matrix._of_rows(f, out)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
         f = self.field
-        return Matrix(f, [[f.add(a, b) for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.data, other.data)])
+        return Matrix._of_rows(f, [[f.add(a, b) for a, b in zip(ra, rb)]
+                                   for ra, rb in zip(self.data, other.data)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
         f = self.field
-        return Matrix(f, [[f.sub(a, b) for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.data, other.data)])
+        return Matrix._of_rows(f, [[f.sub(a, b) for a, b in zip(ra, rb)]
+                                   for ra, rb in zip(self.data, other.data)])
 
     def __neg__(self) -> "Matrix":
         f = self.field
-        return Matrix(f, [[f.neg(a) for a in row] for row in self.data])
+        return Matrix._of_rows(f, [[f.neg(a) for a in row]
+                                   for row in self.data])
 
     def _same_shape(self, other):
         if self.field != other.field:
@@ -132,21 +147,24 @@ class Matrix:
 
     def scale(self, value) -> "Matrix":
         f = self.field
-        return Matrix(f, [[f.mul(value, a) for a in row] for row in self.data])
+        Matrix(f, [[value]])               # the scalar is checked as an entry
+        return Matrix._of_rows(f, [[f.mul(value, a) for a in row]
+                                   for row in self.data])
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, list(zip(*self.data)) if self.data else [])
+        return Matrix._of_rows(self.field, zip(*self.data))
 
     def submatrix(self, rows, cols) -> "Matrix":
         """Submatrix at 0-based index sequences, kept in the given order."""
-        return Matrix(self.field,
-                      [[self.data[i][j] for j in cols] for i in rows])
+        return Matrix._of_rows(self.field, [[self.data[i][j] for j in cols]
+                                            for i in rows])
 
     def row(self, i: int) -> tuple:
         return self.data[i]
 
     def columns_slice(self, start: int, stop: int) -> "Matrix":
-        return Matrix(self.field, [row[start:stop] for row in self.data])
+        return Matrix._of_rows(self.field,
+                               [row[start:stop] for row in self.data])
 
     def is_zero(self) -> bool:
         z = self.field.zero
@@ -163,7 +181,7 @@ class Matrix:
         both fields."""
         if ext.base != self.field:
             raise ValueError("extension field does not extend this field")
-        return Matrix(ext, self.data)
+        return Matrix._of_rows(ext, self.data)
 
 
 def vstack(*mats: Matrix) -> Matrix:
@@ -174,7 +192,7 @@ def vstack(*mats: Matrix) -> Matrix:
         if m.field != field or m.ncols != ncols:
             raise ValueError("vstack needs matching fields and widths")
         rows.extend(m.data)
-    return Matrix(field, rows)
+    return Matrix._of_rows(field, rows)
 
 
 def hstack(*mats: Matrix) -> Matrix:
@@ -183,13 +201,8 @@ def hstack(*mats: Matrix) -> Matrix:
     for m in mats:
         if m.field != field or m.nrows != nrows:
             raise ValueError("hstack needs matching fields and heights")
-    rows = []
-    for i in range(nrows):
-        row = []
-        for m in mats:
-            row.extend(m.data[i])
-        rows.append(row)
-    return Matrix(field, rows)
+    return Matrix._of_rows(field, [sum(parts, ()) for parts in
+                                   zip(*(m.data for m in mats))])
 
 
 @dataclass(frozen=True)
@@ -258,7 +271,7 @@ def rref(M: Matrix) -> RrefResult:
         for row in R[:r]:
             if row[col] != f.zero:
                 _clear(f, row, row[col], prow, col)
-    return RrefResult(Matrix(f, R), len(pivots),
+    return RrefResult(Matrix._of_rows(f, R), len(pivots),
                       tuple(col + 1 for col, _ in pivots))
 
 
@@ -269,55 +282,46 @@ def _is_gf2(f) -> bool:
 def _pack(rows) -> list[int]:
     """Rows over F_2 as ints, column j in byte j: XOR never carries
     between bytes, so the bytes stay 0 or 1, and the entry in column j
-    is bit 8j.  An entry outside 0..1 is a ValueError: ``bytes`` refuses
-    one outside 0..255, and any byte left after deleting the 0s and 1s
-    is the rest."""
-    blobs = [bytes(row) for row in rows]
-    if b"".join(blobs).translate(None, b"\0\1"):
-        raise ValueError("an F_2 matrix entry is outside 0..1")
-    return [int.from_bytes(b, "little") for b in blobs]
+    is bit 8j."""
+    return [int.from_bytes(bytes(row), "little") for row in rows]
 
 
 def _unpack(f, xs, ncols: int) -> Matrix:
-    return Matrix(f, [x.to_bytes(ncols, "little") for x in xs])
+    return Matrix._of_rows(f, [x.to_bytes(ncols, "little") for x in xs])
 
 
-def _rref_gf2(M: Matrix) -> RrefResult:
-    # Gauss-Jordan: the basis rows stay fully reduced, each keyed by the
-    # bit of its pivot, so a new row is reduced in one pass over them.
+def _echelon_gf2(xs) -> list:
+    """The one packed reduction over F_2: each row is reduced by the
+    basis rows before it, keyed by their pivot bit (the lowest), and
+    what is left of it, if anything, joins the basis.  No basis row
+    holds the pivot of an earlier one, so the basis length is the
+    rank."""
     basis = []
-    for x in _pack(M.data):
+    for x in xs:
         for low, b in basis:
             if x & low:
                 x ^= b
         if x:
-            low = x & -x
-            basis = [(l, b ^ x if b & low else b) for l, b in basis]
-            basis.append((low, x))
-    basis.sort()
+            basis.append((x & -x, x))
+    return basis
+
+
+def _rref_gf2(M: Matrix) -> RrefResult:
+    # The backward pass is the same reduction over the basis reversed:
+    # each row is cleared at the pivots of the rows after it, which are
+    # cleared already, and keeps its own pivot.  Then sort by pivot.
+    basis = _echelon_gf2(_pack(M.data))
+    basis = sorted(_echelon_gf2([b for _, b in reversed(basis)]))
     rows = [b for _, b in basis]
     R = _unpack(M.field, rows + [0] * (M.nrows - len(rows)), M.ncols)
     return RrefResult(R, len(rows), tuple((low.bit_length() - 1) // 8 + 1
                                           for low, _ in basis))
 
 
-def _rank_gf2(M: Matrix) -> int:
-    rows = _pack(M.data)
-    r = 0
-    while rows:
-        piv = rows.pop()
-        if piv == 0:
-            continue
-        r += 1
-        low = piv & -piv
-        rows = [x ^ piv if x & low else x for x in rows]
-    return r
-
-
 def rank(M: Matrix) -> int:
     f = M.field
     if _is_gf2(f):
-        return _rank_gf2(M)
+        return len(_echelon_gf2(_pack(M.data)))
     return len(_eliminate(f, [list(row) for row in M.data], M.ncols)[0])
 
 

@@ -37,7 +37,7 @@ class Subspace:
 
     def __init__(self, M: Matrix):
         res = rref(M)
-        self.basis = Matrix(M.field, res.matrix.data[:res.rank])
+        self.basis = Matrix._of_rows(M.field, res.matrix.data[:res.rank])
 
     @classmethod
     def from_generators(cls, M: Matrix) -> "Subspace":
@@ -68,12 +68,8 @@ class Subspace:
     def contains(self, vector) -> bool:
         """Whether the space holds the vector, whose entries must lie
         in 0..q-1."""
-        row = list(vector)
-        q = self.field.q
-        for c in row:
-            if not 0 <= c < q:
-                raise ValueError(f"vector entry {c} is outside 0..{q - 1}")
-        return rank(vstack(self.basis, Matrix(self.field, [row]))) == self.dim
+        row = Matrix(self.field, [vector])
+        return rank(vstack(self.basis, row)) == self.dim
 
     def __eq__(self, other):
         return isinstance(other, Subspace) and other.basis == self.basis
@@ -120,7 +116,7 @@ def companion_matrix(field: PrimeField, modulus) -> Matrix:
     z, o = field.zero, field.one
     rows = [[o if j == i + 1 else z for j in range(k)] for i in range(k - 1)]
     rows.append([field.neg(modulus[j]) for j in range(k)])
-    return Matrix(field, rows)
+    return Matrix._of_rows(field, rows)
 
 
 class SpreadCode:
@@ -167,7 +163,7 @@ class SpreadCode:
         cols = [col]
         for _ in range(k - 1):
             cols.append([ext.frobenius(v, 1) for v in cols[-1]])
-        return Matrix(ext, list(zip(*cols)))
+        return Matrix._of_rows(ext, zip(*cols))
 
     @cached_property
     def diagonalizer_inv(self) -> Matrix:
@@ -232,7 +228,7 @@ class SpreadCode:
         for _ in range(self.k - 1):
             row = f.axpy([f.zero] + row[:-1], row[-1], last)
             rows.append(row)
-        return Matrix(f, rows)
+        return Matrix._of_rows(f, rows)
 
     def element_of(self, A: Matrix) -> int:
         """The field element of a matrix in F_q[P]: its first row read as

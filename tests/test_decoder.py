@@ -11,7 +11,8 @@ import spreadcodes.decoder as decoder_module
 import spreadcodes.linalg as linalg_module
 import spreadcodes.spread as spread_module
 
-from spreadcodes.channel import ChannelSpec, corrupt, random_codeword, trial_rng
+from spreadcodes.channel import (ChannelSpec, corrupt, random_codeword,
+                                 simulate, trial_rng)
 from spreadcodes.decoder import (AffinePencil, ReceivedSpace,
                                  REASON_DIMENSION, REASON_NO_CODEWORD,
                                  _dense_point, _interpolated_point,
@@ -661,3 +662,43 @@ class TestWorkDoneOnce:
                     if e + eps < k:
                         assert result.ok and result.codeword == cw
 
+
+class TestEntriesCheckedOnce:
+    """Only a caller's matrix has its entries checked.  decode, corrupt
+    and simulate build every matrix from checked ones, so none of them
+    calls the checking constructor ``Matrix.__init__``."""
+
+    @staticmethod
+    def checked(monkeypatch):
+        calls = []
+        real_init = Matrix.__init__
+
+        def init(self, field, rows):
+            calls.append(field)
+            real_init(self, field, rows)
+
+        monkeypatch.setattr(Matrix, "__init__", init)
+        return calls
+
+    @pytest.mark.parametrize("qkr,cells", [
+        ((2, 9, 2), [(0, 0), (4, 4), (3, 4), (5, 5)]),
+        ((3, 5, 4), [(0, 0), (1, 2), (2, 2), (0, 1), (3, 3), (3, 2)])])
+    def test_decode_corrupt_simulate(self, monkeypatch, qkr, cells):
+        code = SpreadCode(*qkr)
+        inputs = []
+        for e, eps in cells:
+            rng = trial_rng(3, e, eps)
+            cw = random_codeword(code, rng)
+            spec = ChannelSpec(erasures=eps, errors=e)
+            inputs.append((cw, corrupt(cw, spec, code, rng)))
+        calls = self.checked(monkeypatch)
+        results = [decode(received, code) for _, received in inputs]
+        rng = trial_rng(4)
+        corrupt(random_codeword(code, rng), ChannelSpec(1, 1), code, rng)
+        simulate(code, 1, cells, seed=5)
+        assert calls == []
+        assert any(r.ok and r.codeword == cw
+                   for r, (cw, _) in zip(results, inputs))
+        # The wrapper does see a caller's matrix.
+        Matrix(code.base, [[1]])
+        assert calls == [code.base]

@@ -18,6 +18,7 @@ F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
 F9 = ExtField(F3, find_irreducible(3, 2))  # exp/log table kernel
+F8 = ExtField(F2, find_irreducible(2, 3))  # the field of SpreadCode(2, 3, 2)
 KERNEL_FIELDS = [F2, F3, F5, F9]
 
 
@@ -273,13 +274,10 @@ class TestPlumbing:
     def test_gf2_packed_path_rejects_out_of_range_entries(self):
         # The packed path reads each entry as one byte of an int; an
         # entry outside 0..1 must be refused, not reduced as garbage.
-        I = Matrix.identity(F2, 2)
+        # The constructor refuses it, so no packed kernel ever sees it.
         for bad in (2, 3, 255, 256, -1):
-            M = Matrix(F2, [[1, 0], [bad, 1]])
-            for call in (lambda: rref(M), lambda: rank(M), lambda: I @ M,
-                         lambda: M @ I):
-                with pytest.raises(ValueError):
-                    call()
+            with pytest.raises(ValueError, match=f"entry {bad} is outside"):
+                Matrix(F2, [[1, 0], [bad, 1]])
 
     def test_text_roundtrip(self):
         rnd = random.Random(5)
@@ -288,6 +286,39 @@ class TestPlumbing:
             M = Matrix(field, [[field.element(rnd.randrange(3))
                                 for _ in range(3)] for _ in range(2)])
             assert parse_matrix(field, format_matrix(M)) == M
+
+
+class TestEntryContract:
+    """A matrix holds only elements of its field, and ``scale`` takes
+    only a field element: anything else is a ValueError naming it."""
+
+    @pytest.mark.parametrize("field,rows,bad", [
+        (F3, [[3, 0]], 3), (F8, [[9, 1], [0, 1]], 9),
+        (F2, [[2, 1], [1, 1]], 2), (F2, [[1, -1]], -1),
+        (F3, [[0], [-1]], -1), (F8, [[-1, 0]], -1)])
+    def test_constructor_refuses(self, field, rows, bad):
+        # Unchecked, rank would read the F_3 and F_8 matrices as rank 1
+        # and 2, and det of the F_2 one would divide by zero.
+        with pytest.raises(ValueError, match=f"entry {bad} is outside"):
+            Matrix(field, rows)
+
+    @pytest.mark.parametrize("field,bad", [(F3, 4), (F8, 8), (F3, -1)])
+    def test_diagonal_refuses(self, field, bad):
+        with pytest.raises(ValueError, match=f"entry {bad} is outside"):
+            Matrix.diagonal(field, [1, bad])
+
+    @pytest.mark.parametrize("field,bad", [(F8, 12), (F3, 5), (F3, -1)])
+    def test_scale_refuses(self, field, bad):
+        # Unchecked, F_8 would index past its log table and F_3 would
+        # reduce the scalar mod 3.
+        with pytest.raises(ValueError, match=f"entry {bad} is outside"):
+            Matrix.identity(field, 2).scale(bad)
+
+    def test_largest_elements_are_taken(self):
+        M = Matrix(F8, [[7, 0], [0, 7]])
+        assert rank(M) == 2
+        assert M.scale(7) == Matrix.diagonal(F8, [F8.mul(7, 7)] * 2)
+        assert Matrix.diagonal(F3, [2, 2]).scale(2) == Matrix.identity(F3, 2)
 
 
 class TestNondiagonalRank:
