@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .decoder import ReceivedSpace, decode
-from .gf import OpCount
+from .gf import OpCount, _from_digits
 from .linalg import Matrix, vstack
 from .spread import Codeword, SpreadCode, Subspace, subspace_distance
 
@@ -47,14 +47,14 @@ def trial_rng(seed: int, *key: int):
 
 def _random_matrix(rng, field, nrows: int, ncols: int) -> Matrix:
     vals = rng.integers(0, field.q, size=(nrows, ncols))
-    return Matrix._of_rows(field, vals.tolist())
+    return Matrix._of_rows(field, vals.tolist(), ncols)
 
 
 def random_codeword(code: SpreadCode, rng) -> Codeword:
     """Uniformly random codeword, via a uniform nonzero projective point."""
-    ext = code.ext
+    q = code.q
     while True:
-        coords = [ext.element(rng.integers(0, code.q, size=code.k).tolist())
+        coords = [_from_digits(rng.integers(0, q, size=code.k).tolist(), q)
                   for _ in range(code.r)]
         if any(coords):
             return code.encode(coords)

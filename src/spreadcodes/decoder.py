@@ -5,7 +5,10 @@ of its RREF basis.  :func:`decode` pins blocks of rank at most (d-1)/2
 to zero; each other block i is found by one pair step against the first
 high-rank block j, which always leads.  The step reads the d rows
 (u | v) of the raw blocks (R_j R_i) as pairs of field elements
-a = phi(u), b = phi(v), where phi reads digits as ``ext.element`` does.
+a = phi(u), b = phi(v), where phi reads the digits of a row unchecked,
+as ``gf._from_digits`` does: the rows come from a received space that
+:func:`decode` has matched to the code's base field, and every entry
+was checked when its matrix was built.
 The pair codeword [1 : mu] holds the rows (u, u M(mu)), and
 phi(u M(mu)) = mu phi(u), so finding mu decodes a one-dimensional
 Gabidulin code whose evaluation points are the a (Gabidulin 1985; Silva,
@@ -70,6 +73,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .gf import _from_digits
 from .linalg import Matrix, _eliminate, hstack, minor, rank, rref
 from .linalg import disjoint_pivot_tuples
 from .spread import Codeword, SpreadCode, Subspace, subspace_distance
@@ -86,6 +90,8 @@ class ReceivedSpace:
     k: int
 
     def __post_init__(self):
+        if self.k < 1:
+            raise ValueError(f"block size must be at least 1, got {self.k}")
         if self.subspace.dim < 1:
             raise ValueError("received space must have dimension at least 1")
         if self.subspace.ambient % self.k:
@@ -154,7 +160,7 @@ class AffinePencil:
                                  else ext.neg(p) if a == minus_one
                                  else ext.mul(a, p) if a else a, b)
                          for a, p, b in zip(arow, pows, brow)])
-        return Matrix._of_rows(ext, rows)
+        return Matrix._of_rows(ext, rows, self.coeff.ncols)
 
 
 @dataclass(frozen=True)
@@ -253,11 +259,11 @@ def _checked(code: SpreadCode, received: Subspace, point) -> DecodeResult:
 
 def _membership_point(code: SpreadCode, A: Matrix):
     """Step-1 acceptance: the pair (I A) is a codeword, detected over
-    F_q through commutation of A with the companion matrix.  Returns mu
-    of the pair codeword [1 : mu], or None."""
-    if code.commutes_with_companion(A):
-        return code.element_of(A)
-    return None
+    F_q as A equal to the matrix in F_q[P] of its first row (see
+    :meth:`SpreadCode.commutes_with_companion`).  Returns mu of the pair
+    codeword [1 : mu], or None."""
+    mu = _from_digits(A.row(0), code.q)
+    return mu if A == code.matrix_rep(mu) else None
 
 
 def _pencil_point(R1: Matrix, R2: Matrix, code: SpreadCode):
@@ -333,10 +339,10 @@ def _interpolated_point(Rj: Matrix, Ri: Matrix, d: int, code: SpreadCode):
     only ever clear it, never the reverse.  The survivor of least
     (degree, index) gives mu = N_0 / V_0.
     """
-    ext = code.ext
+    ext, q = code.ext, code.q
     t = (d - 1) // 2
-    live = [[[1, 0] + [ext.element(row) for row in reversed(Rj.data)], 0],
-            [[0, 1] + [ext.element(row) for row in reversed(Ri.data)], 0]]
+    live = [[[1, 0] + [_from_digits(row, q) for row in reversed(Rj.data)], 0],
+            [[0, 1] + [_from_digits(row, q) for row in reversed(Ri.data)], 0]]
     for _ in range(d):
         hit = [(p[0].pop(), p) for p in live]
         hit = [(v, p) for v, p in hit if v]
@@ -406,11 +412,14 @@ def decode(received: ReceivedSpace, code: SpreadCode) -> DecodeResult:
     zero; the first block above that threshold is the identity
     position, and each remaining high-rank block is recovered by a pair
     step against it.  Any pair-step failure, and any assembled answer
-    at distance k or more, is a failure.
+    at distance k or more, is a failure.  A space over a field other
+    than the code's base field is a ValueError, raised before any block
+    is read.
     """
     d = received.dim
     k, r = code.k, code.r
-    if received.r != r or received.subspace.ambient != code.n:
+    sub = received.subspace
+    if received.r != r or sub.ambient != code.n or sub.field != code.base:
         raise ValueError("received space does not match the code layout")
     if d >= 2 * k:
         return _fail(REASON_DIMENSION)
@@ -434,4 +443,4 @@ def decode(received: ReceivedSpace, code: SpreadCode) -> DecodeResult:
             if r > 2 and 2 * rank(Rj @ code.matrix_rep(mu) - Ri) > d - 1:
                 return _fail(REASON_NO_CODEWORD)
         point[i] = mu
-    return _checked(code, received.subspace, point)
+    return _checked(code, sub, point)

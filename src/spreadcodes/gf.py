@@ -9,6 +9,13 @@ is ``range(q**k)``.  Digit tuples appear only at the text boundary
 (``to_str``/``from_str``, point and subspace files) and in the public
 ``Codeword.point``.
 
+One test, :func:`is_element`, decides what counts as an element or a
+digit: a plain int, not a bool, in range.  ``Matrix(field, rows)``,
+both forms of :meth:`ExtField.element` and :func:`check_coefficients`
+apply it to what a caller passes.  Values the package already holds,
+such as the rows of a checked matrix, are read without it, through
+``_from_digits``.
+
 The default modulus of F_{q^k} is the first monic irreducible of degree
 k in a fixed candidate order (:func:`find_irreducible`).  Each candidate
 is tested by Ben-Or's gcd test on coefficient lists in at most
@@ -173,18 +180,27 @@ def parse_uint(s: str) -> int:
     return int(s)
 
 
+def is_element(a, n: int) -> bool:
+    """The package's one element test: a is an element of a field with
+    n elements, or a digit when n = q, exactly when it is a plain int
+    (not a bool) in 0..n-1.  A float, a bool, None or a numpy scalar is
+    not, whatever its value."""
+    return type(a) is int and 0 <= a < n
+
+
 def _parse_digit(s: str, q: int) -> int:
     d = parse_uint(s)
-    if d >= q:
+    if not is_element(d, q):
         raise ValueError(f"digit {d} is outside 0..{q - 1}")
     return d
 
 
 def check_coefficients(coeffs, q: int) -> None:
-    """A ValueError unless every polynomial coefficient lies in 0..q-1."""
+    """A ValueError unless every polynomial coefficient is an element
+    of F_q."""
     for i, c in enumerate(coeffs):
-        if not 0 <= c < q:
-            raise ValueError(f"modulus coefficient p_{i} = {c} is "
+        if not is_element(c, q):
+            raise ValueError(f"modulus coefficient p_{i} = {c!r} is "
                              f"outside 0..{q - 1}")
 
 
@@ -595,20 +611,21 @@ class ExtField:
 
     def element(self, value) -> int:
         """An element from its int encoding, or from a sequence of at
-        most k base-q digits, lowest first, each in 0..q-1."""
-        if isinstance(value, int):
-            if not 0 <= value < self.order:
-                raise ValueError(f"{value} does not encode an element of "
+        most k base-q digits, lowest first, each in 0..q-1.  Anything
+        not iterable is read as the int encoding, so a float or a bool
+        is refused rather than read as digits."""
+        if not hasattr(value, "__iter__"):
+            if not is_element(value, self.order):
+                raise ValueError(f"{value!r} does not encode an element of "
                                  f"F_{self.q}^{self.k}")
             return value
         digits = tuple(value)
         if len(digits) > self.k:
             raise ValueError(f"too many coefficients for degree {self.k}")
-        if not digits:
-            return 0
         q = self.q
-        if min(digits) < 0 or max(digits) >= q:
-            raise ValueError(f"a digit of {digits} is outside 0..{q - 1}")
+        for d in digits:
+            if not is_element(d, q):
+                raise ValueError(f"a digit of {digits} is outside 0..{q - 1}")
         return _from_digits(digits, q)
 
     def digits(self, a: int) -> tuple[int, ...]:

@@ -3,10 +3,14 @@
 A single :class:`Matrix` type serves both F_q and F_{q^k}; entries are
 the fields' int elements, and a base-field entry 0..q-1 is already its
 own embedding in the extension field.  ``Matrix(field, rows)`` checks
-each entry once; a matrix derived from checked ones is not checked
-again, so no kernel checks entries.  Matrices are immutable and every
-operation returns a fresh matrix, so they can be shared freely between
-threads.
+each entry once, with the package's one element test
+:func:`spreadcodes.gf.is_element`: a plain int, not a bool, in range.
+A matrix derived from checked ones, or parsed by
+:func:`parse_matrix_lines` from digits that ``from_str`` has checked,
+is built unchecked with its width given, so no kernel checks entries
+and a matrix with no rows keeps its width.  Matrices are immutable and
+every operation returns a fresh matrix, so they can be shared freely
+between threads.
 
 One elimination loop, :func:`_eliminate`, serves :func:`rref`,
 :func:`det`, :func:`inverse` and :func:`rank`.  Its row updates, the
@@ -34,14 +38,15 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import xor
 
-from .gf import PrimeField, parse_uint
+from .gf import PrimeField, is_element, parse_uint
 
 
 class Matrix:
     """Immutable dense matrix over a PrimeField or ExtField.  Its rows
-    have equal length and each entry is an element of the field, an int
-    in 0..q-1 over F_q or 0..q^k-1 over F_{q^k}: the constructor raises
-    a ValueError that names the first entry outside."""
+    have equal length and each entry is an element of the field, a
+    plain int in 0..q-1 over F_q or 0..q^k-1 over F_{q^k}: the
+    constructor raises a ValueError that names the first entry that is
+    not.  ``Matrix(field, [])`` is 0 x 0."""
 
     __slots__ = ("field", "nrows", "ncols", "data")
 
@@ -50,31 +55,33 @@ class Matrix:
         if len(set(map(len, data))) > 1:
             raise ValueError("ragged rows")
         n = len(field.elements())
-        bad = next((a for row in data for a in row if not 0 <= a < n), None)
-        if bad is not None:
-            raise ValueError(f"entry {bad} is outside 0..{n - 1}")
+        for row in data:
+            for a in row:
+                if not is_element(a, n):
+                    raise ValueError(f"entry {a!r} is outside 0..{n - 1}")
         self.field, self.data, self.nrows = field, data, len(data)
         self.ncols = len(data[0]) if data else 0
 
     @classmethod
-    def _of_rows(cls, field, rows) -> "Matrix":
-        """A matrix from equal-length rows of field elements, unchecked:
-        the rows of checked matrices or field operations on them."""
+    def _of_rows(cls, field, rows, ncols: int) -> "Matrix":
+        """A matrix from rows of ncols field elements each, unchecked:
+        the rows of checked matrices or field operations on them.  The
+        width is given, so a matrix with no rows keeps it."""
         M = cls.__new__(cls)
         M.field, M.data = field, tuple(map(tuple, rows))
-        M.nrows, M.ncols = len(M.data), len(M.data[0]) if M.data else 0
+        M.nrows, M.ncols = len(M.data), ncols
         return M
 
     @classmethod
     def zeros(cls, field, nrows: int, ncols: int) -> "Matrix":
         z = field.zero
-        return cls._of_rows(field, [[z] * ncols for _ in range(nrows)])
+        return cls._of_rows(field, [[z] * ncols for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, field, n: int) -> "Matrix":
         z, o = field.zero, field.one
         return cls._of_rows(field, [[o if i == j else z for j in range(n)]
-                                    for i in range(n)])
+                                    for i in range(n)], n)
 
     @classmethod
     def diagonal(cls, field, values) -> "Matrix":
@@ -120,24 +127,26 @@ class Matrix:
                 if a:
                     acc = f.axpy(acc, a, brow)
             out.append(acc)
-        return Matrix._of_rows(f, out)
+        return Matrix._of_rows(f, out, other.ncols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
         f = self.field
         return Matrix._of_rows(f, [[f.add(a, b) for a, b in zip(ra, rb)]
-                                   for ra, rb in zip(self.data, other.data)])
+                                   for ra, rb in zip(self.data, other.data)],
+                               self.ncols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
         f = self.field
         return Matrix._of_rows(f, [[f.sub(a, b) for a, b in zip(ra, rb)]
-                                   for ra, rb in zip(self.data, other.data)])
+                                   for ra, rb in zip(self.data, other.data)],
+                               self.ncols)
 
     def __neg__(self) -> "Matrix":
         f = self.field
         return Matrix._of_rows(f, [[f.neg(a) for a in row]
-                                   for row in self.data])
+                                   for row in self.data], self.ncols)
 
     def _same_shape(self, other):
         if self.field != other.field:
@@ -149,22 +158,25 @@ class Matrix:
         f = self.field
         Matrix(f, [[value]])               # the scalar is checked as an entry
         return Matrix._of_rows(f, [[f.mul(value, a) for a in row]
-                                   for row in self.data])
+                                   for row in self.data], self.ncols)
 
     def transpose(self) -> "Matrix":
-        return Matrix._of_rows(self.field, zip(*self.data))
+        # zip(*rows) of no rows gives no columns, not ncols empty ones.
+        cols = zip(*self.data) if self.data else [()] * self.ncols
+        return Matrix._of_rows(self.field, cols, self.nrows)
 
     def submatrix(self, rows, cols) -> "Matrix":
         """Submatrix at 0-based index sequences, kept in the given order."""
         return Matrix._of_rows(self.field, [[self.data[i][j] for j in cols]
-                                            for i in rows])
+                                            for i in rows], len(cols))
 
     def row(self, i: int) -> tuple:
         return self.data[i]
 
     def columns_slice(self, start: int, stop: int) -> "Matrix":
         return Matrix._of_rows(self.field,
-                               [row[start:stop] for row in self.data])
+                               [row[start:stop] for row in self.data],
+                               len(range(self.ncols)[start:stop]))
 
     def is_zero(self) -> bool:
         z = self.field.zero
@@ -181,7 +193,7 @@ class Matrix:
         both fields."""
         if ext.base != self.field:
             raise ValueError("extension field does not extend this field")
-        return Matrix._of_rows(ext, self.data)
+        return Matrix._of_rows(ext, self.data, self.ncols)
 
 
 def vstack(*mats: Matrix) -> Matrix:
@@ -192,7 +204,7 @@ def vstack(*mats: Matrix) -> Matrix:
         if m.field != field or m.ncols != ncols:
             raise ValueError("vstack needs matching fields and widths")
         rows.extend(m.data)
-    return Matrix._of_rows(field, rows)
+    return Matrix._of_rows(field, rows, ncols)
 
 
 def hstack(*mats: Matrix) -> Matrix:
@@ -202,7 +214,8 @@ def hstack(*mats: Matrix) -> Matrix:
         if m.field != field or m.nrows != nrows:
             raise ValueError("hstack needs matching fields and heights")
     return Matrix._of_rows(field, [sum(parts, ()) for parts in
-                                   zip(*(m.data for m in mats))])
+                                   zip(*(m.data for m in mats))],
+                           sum(m.ncols for m in mats))
 
 
 @dataclass(frozen=True)
@@ -271,7 +284,7 @@ def rref(M: Matrix) -> RrefResult:
         for row in R[:r]:
             if row[col] != f.zero:
                 _clear(f, row, row[col], prow, col)
-    return RrefResult(Matrix._of_rows(f, R), len(pivots),
+    return RrefResult(Matrix._of_rows(f, R, M.ncols), len(pivots),
                       tuple(col + 1 for col, _ in pivots))
 
 
@@ -287,7 +300,8 @@ def _pack(rows) -> list[int]:
 
 
 def _unpack(f, xs, ncols: int) -> Matrix:
-    return Matrix._of_rows(f, [x.to_bytes(ncols, "little") for x in xs])
+    return Matrix._of_rows(f, [x.to_bytes(ncols, "little") for x in xs],
+                           ncols)
 
 
 def _echelon_gf2(xs) -> list:
@@ -475,4 +489,5 @@ def parse_matrix_lines(field, lines) -> Matrix:
                          for c in range(0, len(digits), width)])
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
-    return Matrix(field, rows)
+    # from_str has checked every digit and the loop every row width.
+    return Matrix._of_rows(field, rows, ncols)

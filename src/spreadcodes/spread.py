@@ -37,7 +37,8 @@ class Subspace:
 
     def __init__(self, M: Matrix):
         res = rref(M)
-        self.basis = Matrix._of_rows(M.field, res.matrix.data[:res.rank])
+        self.basis = Matrix._of_rows(M.field, res.matrix.data[:res.rank],
+                                     M.ncols)
 
     @classmethod
     def from_generators(cls, M: Matrix) -> "Subspace":
@@ -116,7 +117,7 @@ def companion_matrix(field: PrimeField, modulus) -> Matrix:
     z, o = field.zero, field.one
     rows = [[o if j == i + 1 else z for j in range(k)] for i in range(k - 1)]
     rows.append([field.neg(modulus[j]) for j in range(k)])
-    return Matrix._of_rows(field, rows)
+    return Matrix._of_rows(field, rows, k)
 
 
 class SpreadCode:
@@ -163,7 +164,7 @@ class SpreadCode:
         cols = [col]
         for _ in range(k - 1):
             cols.append([ext.frobenius(v, 1) for v in cols[-1]])
-        return Matrix._of_rows(ext, zip(*cols))
+        return Matrix._of_rows(ext, zip(*cols), k)
 
     @cached_property
     def diagonalizer_inv(self) -> Matrix:
@@ -228,7 +229,7 @@ class SpreadCode:
         for _ in range(self.k - 1):
             row = f.axpy([f.zero] + row[:-1], row[-1], last)
             rows.append(row)
-        return Matrix._of_rows(f, rows)
+        return Matrix._of_rows(f, rows, self.k)
 
     def element_of(self, A: Matrix) -> int:
         """The field element of a matrix in F_q[P]: its first row read as

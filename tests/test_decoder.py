@@ -19,10 +19,12 @@ from spreadcodes.decoder import (AffinePencil, ReceivedSpace,
                                  _nonsingular_core, _pair_point,
                                  _pencil_point, candidate_roots, decode,
                                  decode_pair)
-from spreadcodes.gf import OpCount, PrimeField
+from spreadcodes.cli import main as cli_main
+from spreadcodes.gf import ExtField, OpCount, PrimeField
 from spreadcodes.linalg import Matrix, hstack, rank, vstack
 from spreadcodes.oracle import brute_force_decode, mu_characterization
-from spreadcodes.spread import SpreadCode, Subspace, subspace_distance
+from spreadcodes.spread import (SpreadCode, Subspace, format_subspace,
+                                subspace_distance)
 
 from props import (all_subspaces, fast_general_agreement,
                    oracle_agreement_cases, oracle_agreement_exhaustive,
@@ -702,3 +704,120 @@ class TestEntriesCheckedOnce:
         # The wrapper does see a caller's matrix.
         Matrix(code.base, [[1]])
         assert calls == [code.base]
+
+
+class TestHeldValuesReadUnchecked:
+    """What the package already holds is read unchecked.  A decode, a
+    ``corrupt``, a ``simulate`` trial and a CLI ``decode`` request read
+    no row of digits through the checked ``ExtField.element`` and build
+    no matrix through the checking ``Matrix.__init__``; both still
+    check what a caller passes."""
+
+    @staticmethod
+    def checked(monkeypatch):
+        calls = []
+        real_init, real_element = Matrix.__init__, ExtField.element
+
+        def init(self, field, rows):
+            calls.append(("Matrix", field))
+            real_init(self, field, rows)
+
+        def element(self, value):
+            if not isinstance(value, int):     # the digit-sequence form
+                calls.append(("element", value))
+            return real_element(self, value)
+
+        monkeypatch.setattr(Matrix, "__init__", init)
+        monkeypatch.setattr(ExtField, "element", element)
+        return calls
+
+    # The benchmark workloads' cells.
+    @pytest.mark.parametrize("qkr,cells", [
+        ((2, 9, 2), [(0, 0), (4, 4), (3, 4), (5, 5)]),
+        ((2, 24, 2), [(10, 11), (1, 1)]),
+        ((3, 5, 4), [(0, 0), (1, 2), (2, 2), (0, 1), (3, 3), (3, 2)])])
+    def test_decode_corrupt_simulate(self, monkeypatch, qkr, cells):
+        code = small_code(qkr)
+        inputs = []
+        for e, eps in cells:
+            for t in range(2):
+                rng = trial_rng(6, e, eps, t)
+                cw = random_codeword(code, rng)
+                inputs.append((cw, corrupt(cw, ChannelSpec(eps, e), code,
+                                           rng)))
+        calls = self.checked(monkeypatch)
+        results = [decode(received, code) for _, received in inputs]
+        rng = trial_rng(7)
+        corrupt(random_codeword(code, rng), ChannelSpec(1, 1), code, rng)
+        if code.k <= 9:
+            simulate(code, 1, cells, seed=8)
+        assert calls == []
+        assert any(r.ok and r.codeword == cw
+                   for r, (cw, _) in zip(results, inputs))
+        # The wrappers do see a caller's values.
+        code.ext.element((1, 1))
+        Matrix(code.base, [[1]])
+        assert calls == [("element", (1, 1)), ("Matrix", code.base)]
+
+    def test_cli_decode_request(self, monkeypatch, tmp_path):
+        code = small_code((3, 5, 4))
+        rng = trial_rng(9, 1, 2)
+        cw = random_codeword(code, rng)
+        received = corrupt(cw, ChannelSpec(2, 1), code, rng)
+        infile, outfile = tmp_path / "in.txt", tmp_path / "out.txt"
+        infile.write_text(format_subspace(code, received.subspace))
+        calls = self.checked(monkeypatch)
+        status = cli_main(["decode", "--q", "3", "--k", "5", "--r", "4",
+                           "--in", str(infile), "--out", str(outfile)])
+        assert status == 0 and calls == []
+        assert outfile.read_text() == format_subspace(code, cw.subspace)
+
+
+class TestReceivedSpaceContract:
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_block_size_below_one(self, k):
+        # At k = 0 the ambient check divided by zero; k = -2 was taken.
+        sub = Subspace.from_generators(Matrix(PrimeField(2), [[1, 0]]))
+        with pytest.raises(ValueError, match="block size"):
+            ReceivedSpace(sub, k)
+
+    @staticmethod
+    def forbid_pair_steps(monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a pair step ran")
+
+        for name in ("_membership_point", "_pair_point",
+                     "_interpolated_point", "_dense_point"):
+            monkeypatch.setattr(decoder_module, name, forbidden)
+
+    @pytest.mark.parametrize("d", [5, 3])    # interpolation, dense solve
+    def test_space_over_the_wrong_field(self, monkeypatch, d):
+        code = small_code((2, 5, 2))
+        F3 = PrimeField(3)
+        rnd = random.Random(d)
+        for _ in range(10):
+            sub = Subspace.from_generators(random_matrix(rnd, F3, d, 10))
+            received = ReceivedSpace(sub, 5)
+            if (sub.dim == d and any(2 in row for row in sub.basis.data)
+                    and all(2 * rank(b) > d - 1 for b in received.blocks)):
+                break
+        else:
+            pytest.fail("no full-rank F_3 sample")
+        self.forbid_pair_steps(monkeypatch)
+        with pytest.raises(ValueError, match="^received space does not "
+                                             "match the code layout$"):
+            decode(received, code)
+
+    def test_low_rank_blocks_over_the_wrong_field(self, monkeypatch):
+        # Every block has rank 1 at d = 3, so no pair step would run: the
+        # space was answered "no codeword within distance".
+        code = small_code((2, 3, 3))
+        rows = [[0] * 9 for _ in range(3)]
+        for i in range(3):
+            rows[i][3 * i] = 1
+        received = ReceivedSpace(
+            Subspace.from_generators(Matrix(PrimeField(3), rows)), 3)
+        self.forbid_pair_steps(monkeypatch)
+        with pytest.raises(ValueError, match="^received space does not "
+                                             "match the code layout$"):
+            decode(received, code)

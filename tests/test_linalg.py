@@ -321,6 +321,39 @@ class TestEntryContract:
         assert Matrix.diagonal(F3, [2, 2]).scale(2) == Matrix.identity(F3, 2)
 
 
+class TestEmptyWidth:
+    """A matrix with no rows keeps its width through every derived
+    matrix; only ``Matrix(field, [])`` is 0 x 0."""
+
+    @staticmethod
+    def shape(M):
+        return M.nrows, M.ncols
+
+    @pytest.mark.parametrize("field", [F2, F3, F8])
+    def test_derived_matrices(self, field):
+        Z = Matrix.zeros(field, 0, 3)
+        assert self.shape(Z) == (0, 3)
+        M = Matrix(field, [[1, 0, 1]])
+        assert vstack(Z, M) == M and vstack(M, Z) == M
+        assert self.shape(rref(Z).matrix) == (0, 3)
+        assert self.shape(rref(Matrix.zeros(field, 2, 3)).matrix) == (2, 3)
+        assert rank(Z) == 0
+        assert self.shape(Z.submatrix([], [0, 2])) == (0, 2)
+        assert self.shape(Z.columns_slice(1, 3)) == (0, 2)
+        assert self.shape(Z.transpose()) == (3, 0)
+        assert self.shape(Matrix.zeros(field, 2, 0).transpose()) == (0, 2)
+        assert self.shape(hstack(Z, Matrix.zeros(field, 0, 2))) == (0, 5)
+        assert Z.transpose() @ Z == Matrix.zeros(field, 3, 3)
+        assert self.shape(Matrix.zeros(field, 0, 1) @ M) == (0, 3)
+        assert self.shape(Z + Z) == self.shape(-Z) == (0, 3)
+
+    def test_parsed_matrix_keeps_its_width(self):
+        assert self.shape(parse_matrix(F2, "0 3\n")) == (0, 3)
+
+    def test_constructor_from_no_rows(self):
+        assert self.shape(Matrix(F2, [])) == (0, 0)
+
+
 class TestNondiagonalRank:
     def test_diagonal_is_zero(self):
         assert nondiagonal_rank(Matrix.diagonal(F3, [1, 2, 0])) == 0

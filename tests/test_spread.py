@@ -252,6 +252,15 @@ class TestSubspaceDistance:
         b = code22.encode((0, 1)).subspace
         assert subspace_distance(a, b) == 2 * code22.k
 
+    def test_zero_space_keeps_its_ambient(self):
+        # The zero space of F_2^3 was taken to live in F_2^0.
+        F2 = PrimeField(2)
+        zero = Subspace(Matrix.zeros(F2, 2, 3))
+        assert (zero.dim, zero.ambient) == (0, 3)
+        line = Subspace(Matrix(F2, [[1, 0, 1]]))
+        assert subspace_distance(zero, line) == 1
+        assert zero.contains([0, 0, 0]) and not zero.contains([1, 0, 0])
+
     def test_ambient_mismatch(self, code22):
         a = code22.encode((1, 0)).subspace
         b = SpreadCode(2, 3, 2).encode((1, 0)).subspace
