@@ -35,8 +35,8 @@ ext ops: :func:`_interpolated_point`.  Within the radius that Q is
 c L(y - mu x) for the subspace polynomial L of the error values, so
 mu = -N_0 / V_0.  It builds no Moore matrix: in characteristic 2 the
 update s^q - D^(q-1) s of a value v is v (v + D), one counted product,
-which the row kernel ``ExtField.square_plus`` reads as v^2 + D v from
-the field's squaring tables.  For odd
+which the row kernel ``ExtField.square_plus`` computes as v^2 + D v for
+all the values ahead in one call.  For odd
 q that update needs two or more products per value while the Moore
 columns of the dense solve cost nothing, and for t <= 1 the dense
 system is at most 4 x 4; in both cases the dense solve stays, and it

@@ -48,16 +48,16 @@ entry by entry, which is the inner loop of elimination and of matrix
 products in :mod:`spreadcodes.linalg`.  It runs one branch per kernel
 above: for q = 2 tables an exp/log lookup and an XOR per entry, for
 odd-q tables one Zech addition per entry, for packed odd q one raw
-product per nonzero entry.  The packed q = 2 branch first builds, once
-per call, the tables T_i[n] = g*n*x^(4i) mod p for every 4-bit window
-value n, reducing as it shifts; g*y is then the XOR of T_i[n_i] over
-the 4-bit windows n_i of y, with no reduction step.  That build costs
-about as much as a few single products, so a caller that updates
-several rows by the same g, as the decoder's interpolation does, joins
-them into one row first.  For q = 2 a second row kernel,
-``square_plus(ys, g)`` = y*(y + g) = y^2 + g*y per entry, is that
-interpolation's value update; packed, it XORs the squaring tables with
-the window tables of g.
+product per nonzero entry.  The packed q = 2 branch works on the whole
+row at once.  The row becomes one int with each entry in its own slot
+of 64*ceil((2k - 1)/64) bits, wide enough for an unreduced product;
+g*y is then the XOR of that int shifted by each set bit of g, and one
+Barrett reduction, two products by constants of the field, brings every
+slot below x^k.  So each step is one big-int operation per row, not a
+table walk per entry.  For q = 2 a second row kernel,
+``square_plus(ys, g)`` = y*(y + g) = y^2 + g*y per entry, is the value
+update of the decoder's interpolation; packed, it squares every slot
+by spreading its bits with masks, adds g*y and reduces once.
 
 Multiplications and inversions are tallied on the innermost active
 :class:`OpCount` of the current thread, separately per field layer, so
@@ -71,6 +71,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import sys
 import threading
 from array import array
 
@@ -81,6 +82,10 @@ from array import array
 TABLE_LIMIT = 1 << 16
 # Array type code for table entries: signed, at least 32 bits.
 _TYPECODE = "i" if array("i").itemsize >= 4 else "l"
+# The slotted rows of the packed q = 2 row kernels are arrays of 64-bit
+# words read as one little-endian int.
+_WORD = (1 << 64) - 1
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 class _Local(threading.local):
@@ -425,6 +430,114 @@ def _window_values(a0, a1, a2, a3):
             a23, a23 ^ a0, a23 ^ a1, a23 ^ a01)
 
 
+class _SlottedRows:
+    """A row of F_{2^k} elements held as one int for the packed q = 2
+    row kernels: entry i in slot i, bits w*i .. w*i + w - 1, with
+    w = 64*ceil((2k - 1)/64) bits, room for a product before it is
+    reduced.  Rows go in and out through an ``array('Q')``, a slot
+    being w/64 words and an entry ceil(k/64) of them.
+
+    A slot r = h*x^k + l of degree at most 2k - 2 is reduced mod p by
+    Barrett's method (Barrett, CRYPTO 1986), exact for polynomials:
+    with mu = x^(2k) div p, the quotient r div p is a = h*mu div x^k,
+    so r mod p = l + (a*(p - x^k) mod x^k).  Both constants are kept as
+    their set bits, one shift and XOR each, so a row takes two constant
+    products to reduce whatever the modulus."""
+
+    __slots__ = ("k", "stride", "words", "mu", "rest", "shifts",
+                 "patterns", "_masks")
+
+    def __init__(self, k: int, bits: int):
+        self.k = k
+        self.stride = -(-(2 * k - 1) // 64)
+        self.words = -(-k // 64)
+        mu, r = 0, 1 << 2 * k
+        while r >> k:
+            shift = r.bit_length() - 1 - k
+            mu ^= 1 << shift
+            r ^= bits << shift
+        self.mu = tuple(i for i in range(k + 1) if mu >> i & 1)
+        self.rest = tuple(i for i in range(k) if bits >> i & 1)
+        # Squaring spreads bit i of an entry to bit 2i in ceil(log2 k)
+        # steps; the step of shift s moves the bits in positions
+        # 4s*j + s .. 4s*j + 2s - 1 of a slot up by s.
+        self.shifts = []
+        s = 1 << (k - 1).bit_length()
+        while s > 1:
+            s >>= 1
+            self.shifts.append(s)
+        self.patterns = [(1 << k - 1) - 1, (1 << k) - 1] + [
+            sum(1 << i for i in range(64 * self.stride)
+                if s <= i % (4 * s) < 2 * s) for s in self.shifts]
+        # Sized here for an elimination row of 2k entries, so that a row
+        # of any length, an empty one too, finds its masks.
+        self._masks = (0, ())
+        self.masks(2 * k)
+
+    def masks(self, n: int) -> tuple:
+        """The patterns repeated over at least n slots: the low k - 1
+        bits, the low k bits, then the squaring steps' moves.  They grow
+        by doubling and are kept, since a mask longer than its row costs
+        no more to apply; size and masks change in one assignment."""
+        size, masks = self._masks
+        if size < n:
+            w, size = 64 * self.stride, max(n, 2 * size)
+            ones = ((1 << w * size) - 1) // ((1 << w) - 1)
+            masks = tuple(p * ones for p in self.patterns)
+            self._masks = size, masks
+        return masks
+
+    def load(self, ys) -> int:
+        """The row ys as one int."""
+        stride, words = self.stride, self.words
+        if stride == 1:                     # k <= 32: a slot is an entry
+            a = array("Q", ys)
+        else:
+            a = array("Q", bytes(8 * stride * len(ys)))
+            for j in range(words):
+                a[j::stride] = array("Q", ys if words == 1 else
+                                     [y >> 64 * j & _WORD for y in ys])
+        if _BIG_ENDIAN:
+            a.byteswap()
+        return int.from_bytes(a, "little")
+
+    def store(self, r: int, n: int) -> list:
+        """The n entries of r, each below 2^k."""
+        stride = self.stride
+        a = array("Q", r.to_bytes(8 * stride * n, "little"))
+        if _BIG_ENDIAN:
+            a.byteswap()
+        out = a[::stride].tolist()
+        for j in range(1, self.words):
+            out = [v | u << 64 * j for v, u in zip(out, a[j::stride])]
+        return out
+
+    def square(self, y: int, n: int) -> int:
+        """y^2 in each of the n slots, not reduced."""
+        for shift, m in zip(self.shifts, self.masks(n)[2:]):
+            t = y & m
+            y ^= t ^ t << shift
+        return y
+
+    def mul_add(self, r: int, y: int, g: int, n: int) -> int:
+        """r + g*y in each of the n slots, reduced mod p, for r of
+        degree at most 2k - 2 and y below 2^k per slot: g*y is the XOR
+        of y shifted by each set bit of g."""
+        while g:
+            low = g & -g
+            r ^= y << low.bit_length() - 1
+            g ^= low
+        k = self.k
+        mask_h, mask_l = self.masks(n)[:2]
+        h, a = r >> k & mask_h, 0
+        for b in self.mu:
+            a ^= h << b
+        a = a >> k & mask_h
+        for b in self.rest:
+            r ^= a << b
+        return r & mask_l
+
+
 class ExtField:
     """The extension field F_{q^k} = F_q[x]/(p) for monic irreducible p.
 
@@ -438,7 +551,7 @@ class ExtField:
 
     __slots__ = ("base", "q", "k", "modulus", "order", "zero", "one",
                  "_char2", "_bits", "_red", "_exp", "_log", "_zech",
-                 "_half", "_frob", "_fold")
+                 "_half", "_frob", "_fold", "_rows")
 
     def __init__(self, base: PrimeField, modulus):
         q, modulus = base.q, tuple(modulus)
@@ -469,11 +582,14 @@ class ExtField:
         else:
             self._red = [(-c) % q for c in modulus[:k]]
         self._exp = self._log = self._zech = self._frob = None
+        self._rows = None
         self._half = 0
         if self.order <= TABLE_LIMIT:
             self._build_tables()
         else:
             self._build_frobenius_map()
+            if self._char2:
+                self._rows = _SlottedRows(k, self._bits)
 
     def _build_tables(self):
         """exp/log over a primitive element g: exp[i] = g^i, stored twice
@@ -719,33 +835,6 @@ class ExtField:
                     prod[j] += c * rj
         return _from_digits([prod[j] % q for j in range(k)], q)
 
-    def _window_tables(self, g):
-        """For the packed q = 2 row kernel: tables T_i with T_i[n] =
-        g*n*x^(4i) mod p for n in 0..15, one per 4-bit window of an
-        element, the last window possibly partial.  Built from the
-        powers g*x^j, each reduced by p as it is shifted out of range,
-        so the entries are reduced and a product needs no reduction."""
-        k, bits = self.k, self._bits
-        tables = []
-        # Written out: every call pays for the tables, and a loop of
-        # doublings builds them several times slower.
-        for _ in range(0, k, 4):
-            a0 = g
-            a1 = a0 << 1
-            if a1 >> k:
-                a1 ^= bits
-            a2 = a1 << 1
-            if a2 >> k:
-                a2 ^= bits
-            a3 = a2 << 1
-            if a3 >> k:
-                a3 ^= bits
-            g = a3 << 1
-            if g >> k:
-                g ^= bits
-            tables.append(_window_values(a0, a1, a2, a3))
-        return tables
-
     def mul(self, a, b):
         if _open_counters:
             c = _ACTIVE.current
@@ -774,17 +863,9 @@ class ExtField:
             if g == 1:
                 return [x ^ y for x, y in zip(xs, ys)]
             if log is None:
-                # g*y is the XOR of one table entry per 4-bit window of y;
-                # a zero window of a nonzero y adds T_i[0] = 0.
-                tables = self._window_tables(g)
-                out = []
-                for x, y in zip(xs, ys):
-                    if y:
-                        for t in tables:
-                            x ^= t[y & 15]
-                            y >>= 4
-                    out.append(x)
-                return out
+                rows, n = self._rows, len(ys)
+                r = rows.mul_add(rows.load(xs), rows.load(ys), g, n)
+                return rows.store(r, n)
             exp, lg = self._exp, log[g]
             return [x ^ exp[lg + log[y]] if y else x for x, y in zip(xs, ys)]
         if log is None:
@@ -828,19 +909,9 @@ class ExtField:
             exp = self._exp
             return [exp[log[y] + log[y ^ g]] if y and y != g else 0
                     for y in ys]
-        # y^2 is one lookup per byte of y, g*y one per 4-bit window.
-        frob, tables = self._frob, self._window_tables(g)
-        out = []
-        for y in ys:
-            r, z = 0, y
-            for t in frob:
-                r ^= t[z & 255]
-                z >>= 8
-            for t in tables:
-                r ^= t[y & 15]
-                y >>= 4
-            out.append(r)
-        return out
+        rows, n = self._rows, len(ys)
+        y = rows.load(ys)
+        return rows.store(rows.mul_add(rows.square(y, n), y, g, n), n)
 
     def inv(self, a):
         if not a:

@@ -387,6 +387,29 @@ class TestInterpolation:
                         compared += 1
         assert compared >= 20
 
+    def test_packed_field_with_a_dense_modulus(self):
+        # F_2^17 is above TABLE_LIMIT, so the interpolation runs the
+        # packed row kernels, here reducing by a modulus with every low
+        # coefficient set but that of x^4.
+        low = tuple(int(i != 4) for i in range(17))
+        code = SpreadCode(2, 17, 2, low)
+        ext = code.ext
+        assert ext._log is None and ext.modulus == low + (1,)
+        for e, eps in ((16, 0), (8, 8), (5, 3), (0, 12)):
+            for t in range(3):
+                rng = trial_rng(17, e, eps, t)
+                cw = random_codeword(code, rng)
+                received = corrupt(cw, ChannelSpec(eps, e), code, rng)
+                R0, R1 = received.blocks
+                point = [ext.element(c) for c in cw.point]
+                want = ext.mul(point[1], ext.inv(point[0]))
+                args = (R0, R1, received.dim, code)
+                assert _interpolated_point(*args) == want
+                assert _dense_point(*args) == want
+                result = decode(received, code)
+                assert result.ok and result.codeword == cw
+                assert result == dense_decode(received, code)
+
     def test_every_five_dimensional_space(self):
         # The 63 hyperplanes of F_2^6: both pair steps give the same
         # outcome, which is brute force's.

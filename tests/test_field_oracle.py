@@ -2,15 +2,18 @@
 reference in ``tuple_field``, through the digit conversion.
 
 The fields cover every multiplication kernel: exp/log tables at
-(2,2..9), (3,2..5) and (5,3), the packed q = 2 kernel at (2,17), (2,24),
-(2,29) and (2,33) and the packed odd-q kernel at (3,13).  A packed q = 2
-product reduces its high half one byte per fold table: at (2,29) the
-last byte is partial, and (2,33) needs four tables.  The row kernel
-``axpy`` is checked against the per-entry ``add`` and ``mul`` of the
-same field; at (2,17) the last 4-bit window of its packed q = 2 branch
-is partial.  The q = 2 kernel ``square_plus`` reads y^2 off one
-Frobenius table per byte of y in packed fields: at (2,29) the last byte
-is partial, and (2,33) needs five tables.
+(2,2..9), (3,2..5) and (5,3), the packed q = 2 kernel at (2,17),
+(2,24), (2,29), (2,32), (2,33), (2,64) and (2,65) and the packed odd-q
+kernel at (3,13).  A packed q = 2 product reduces its high half one
+byte per fold table: at (2,29) the last byte is partial, and (2,33)
+needs four tables.  The row kernel ``axpy`` is checked against the
+per-entry ``add`` and ``mul`` of the same field, and the q = 2 kernel
+``square_plus`` against ``mul`` and the oracle.  Packed q = 2 row
+kernels hold a row as one int with a slot of 64*ceil((2k - 1)/64) bits
+per entry: (2,32) is the last field with one-word slots, (2,64) the
+last whose elements fit one 64-bit word and (2,65) the first whose
+elements do not.  They reduce by Barrett's method, so a dense modulus
+at k = 24 is checked as well.
 """
 
 import pytest
@@ -23,18 +26,22 @@ from tuple_field import TupleExtField
 
 TABLE_FIELDS = ([(2, k) for k in range(2, 10)]
                 + [(3, k) for k in range(2, 6)] + [(5, 3)])
-PACKED_FIELDS = [(2, 17), (2, 24), (2, 29), (2, 33), (3, 13)]
+PACKED_FIELDS = [(2, 17), (2, 24), (2, 29), (2, 32), (2, 33), (2, 64),
+                 (2, 65), (3, 13)]
 FIELDS = TABLE_FIELDS + PACKED_FIELDS
+# Every coefficient of x^0 .. x^23 set but those of x and x^7.
+DENSE_24 = tuple(int(i not in (1, 7)) for i in range(24)) + (1,)
 
 _built = {}
 
 
-def fields(q, k):
-    """The field under test and its oracle, built once per module."""
-    if (q, k) not in _built:
-        p = find_irreducible(q, k)
-        _built[q, k] = ExtField(PrimeField(q), p), TupleExtField(q, p)
-    return _built[q, k]
+def fields(q, k, modulus=None):
+    """The field under test and its oracle, built once per module; the
+    modulus defaults to find_irreducible's."""
+    p = modulus or find_irreducible(q, k)
+    if (q, p) not in _built:
+        _built[q, p] = ExtField(PrimeField(q), p), TupleExtField(q, p)
+    return _built[q, p]
 
 
 def element_values(ext, nonzero=False):
@@ -171,6 +178,41 @@ def test_square_plus(q, k, data):
     dg = ext.digits(g)
     assert [ext.digits(v) for v in got] == [
         ref.mul(dy, ref.add(dy, dg)) for dy in map(ext.digits, ys)]
+
+
+@pytest.mark.parametrize("k,modulus", [
+    *((k, None) for q, k in PACKED_FIELDS if q == 2),
+    pytest.param(24, DENSE_24, id="24-dense")])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_packed_rows(k, modulus, data):
+    # The packed q = 2 row kernels on rows of length 0, 1 and more than
+    # 2k (longer than the slot masks built with the field), with 0, g and
+    # 2^k - 1 drawn often: each entry against mul and the oracle, each
+    # call charged exactly its ext_mul.
+    ext, ref = fields(2, k, modulus)
+    top = ext.order - 1
+    g = data.draw(st.sampled_from([2, top]) | st.integers(2, top))
+    entries = st.sampled_from([0, g, top]) | element_values(ext)
+    dg = ext.digits(g)
+    for n in (0, 1, data.draw(st.integers(2 * k + 1, 2 * k + 3))):
+        xs = data.draw(st.lists(entries, min_size=n, max_size=n))
+        ys = data.draw(st.lists(entries, min_size=n, max_size=n))
+        dxs, dys = [ext.digits(x) for x in xs], [ext.digits(y) for y in ys]
+        with OpCount() as c:
+            got = ext.axpy(xs, g, ys)
+        assert (c.ext_mul, c.ext_inv, c.base_mul, c.base_inv) == (
+            n - ys.count(0), 0, 0, 0)
+        assert got == [x ^ ext.mul(g, y) for x, y in zip(xs, ys)]
+        assert [ext.digits(v) for v in got] == [
+            ref.add(dx, ref.mul(dg, dy)) for dx, dy in zip(dxs, dys)]
+        with OpCount() as c:
+            got = ext.square_plus(ys, g)
+        assert (c.ext_mul, c.ext_inv, c.base_mul, c.base_inv) == (
+            n, 0, 0, 0)
+        assert got == [ext.mul(y, y ^ g) for y in ys]
+        assert [ext.digits(v) for v in got] == [
+            ref.mul(dy, ref.add(dy, dg)) for dy in dys]
 
 
 @pytest.mark.parametrize("q,k", [(2, 3), (3, 2), (2, 24), (3, 13)])

@@ -418,9 +418,8 @@ class TestTableBuild:
 
     @pytest.mark.parametrize("width", [0, 1, 4, 5, 13, 24])
     def test_packed_row_kernel_by_top_window(self, width):
-        # The packed kernel reads every window of a nonzero y, zero top
-        # windows included, and skips zero entries; rows topping out at
-        # every width agree with mul.
+        # Rows whose entries top out at every width, zeros included,
+        # agree with mul in the packed kernel.
         ext = ExtField(PrimeField(2), find_irreducible(2, 24))
         rnd = random.Random(width)
         ys = [0, 1 << width >> 1] + [rnd.randrange(1 << width)
@@ -468,6 +467,22 @@ class TestPackedProduct:
         for a, b in pairs:
             assert ext._mul_raw(a, b) == shift_and_fold(a, b, k, ext._bits)
             assert ext._mul_raw(b, a) == ext._mul_raw(a, b)
+
+    def test_row_kernels_with_wide_slots(self):
+        # At k = 129 an entry takes three 64-bit words and its slot five,
+        # and a squaring step that shifted whole slots rather than only
+        # the bits it moves would spill into the next slot.
+        k = 129
+        ext = ExtField(PrimeField(2), find_irreducible(2, k))
+        rnd = random.Random(k)
+        top = (1 << k) - 1
+        g = rnd.getrandbits(k) | 1 << k - 1
+        ys = [0, 1, g, top] + [rnd.getrandbits(k) for _ in range(2 * k)]
+        xs = [rnd.getrandbits(k) for _ in ys]
+        assert ext.axpy(xs, g, ys) == [
+            x ^ shift_and_fold(g, y, k, ext._bits) for x, y in zip(xs, ys)]
+        assert ext.square_plus(ys, g) == [
+            shift_and_fold(y, y ^ g, k, ext._bits) for y in ys]
 
 
 class TestFrobenius:
