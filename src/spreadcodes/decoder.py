@@ -51,17 +51,19 @@ lies at distance k or more from every codeword and is refused at once.
 
 :func:`decode_pair` is :func:`decode` on a two-block space.
 
-The paper's pencil search stays in this module as a reference that the
-tests check the pair step against; :func:`decode` calls none of it.
-There the pair moves to the eigenbasis of the companion matrix, where mu
+The paper's pencil decoder is not used by :func:`decode`.  Its pieces
+below stay in this module only because the benchmark tracer
+(``bench/tracing.py``) names them; the search loop that ties them
+together lives with the tests, in ``tests/paper_reference.py``.  In it
+the pair moves to the eigenbasis of the companion matrix, where mu
 appears as the unknown of an affine matrix pencil R(x)
 (:class:`AffinePencil`) whose columns carry successive Frobenius powers
 of x.  :func:`pair_support` picks disjoint row/column tuples spanning
 the non-diagonal part of R(0); appending one free diagonal index to
 both yields a minor linear in a single Frobenius power, so each free
 index gives one closed-form candidate root (:func:`candidate_roots`),
-and :func:`_pencil_point` keeps the candidate that drops the pencil
-rank below half the dimension.  With an invertible first block,
+and the search keeps the candidate that drops the pencil rank below
+half the dimension.  With an invertible first block,
 :func:`_nonsingular_core` takes a single candidate straight from one
 minor ratio.
 
@@ -79,6 +81,7 @@ from .linalg import disjoint_pivot_tuples
 from .spread import Codeword, SpreadCode, Subspace, subspace_distance
 
 REASON_NO_CODEWORD = "no codeword within distance"
+# Only the pencil search returns it; kept because bench/tracing.py counts it.
 REASON_AMBIGUOUS = "multiple candidates passed the rank test"
 REASON_DIMENSION = "received dimension is at least twice the codeword dimension"
 
@@ -173,14 +176,6 @@ class PairSupport:
     cols: tuple[int, ...]      # matching column tuple
     free: tuple[int, ...]      # diagonal indices appended one at a time
 
-    @property
-    def minor_rows(self) -> tuple[int, ...]:
-        return self.rows + self.free
-
-    @property
-    def minor_cols(self) -> tuple[int, ...]:
-        return self.cols + self.free
-
 
 def candidate_roots(pencil: AffinePencil, rows, cols, free) -> list[tuple]:
     """Closed-form roots of the pencil minor on rows+free, cols+free.
@@ -264,28 +259,6 @@ def _membership_point(code: SpreadCode, A: Matrix):
     codeword [1 : mu], or None."""
     mu = _from_digits(A.row(0), code.q)
     return mu if A == code.matrix_rep(mu) else None
-
-
-def _pencil_point(R1: Matrix, R2: Matrix, code: SpreadCode):
-    """The general pencil search on a pair with rank(R1) >= rank(R2),
-    both above (dim-1)/2: mu of the pair codeword [1 : mu], or the
-    failure reason."""
-    ktil = R1.nrows
-    support = pair_support(R1, R2, code)
-    if support is None:
-        return REASON_NO_CODEWORD
-    passing = []
-    for _, mu in candidate_roots(support.pencil, support.rows,
-                                 support.cols, support.free):
-        if mu in passing:
-            continue
-        if 2 * rank(support.pencil.at(mu)) <= ktil - 1:
-            passing.append(mu)
-    if not passing:
-        return REASON_NO_CODEWORD
-    if len(passing) > 1:
-        return REASON_AMBIGUOUS
-    return passing[0]
 
 
 def _nonsingular_core(A: Matrix, code: SpreadCode):

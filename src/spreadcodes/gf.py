@@ -231,6 +231,10 @@ class PrimeField:
         return hash(("PrimeField", self.q))
 
     def element(self, value: int) -> int:
+        """A plain int (not a bool) reduced mod q; any other value, a
+        float, bool, None or numpy scalar, is a ValueError."""
+        if type(value) is not int:
+            raise ValueError(f"{value!r} is not an element of F_{self.q}")
         return value % self.q
 
     def add(self, a: int, b: int) -> int:

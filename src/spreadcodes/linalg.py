@@ -376,33 +376,6 @@ def minor(M: Matrix, rows: tuple, cols: tuple):
     return det(M.submatrix([i - 1 for i in rows], [j - 1 for j in cols]))
 
 
-def nondiagonal_rank(M: Matrix) -> int:
-    """One less than the smallest minor size t for which every t-by-t
-    minor on disjoint row/column tuples vanishes.
-
-    Exhaustive enumeration; exponential in k and only meant as a test
-    oracle at small sizes.
-    """
-    if M.nrows != M.ncols:
-        raise ValueError("square matrix required")
-    k = M.nrows
-    z = M.field.zero
-    indices = range(1, k + 1)
-    for t in range(1, k // 2 + 1):
-        all_zero = True
-        for J in itertools.combinations(indices, t):
-            rest = [i for i in indices if i not in J]
-            for L in itertools.combinations(rest, t):
-                if minor(M, J, L) != z:
-                    all_zero = False
-                    break
-            if not all_zero:
-                break
-        if all_zero:
-            return t - 1
-    return k // 2
-
-
 def disjoint_pivot_tuples(M: Matrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Row-operation search for disjoint 1-based tuples J, L with a
     nonzero minor [J;L] that cannot be extended: every minor on

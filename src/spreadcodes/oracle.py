@@ -1,18 +1,16 @@
-"""Ground-truth references used only for verification.
+"""Ground-truth reference used only for verification.
 
-Both functions are exhaustive and guarded against accidental use at
-scale; they are deliberately independent of the decoder's algebra so
-the two can check each other.
+The search is exhaustive and guarded against accidental use at scale;
+it is deliberately independent of the decoder's algebra so the two can
+check each other.
 """
 
 from __future__ import annotations
 
 from .decoder import ReceivedSpace
-from .linalg import Matrix, rank
 from .spread import Codeword, SpreadCode, subspace_distance
 
 BRUTE_FORCE_LIMIT = 10 ** 6
-PARAMETER_SPACE_LIMIT = 2 ** 16
 
 
 def brute_force_decode(received: ReceivedSpace,
@@ -35,20 +33,3 @@ def brute_force_decode(received: ReceivedSpace,
             attaining.append(cw)
     return best, attaining
 
-
-def mu_characterization(R1: Matrix, R2: Matrix,
-                        code: SpreadCode) -> list[tuple]:
-    """All extension-field parameters mu whose codeword candidate
-    rowsp(I | M(mu)) sits within half the minimum distance of the pair:
-    rank(R1 M(mu) - R2) at most (dim-1)/2, checked for every mu by
-    exhaustive enumeration of F_{q^k}.
-    """
-    if code.q ** code.k > PARAMETER_SPACE_LIMIT:
-        raise ValueError("parameter space too large to enumerate")
-    ktil = R1.nrows
-    out = []
-    for mu in code.ext.elements():
-        X = code.matrix_rep(mu)
-        if 2 * rank(R1 @ X - R2) <= ktil - 1:
-            out.append(mu)
-    return out

@@ -11,15 +11,15 @@ import itertools
 import random
 
 from spreadcodes import (OpCount, SpreadCode, Subspace, brute_force_decode,
-                         decode, decode_pair, hstack, minor,
-                         nondiagonal_rank, disjoint_pivot_tuples, rank)
+                         decode, decode_pair, hstack, rank)
 from spreadcodes.channel import ChannelSpec, corrupt, random_codeword, trial_rng
 from spreadcodes.decoder import (DecodeResult, ReceivedSpace, _checked,
                                  _nonsingular_core, _pair_point,
-                                 _pencil_point, candidate_roots,
-                                 pair_support)
+                                 candidate_roots, pair_support)
 from spreadcodes.gf import PrimeField
-from spreadcodes.linalg import Matrix
+from spreadcodes.linalg import Matrix, disjoint_pivot_tuples, minor
+
+from paper_reference import _pencil_point, nondiagonal_rank
 
 
 def random_element(rnd: random.Random, field):
@@ -252,8 +252,9 @@ def root_evaluation_trials(code: SpreadCode, cells, per_cell: int,
         passing = set()
         for c, mu in candidate_roots(support.pencil, support.rows,
                                      support.cols, support.free):
-            value = minor(support.pencil.at(mu), support.minor_rows,
-                          support.minor_cols)
+            value = minor(support.pencil.at(mu),
+                          support.rows + support.free,
+                          support.cols + support.free)
             if value != ext.zero:
                 nonzero += 1
             if 2 * rank(support.pencil.at(mu)) <= ktil - 1:

@@ -17,15 +17,15 @@ from spreadcodes.decoder import (AffinePencil, ReceivedSpace,
                                  REASON_DIMENSION, REASON_NO_CODEWORD,
                                  _dense_point, _interpolated_point,
                                  _nonsingular_core, _pair_point,
-                                 _pencil_point, candidate_roots, decode,
-                                 decode_pair)
+                                 candidate_roots, decode, decode_pair)
 from spreadcodes.cli import main as cli_main
 from spreadcodes.gf import ExtField, OpCount, PrimeField
 from spreadcodes.linalg import Matrix, hstack, rank, vstack
-from spreadcodes.oracle import brute_force_decode, mu_characterization
+from spreadcodes.oracle import brute_force_decode
 from spreadcodes.spread import (SpreadCode, Subspace, format_subspace,
                                 subspace_distance)
 
+from paper_reference import _pencil_point, mu_characterization
 from props import (all_subspaces, fast_general_agreement,
                    oracle_agreement_cases, oracle_agreement_exhaustive,
                    oracle_agreement_sampled, pencil_pair_point,

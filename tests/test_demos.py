@@ -1,6 +1,8 @@
-"""Every script in ``demos/`` runs to completion against ``src/``."""
+"""Every script in ``demos/``, and every Python block of the README, runs
+to completion against ``src/``."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,3 +26,14 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_python_blocks_run():
+    # The blocks build on each other, so they share one namespace; the
+    # quick start asserts its own decode.
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, re.M | re.S)
+    assert blocks
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)

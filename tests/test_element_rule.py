@@ -52,6 +52,21 @@ class TestMatrix:
         assert rank(Matrix(F3, [[2, 0], [0, 1]])) == 2
 
 
+class TestPrimeElement:
+    @pytest.mark.parametrize("bad", [
+        1.5,            # was returned as 1.5
+        True,           # was 1
+        np.int64(1),    # was taken
+        None])          # was a TypeError
+    def test_refuses(self, bad):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{bad!r} is not an element")):
+            F3.element(bad)
+
+    def test_plain_ints_reduce(self):
+        assert [F3.element(v) for v in (0, 2, 3, -1, 7)] == [0, 2, 0, 2, 1]
+
+
 @pytest.mark.parametrize("qkr", [(2, 3, 2), (2, 17, 2)])   # table, packed
 class TestExtElement:
     def test_int_form_refuses(self, qkr):

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from spreadcodes.gf import ExtField, OpCount, PrimeField, find_irreducible
 from spreadcodes.linalg import (Matrix, det, disjoint_pivot_tuples,
                                 format_matrix, hstack, inverse, minor,
-                                nondiagonal_rank, parse_matrix, rank, rref,
-                                vstack)
+                                parse_matrix, rank, rref, vstack)
 
+from paper_reference import nondiagonal_rank
 from props import (matched_extension_trials, minor_expansion_trials,
                    factor_relation_trials, pivot_postcondition_trials,
                    random_element, random_matrix)

@@ -2,8 +2,10 @@ import pytest
 
 from spreadcodes.channel import ChannelSpec, corrupt, trial_rng
 from spreadcodes.decoder import ReceivedSpace
-from spreadcodes.oracle import brute_force_decode, mu_characterization
+from spreadcodes.oracle import brute_force_decode
 from spreadcodes.spread import SpreadCode
+
+from paper_reference import mu_characterization
 
 
 @pytest.fixture(scope="module")
