@@ -115,6 +115,8 @@ def _parse_point(lines: list[str], code: SpreadCode) -> list[tuple]:
             point.append(code.ext.from_str(ln))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
+    if not any(point):
+        raise ValueError(f"line {lineno}: every coordinate is zero")
     return point
 
 

@@ -42,7 +42,8 @@ columns of the dense solve cost nothing, and for t <= 1 the dense
 system is at most 4 x 4; in both cases the dense solve stays, and it
 is cheaper there in counted ops.
 
-Pair steps do not encode; the assembled point is encoded once and
+The lead block R_j is read once, and only if a pair step runs.  The
+codeword is built from the blocks the decode holds, with no encode, and
 accepted only within distance k - 1 of W, so out-of-contract inputs
 fail rather than miscorrect.  For r > 2 a pair whose answer leaves
 2 rank(R_j M(mu) - R_i) above d - 1 ends the decode early; for r = 2
@@ -243,15 +244,6 @@ def pair_support(R1: Matrix, R2: Matrix, code: SpreadCode) -> PairSupport | None
     return PairSupport(pencil, rows, cols, tuple(avail[:n_free]))
 
 
-def _checked(code: SpreadCode, received: Subspace, point) -> DecodeResult:
-    """Encode an assembled point and accept it only within distance
-    k - 1 of the received space."""
-    cw = code.encode(point)
-    if subspace_distance(received, cw.subspace) >= code.k:
-        return _fail(REASON_NO_CODEWORD)
-    return DecodeResult(cw)
-
-
 def _membership_point(code: SpreadCode, A: Matrix):
     """Step-1 acceptance: the pair (I A) is a codeword, detected over
     F_q as A equal to the matrix in F_q[P] of its first row (see
@@ -285,20 +277,22 @@ def _nonsingular_core(A: Matrix, code: SpreadCode):
     return REASON_NO_CODEWORD
 
 
-def _pair_point(Rj: Matrix, Ri: Matrix, d: int, code: SpreadCode):
-    """The rank-metric pair step on the d rows of the blocks (Rj Ri) of
-    a received space of dimension d: mu of the pair codeword [1 : mu],
-    or the failure reason.  Interpolation for q = 2 and t >= 2, the
-    dense solve otherwise (see the module docstring)."""
+def _pair_step(code: SpreadCode, d: int):
+    """The pair step at received dimension d, as (read, solve): read(R)
+    gives the points phi(u) of the rows u of R for interpolation (q = 2,
+    t >= 2), else their Moore rows u S[:, :t+1] for the dense solve, and
+    solve(a, b, t, ext) on those of (Rj Ri) gives mu, or the reason."""
     if code.q == 2 and d >= 5:
-        return _interpolated_point(Rj, Ri, d, code)
-    return _dense_point(Rj, Ri, d, code)
+        return (lambda R: [_from_digits(u, 2) for u in R.data],
+                _interpolated_point)
+    ext, S = code.ext, code.diagonalizer.columns_slice(0, (d - 1) // 2 + 1)
+    return (lambda R: (R.lift(ext) @ S).data), _dense_point
 
 
-def _interpolated_point(Rj: Matrix, Ri: Matrix, d: int, code: SpreadCode):
+def _interpolated_point(a: list, b: list, t: int, ext):
     """The pair step for q = 2 by linearized Koetter interpolation on
-    the d points (a, b) read off the rows of (Rj Ri): mu of the pair
-    codeword [1 : mu], or the failure reason.
+    the points (a, b), one per row of (Rj Ri), at t = (d-1)/2: mu of
+    the pair codeword [1 : mu], or the failure reason.
 
     Each live polynomial is one row [N_0, V_0, its values at the points
     ahead, last point first] and its q-degree, starting as x and y: N_0
@@ -312,11 +306,8 @@ def _interpolated_point(Rj: Matrix, Ri: Matrix, d: int, code: SpreadCode):
     only ever clear it, never the reverse.  The survivor of least
     (degree, index) gives mu = N_0 / V_0.
     """
-    ext, q = code.ext, code.q
-    t = (d - 1) // 2
-    live = [[[1, 0] + [_from_digits(row, q) for row in reversed(Rj.data)], 0],
-            [[0, 1] + [_from_digits(row, q) for row in reversed(Ri.data)], 0]]
-    for _ in range(d):
+    live = [[[1, 0] + a[::-1], 0], [[0, 1] + b[::-1], 0]]
+    for _ in range(len(a)):
         hit = [(p[0].pop(), p) for p in live]
         hit = [(v, p) for v, p in hit if v]
         if not hit:
@@ -341,18 +332,14 @@ def _interpolated_point(Rj: Matrix, Ri: Matrix, d: int, code: SpreadCode):
     return n0 if v0 == 1 else ext.mul(n0, ext.inv(v0))
 
 
-def _dense_point(Rj: Matrix, Ri: Matrix, d: int, code: SpreadCode):
-    """The pair step as one dense Welch-Berlekamp solve: mu of the pair
-    codeword [1 : mu], or the failure reason.  Row l of the system lists
+def _dense_point(a: tuple, b: tuple, t: int, ext):
+    """The pair step as one dense Welch-Berlekamp solve on the Moore rows
+    a, b of (Rj Ri): mu of the pair codeword [1 : mu], or the failure
+    reason.  Row l of the system lists
     the Moore entries b^(q^1..q^t), a^(q^1..q^t), a, then b; after
     forward elimination N_0 is fixed exactly when the column of a holds
     the last pivot."""
-    ext = code.ext
-    t = (d - 1) // 2
-    S = code.diagonalizer.columns_slice(0, t + 1)
-    rows = [list(b[1:] + a[1:] + (a[0], b[0]))
-            for a, b in zip((Rj.lift(ext) @ S).data,
-                            (Ri.lift(ext) @ S).data)]
+    rows = [list(y[1:] + x[1:] + (x[0], y[0])) for x, y in zip(a, b)]
     pivots, _ = _eliminate(ext, rows, 2 * t + 2)
     col, inv = pivots[-1]
     if col != 2 * t:
@@ -401,19 +388,26 @@ def decode(received: ReceivedSpace, code: SpreadCode) -> DecodeResult:
     high = [i for i, t in enumerate(ranks) if 2 * t > d - 1]
     if not high:
         return _fail(REASON_NO_CODEWORD)
-    j = high[0]
-    Rj = blocks[j]
-    point = [code.ext.zero] * r
-    point[j] = code.ext.one
-    leads_with_identity = Rj == Matrix.identity(code.base, k)
+    j, ext = high[0], code.ext
+    Rj, I = blocks[j], Matrix.identity(code.base, k)
+    # Normalized as built: the blocks before j are pinned, point[j] is 1.
+    point, reps = [ext.zero] * r, [Matrix.zeros(code.base, k, k)] * r
+    point[j], reps[j] = ext.one, I
+    read, solve = _pair_step(code, d)
+    lead = None
     for i in high[1:]:
-        Ri = blocks[i]
-        mu = _membership_point(code, Ri) if leads_with_identity else None
+        M = Ri = blocks[i]
+        mu = _membership_point(code, Ri) if Rj == I else None
         if mu is None:
-            mu = _pair_point(Rj, Ri, d, code)
+            lead = lead or read(Rj)
+            mu = solve(lead, read(Ri), (d - 1) // 2, ext)
             if isinstance(mu, str):
                 return _fail(mu)
-            if r > 2 and 2 * rank(Rj @ code.matrix_rep(mu) - Ri) > d - 1:
+            M = code.matrix_rep(mu)
+            if r > 2 and 2 * rank(Rj @ M - Ri) > d - 1:
                 return _fail(REASON_NO_CODEWORD)
-        point[i] = mu
-    return _checked(code, sub, point)
+        point[i], reps[i] = mu, M
+    cw = code._codeword(point, reps)
+    if subspace_distance(sub, cw.subspace) >= k:
+        return _fail(REASON_NO_CODEWORD)
+    return DecodeResult(cw)

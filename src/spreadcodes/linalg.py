@@ -97,10 +97,10 @@ class Matrix:
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and other.field == self.field
-                and other.data == self.data)
+                and other.ncols == self.ncols and other.data == self.data)
 
     def __hash__(self):
-        return hash((self.field, self.data))
+        return hash((self.field, self.ncols, self.data))
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field!r})"

@@ -277,8 +277,11 @@ class SpreadCode:
         be field elements or digit sequences.  The normalized point makes
         that matrix (0 ... 0 | I | M(v) ...), which is already in RREF."""
         coords = self.normalize_point(point)
-        sub = Subspace._of_rref(
-            hstack(*(self.matrix_rep(v) for v in coords)))
+        return self._codeword(coords, map(self.matrix_rep, coords))
+
+    def _codeword(self, coords, blocks) -> Codeword:
+        """The codeword of a normalized point from its blocks M(v_i)."""
+        sub = Subspace._of_rref(hstack(*blocks))
         return Codeword(tuple(self.ext.digits(v) for v in coords), sub)
 
     def codewords(self):

@@ -11,11 +11,12 @@ import itertools
 import random
 
 from spreadcodes import (OpCount, SpreadCode, Subspace, brute_force_decode,
-                         decode, decode_pair, hstack, rank)
+                         decode, decode_pair, hstack, rank, subspace_distance)
 from spreadcodes.channel import ChannelSpec, corrupt, random_codeword, trial_rng
-from spreadcodes.decoder import (DecodeResult, ReceivedSpace, _checked,
-                                 _nonsingular_core, _pair_point,
-                                 candidate_roots, pair_support)
+from spreadcodes.decoder import (REASON_NO_CODEWORD, DecodeResult,
+                                 ReceivedSpace, _dense_point,
+                                 _interpolated_point, _nonsingular_core,
+                                 _pair_step, candidate_roots, pair_support)
 from spreadcodes.gf import PrimeField
 from spreadcodes.linalg import Matrix, disjoint_pivot_tuples, minor
 
@@ -264,6 +265,51 @@ def root_evaluation_trials(code: SpreadCode, cells, per_cell: int,
     return instances, nonzero, wrong
 
 
+# -- decode's pair step on one pair of blocks --------------------------------
+
+def pair_point(Rj: Matrix, Ri: Matrix, d: int, code: SpreadCode, step=None):
+    """The pair step of :func:`decode` on the blocks (Rj Ri) of a
+    received space of dimension d: mu of the pair codeword [1 : mu], or
+    the failure reason.  ``step`` is a (read, solve) pair as
+    ``_pair_step`` gives it, by default decode's own."""
+    read, solve = step or _pair_step(code, d)
+    return solve(read(Rj), read(Ri), (d - 1) // 2, code.ext)
+
+
+def interpolated_point(Rj: Matrix, Ri: Matrix, d: int, code: SpreadCode):
+    """The interpolation solver on the points of the rows of (Rj Ri),
+    each read through the checked ``ExtField.element``."""
+    def points(R):
+        return [code.ext.element(u) for u in R.data]
+    return pair_point(Rj, Ri, d, code, (points, _interpolated_point))
+
+
+def dense_step(code: SpreadCode, d: int):
+    """(read, solve) of the dense solve at dimension d, whatever q and d
+    are: each row u becomes its Moore row (a, a^q, ..., a^(q^t)) for
+    a = phi(u), by Frobenius powers rather than by the columns of S."""
+    ext, t = code.ext, (d - 1) // 2
+
+    def moore_rows(R):
+        return [tuple(ext.frobenius(ext.element(u), j) for j in range(t + 1))
+                for u in R.data]
+    return moore_rows, _dense_point
+
+
+def dense_point(Rj: Matrix, Ri: Matrix, d: int, code: SpreadCode):
+    """The dense Welch-Berlekamp solver on the Moore rows of (Rj Ri)."""
+    return pair_point(Rj, Ri, d, code, dense_step(code, d))
+
+
+def checked_point(code: SpreadCode, received: Subspace, point) -> DecodeResult:
+    """The codeword of a point, accepted only within distance k - 1 of
+    the received space, as :func:`decode` accepts its answer."""
+    cw = code.encode(point)
+    if subspace_distance(received, cw.subspace) >= code.k:
+        return DecodeResult(None, REASON_NO_CODEWORD)
+    return DecodeResult(cw)
+
+
 # -- the pair step against the paper's pencil search ------------------------
 
 def pencil_pair_point(R1: Matrix, R2: Matrix, code: SpreadCode):
@@ -302,9 +348,9 @@ def fast_general_agreement(code: SpreadCode, trials: int,
             continue
         fast = _nonsingular_core(A, code)
         slow = _pencil_point(I, A, code)
-        new = slow if isinstance(slow, str) else _pair_point(I, A, k, code)
+        new = slow if isinstance(slow, str) else pair_point(I, A, k, code)
         want = (DecodeResult(None, slow) if isinstance(slow, str)
-                else _checked(code, pair, (code.ext.one, slow)))
+                else checked_point(code, pair, (code.ext.one, slow)))
         done += 1
         disagree += (fast != slow or new != slow
                      or decode_pair(R1, R2, code) != want)

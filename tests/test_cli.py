@@ -177,6 +177,7 @@ class TestEncodeDecode:
         ("encode", "1 0\n0 2\n", "line 2"),
         ("encode", "1 0\n", "line 1"),
         ("encode", "", "line 1:"),
+        ("encode", "0 0\n\n0 0\n\n", "line 3:"),
         ("decode", "2 2 2 1 1\n1 4\n1 0 0\n", "line 3"),
     ])
     def test_input_errors_share_one_report(self, tmp_path, capsys, command,

@@ -15,9 +15,8 @@ from spreadcodes.channel import (ChannelSpec, corrupt, random_codeword,
                                  simulate, trial_rng)
 from spreadcodes.decoder import (AffinePencil, ReceivedSpace,
                                  REASON_DIMENSION, REASON_NO_CODEWORD,
-                                 _dense_point, _interpolated_point,
-                                 _nonsingular_core, _pair_point,
-                                 candidate_roots, decode, decode_pair)
+                                 _nonsingular_core, candidate_roots, decode,
+                                 decode_pair)
 from spreadcodes.cli import main as cli_main
 from spreadcodes.gf import ExtField, OpCount, PrimeField
 from spreadcodes.linalg import Matrix, hstack, rank, vstack
@@ -26,9 +25,10 @@ from spreadcodes.spread import (SpreadCode, Subspace, format_subspace,
                                 subspace_distance)
 
 from paper_reference import _pencil_point, mu_characterization
-from props import (all_subspaces, fast_general_agreement,
+from props import (all_subspaces, dense_point, dense_step,
+                   fast_general_agreement, interpolated_point,
                    oracle_agreement_cases, oracle_agreement_exhaustive,
-                   oracle_agreement_sampled, pencil_pair_point,
+                   oracle_agreement_sampled, pair_point, pencil_pair_point,
                    random_element, random_matrix, root_evaluation_trials)
 
 
@@ -154,7 +154,7 @@ class TestPairwise:
                     ref = pencil_pair_point(P1, P2, code)
                     if not isinstance(ref, str):
                         accepted += 1
-                        assert _pair_point(P1, P2, d, code) == ref
+                        assert pair_point(P1, P2, d, code) == ref
                         assert want.ok
                     if P1 == I and not code.commutes_with_companion(P2):
                         closed += 1
@@ -351,7 +351,7 @@ class TestOracleAgreement:
 
 def dense_decode(received, code):
     """decode with the dense Welch-Berlekamp solve in every pair step."""
-    with mock.patch.object(decoder_module, "_pair_point", _dense_point):
+    with mock.patch.object(decoder_module, "_pair_step", dense_step):
         return decode(received, code)
 
 
@@ -382,8 +382,8 @@ class TestInterpolation:
                     for i in high[1:]:
                         want = ext.mul(point[i], ext.inv(point[j]))
                         args = (blocks[j], blocks[i], d, code)
-                        assert _interpolated_point(*args) == want
-                        assert _dense_point(*args) == want
+                        assert interpolated_point(*args) == want
+                        assert dense_point(*args) == want
                         compared += 1
         assert compared >= 20
 
@@ -404,8 +404,8 @@ class TestInterpolation:
                 point = [ext.element(c) for c in cw.point]
                 want = ext.mul(point[1], ext.inv(point[0]))
                 args = (R0, R1, received.dim, code)
-                assert _interpolated_point(*args) == want
-                assert _dense_point(*args) == want
+                assert interpolated_point(*args) == want
+                assert dense_point(*args) == want
                 result = decode(received, code)
                 assert result.ok and result.codeword == cw
                 assert result == dense_decode(received, code)
@@ -522,8 +522,9 @@ class TestWorkDoneOnce:
     """The pair path reuses what its caller holds: one rank per input
     block, the raw blocks of the received RREF with no re-canonicalized
     pair and no inverse, one early-exit rank per solved pair for r > 2,
-    and one encode and one distance check per answer, whichever block
-    has the higher rank."""
+    the lead block read once, and one distance check per answer, built
+    from the blocks the decode holds with no encode, whichever block has
+    the higher rank."""
 
     @staticmethod
     def tally(monkeypatch):
@@ -573,9 +574,11 @@ class TestWorkDoneOnce:
         calls = self.tally(monkeypatch)
         result = decode_pair(low, high, code)
         assert result.ok and result.codeword == want
-        # One RREF for the pair; the encode builds its RREF directly.
-        assert calls == {"base rank": 2, "from_generators": 1,
-                         "encode": 1, "distance": 1}
+        # One RREF for the pair; the answer's block matrix is already in
+        # RREF.
+        assert calls == collections.Counter(
+            {"base rank": 2, "from_generators": 1, "encode": 0,
+             "distance": 1})
 
     def test_decode_two_blocks(self, monkeypatch):
         code, cw, low, high = self.swap_case()
@@ -585,7 +588,8 @@ class TestWorkDoneOnce:
         result = decode(received, code)
         assert result.ok and result.codeword == cw
         # For r = 2 the final check is the early exit: no extra rank.
-        assert calls == {"base rank": 2, "encode": 1, "distance": 1}
+        assert calls == collections.Counter(
+            {"base rank": 2, "encode": 0, "distance": 1})
 
     @pytest.mark.parametrize("qkr,seed", [((2, 3, 3), 4), ((3, 3, 4), 2)])
     def test_decode_many_blocks(self, monkeypatch, qkr, seed):
@@ -602,8 +606,8 @@ class TestWorkDoneOnce:
         calls = self.tally(monkeypatch)
         result = decode(received, code)
         assert result.ok and result.codeword == cw
-        assert calls == {"base rank": 2 * code.r - 1, "encode": 1,
-                         "distance": 1}
+        assert calls == collections.Counter(
+            {"base rank": 2 * code.r - 1, "encode": 0, "distance": 1})
 
     def test_decode_pivots_in_first_block(self, monkeypatch):
         # Block 0 has full rank, so it holds every pivot of the received
@@ -625,7 +629,8 @@ class TestWorkDoneOnce:
         monkeypatch.setattr(decoder_module, "_membership_point", recorded)
         result = decode(received, code)
         assert result.ok and result.codeword == cw
-        assert calls == {"base rank": 4 + 3, "encode": 1, "distance": 1}
+        assert calls == collections.Counter(
+            {"base rank": 4 + 3, "encode": 0, "distance": 1})
         assert membership == [None] * 3
 
     @pytest.mark.parametrize("qkr,dense", [((2, 5, 2), False),
@@ -658,6 +663,85 @@ class TestWorkDoneOnce:
         assert result.ok and result.codeword == cw
         want = {"ext matmul": 2, "lift": 2} if dense else {}
         assert calls == want
+
+    # Every (q, r) of q in {2, 3, 5} and r in {2, 3, 4}, and a packed
+    # field; the cells run inside the radius and beyond it.
+    ANSWER_CODES = [(2, 5, 2), (2, 4, 3), (2, 3, 4), (3, 3, 2), (3, 3, 3),
+                    (3, 2, 4), (5, 2, 2), (5, 2, 3), (5, 2, 4), (2, 17, 2)]
+
+    @staticmethod
+    def channel_outputs(code):
+        k = code.k
+        cells = ([(e, eps) for e in range(k + 1) for eps in range(k)]
+                 if k < 10 else [(0, 0), (8, 8), (9, 8), (16, 0)])
+        for e, eps in cells:
+            for t in range(4 if k < 10 else 1):
+                rng = trial_rng(21, e, eps, t)
+                cw = random_codeword(code, rng)
+                yield e + eps < k, corrupt(cw, ChannelSpec(eps, e), code, rng)
+
+    @pytest.mark.parametrize("qkr", ANSWER_CODES)
+    def test_answer_is_the_encoding_of_its_point(self, monkeypatch, qkr):
+        # decode builds its codeword from the blocks it holds; that is
+        # what encode builds from the decoded point, basis and all.
+        code = small_code(qkr)
+        hits = []
+        real_membership = decoder_module._membership_point
+
+        def recorded(*args):
+            mu = real_membership(*args)
+            hits.append(mu is not None)
+            return mu
+
+        monkeypatch.setattr(decoder_module, "_membership_point", recorded)
+        decoded = {True: 0, False: 0}
+        for inside, received in self.channel_outputs(code):
+            result = decode(received, code)
+            if result.ok:
+                want = code.encode(result.codeword.point)
+                assert result.codeword.point == want.point
+                assert (result.codeword.subspace.basis
+                        == want.subspace.basis)
+                decoded[inside] += 1
+        assert decoded[True] and any(hits)
+
+    @pytest.mark.parametrize("qkr", ANSWER_CODES)
+    def test_no_encode_and_one_matrix_rep_per_solved_pair(self, monkeypatch,
+                                                         qkr):
+        # Per decode: no encode and no normalize_point; one matrix_rep
+        # per membership test and at most one per solved pair; the lead
+        # block read once, and only when a pair is solved.
+        code = small_code(qkr)
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in ("encode", "normalize_point", "matrix_rep"):
+            monkeypatch.setattr(SpreadCode, name,
+                                counted(name, getattr(SpreadCode, name)))
+        monkeypatch.setattr(decoder_module, "_membership_point", counted(
+            "membership", decoder_module._membership_point))
+        real_step = decoder_module._pair_step
+
+        def step(code, d):
+            read, solve = real_step(code, d)
+            return counted("read", read), counted("solve", solve)
+
+        monkeypatch.setattr(decoder_module, "_pair_step", step)
+        solved = 0
+        for _, received in self.channel_outputs(code):
+            calls.clear()
+            decode(received, code)
+            assert calls["encode"] == calls["normalize_point"] == 0
+            assert (calls["matrix_rep"] - calls["membership"]
+                    <= calls["solve"])
+            assert calls["read"] == calls["solve"] + (calls["solve"] > 0)
+            solved += calls["solve"]
+        assert solved
 
     def test_paper_path_unused(self, monkeypatch):
         # Neither construction nor decode reaches the pencil search, the
@@ -809,7 +893,7 @@ class TestReceivedSpaceContract:
         def forbidden(*args, **kwargs):
             raise AssertionError("a pair step ran")
 
-        for name in ("_membership_point", "_pair_point",
+        for name in ("_membership_point", "_pair_step",
                      "_interpolated_point", "_dense_point"):
             monkeypatch.setattr(decoder_module, name, forbidden)
 

@@ -8,6 +8,7 @@ from spreadcodes.gf import ExtField, OpCount, PrimeField, find_irreducible
 from spreadcodes.linalg import (Matrix, det, disjoint_pivot_tuples,
                                 format_matrix, hstack, inverse, minor,
                                 parse_matrix, rank, rref, vstack)
+from spreadcodes.spread import Subspace
 
 from paper_reference import nondiagonal_rank
 from props import (matched_extension_trials, minor_expansion_trials,
@@ -352,6 +353,17 @@ class TestEmptyWidth:
 
     def test_constructor_from_no_rows(self):
         assert self.shape(Matrix(F2, [])) == (0, 0)
+
+    @pytest.mark.parametrize("field", [F2, F3, F8])
+    def test_width_tells_empty_matrices_apart(self, field):
+        # Both hold no rows, so only the width tells them apart: the
+        # zero subspaces of F_q^3 and F_q^5 are two spaces, not one.
+        Z3, Z5 = Matrix.zeros(field, 0, 3), Matrix.zeros(field, 0, 5)
+        assert Z3 != Z5 and hash(Z3) != hash(Z5) and len({Z3, Z5}) == 2
+        assert Z3 == Matrix.zeros(field, 0, 3)
+        assert hash(Z3) == hash(Matrix.zeros(field, 0, 3))
+        zero3, zero5 = (Subspace(Matrix.zeros(F2, 1, n)) for n in (3, 5))
+        assert zero3 != zero5 and len({zero3, zero5}) == 2
 
 
 class TestNondiagonalRank:

@@ -11,11 +11,14 @@ otherwise), an early-exit F_q rank per solved pair for r > 2, the row
 kernel ``axpy`` behind elimination (the back pass of ``rref`` included)
 and matrix products, which charges nothing for a product by 0 or +-1,
 elimination that inverts no pivot of +-1, ``matrix_rep`` built row by
-row, an ``encode`` that does not re-reduce its block matrix, and one
-encode plus distance check per decode.  (3, 3, 4) gives the multi-pair loop of an odd-q code
-a gate.  The same four counts are pinned for building each code.  No
-count may rise.  Success and failure tallies must not change at all;
-for the three other codes they are the ones first pinned on the
+row, an ``encode`` that does not re-reduce its block matrix, and a
+decoded codeword assembled from the blocks the decode already holds,
+with one distance check per decode.  (3, 3, 4) gives the multi-pair
+loop of an odd-q code a gate, and (5, 2, 3) the q >= 5 path, where
+products by coefficients other than 0 and +-1 are charged.  The same
+four counts are pinned for building each code.  No count may rise.
+Success and failure tallies must not change at all; for (2, 5, 2),
+(3, 3, 2) and (2, 3, 3) they are the ones first pinned on the
 digit-tuple element implementation (commit 67d2df8).
 """
 
@@ -42,6 +45,8 @@ PINNED_COUNTS = {
                 (0, 2): (17, 17, 0, 0), (1, 2): (6, 1, 0, 0),
                 (2, 2): (78, 21, 0, 0)},
     (2, 17, 2): {(8, 8): (2123, 104, 0, 0), (9, 8): (2309, 98, 0, 0)},
+    (5, 2, 3): {(0, 0): (0, 0, 11, 5), (1, 1): (16, 0, 8, 4),
+                (0, 1): (24, 10, 39, 4), (1, 0): (154, 33, 34, 8)},
 }
 
 PINNED_LINES = {
@@ -57,6 +62,8 @@ PINNED_LINES = {
     (3, 3, 4): ["0 0 6 6 0 0.00 0", "0 2 6 6 0 5.67 6",
                 "1 1 6 6 0 35.00 41", "1 2 6 0 6 1.17 3",
                 "2 2 6 0 6 16.50 40"],
+    (5, 2, 3): ["0 0 6 6 0 0.00 0", "0 1 6 6 0 5.67 9",
+                "1 0 6 6 0 31.17 34", "1 1 6 0 6 2.67 5"],
 }
 
 # (q, k, r) -> OpCount fields of SpreadCode(q, k, r), measured with a
