@@ -10,8 +10,8 @@ from .linalg import (Matrix, RrefResult, det, hstack, inverse, rank, rref,
                      vstack)
 from .spread import (Codeword, SpreadCode, Subspace, companion_matrix,
                      format_subspace, parse_subspace, subspace_distance)
-from .decoder import (DecodeResult, ReceivedSpace, decode, decode_pair,
-                      REASON_DIMENSION, REASON_NO_CODEWORD)
+from .decoder import (DecodeResult, ReceivedSpace, decode, REASON_DIMENSION,
+                      REASON_NO_CODEWORD)
 from .channel import (ChannelSpec, SimRecord, corrupt, random_codeword,
                       simulate, trial_rng)
 from .oracle import brute_force_decode
@@ -20,10 +20,10 @@ __all__ = [
     "ChannelSpec", "Codeword", "DecodeResult", "ExtField", "Matrix",
     "OpCount", "PrimeField", "ReceivedSpace", "RrefResult", "SimRecord",
     "SpreadCode", "Subspace", "REASON_DIMENSION", "REASON_NO_CODEWORD",
-    "brute_force_decode", "companion_matrix", "corrupt", "decode",
-    "decode_pair", "det", "find_irreducible", "format_subspace", "hstack",
-    "inverse", "is_prime", "parse_subspace", "rank", "random_codeword",
-    "rref", "simulate", "subspace_distance", "trial_rng", "vstack",
+    "brute_force_decode", "companion_matrix", "corrupt", "decode", "det",
+    "find_irreducible", "format_subspace", "hstack", "inverse", "is_prime",
+    "parse_subspace", "rank", "random_codeword", "rref", "simulate",
+    "subspace_distance", "trial_rng", "vstack",
 ]
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .decoder import ReceivedSpace, decode
-from .gf import OpCount, _from_digits
+from .gf import OpCount, _from_digits, is_element
 from .linalg import Matrix, vstack
 from .spread import Codeword, SpreadCode, Subspace, subspace_distance
 
@@ -60,16 +60,24 @@ def random_codeword(code: SpreadCode, rng) -> Codeword:
             return code.encode(coords)
 
 
+def _check_cell(code: SpreadCode, errors, erasures):
+    """Refuse a cell whose counts are not ints (not bools) in range, or
+    that would leave the received space empty."""
+    if not is_element(errors, code.n - code.k + 1):
+        raise ValueError(f"errors must be an int in 0..{code.n - code.k}, "
+                         f"got {errors!r}")
+    if not is_element(erasures, code.k + 1):
+        raise ValueError(f"erasures must be an int in 0..{code.k}, "
+                         f"got {erasures!r}")
+    if code.k - erasures + errors < 1:
+        raise ValueError("the received space would be empty")
+
+
 def corrupt(cw: Codeword, spec: ChannelSpec, code: SpreadCode,
             rng) -> ReceivedSpace:
     """Received space at distance exactly errors + erasures from cw."""
     eps, e = spec.erasures, spec.errors
-    if not 0 <= eps <= code.k:
-        raise ValueError(f"erasures must lie in 0..{code.k}")
-    if not 0 <= e <= code.n - code.k:
-        raise ValueError(f"errors must lie in 0..{code.n - code.k}")
-    if code.k - eps + e < 1:
-        raise ValueError("the received space would be empty")
+    _check_cell(code, e, eps)
     keep = code.k - eps
     for _ in range(RETRY_BUDGET):
         parts = []
@@ -111,10 +119,14 @@ def simulate(code: SpreadCode, trials: int, cells, seed: int = 0) -> list[SimRec
     plus inversions per call.  Deterministic for a fixed seed; records
     come back sorted by cell.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    if type(trials) is not int or trials < 1:
+        raise ValueError("trials must be an int of at least 1, "
+                         f"got {trials!r}")
+    cells = [(e, eps) for e, eps in cells]
+    for e, eps in cells:
+        _check_cell(code, e, eps)
     records = []
-    for e, eps in sorted(set((int(e), int(eps)) for e, eps in cells)):
+    for e, eps in sorted(set(cells)):
         spec = ChannelSpec(erasures=eps, errors=e)
         successes = 0
         ops = []

@@ -28,12 +28,11 @@ import sys
 
 from .channel import simulate
 from .decoder import ReceivedSpace, decode
-from .gf import is_prime, parse_uint
-from .spread import SpreadCode, format_subspace, parse_subspace
+from .gf import parse_uint
+from .spread import (MAX_R, SpreadCode, check_code_limits, format_subspace,
+                     parse_subspace)
 
 
-MAX_FIELD_ORDER = 1 << 32
-MAX_R = 64
 MAX_TRIALS = 100_000
 
 
@@ -67,17 +66,14 @@ def _add_code_flags(p, k_list: bool = False):
 
 
 def _check_code(q: int, k: int, r: int):
-    """Refuse code parameters outside the documented limits."""
-    if k < 2:
-        raise UsageError("--k must be at least 2")
-    # Checked before primality, which then trial-divides q <= 2^16 only.
-    # For q >= 2, k > 32 puts q^k above the limit without computing it.
-    if k > 32 or q ** k > MAX_FIELD_ORDER:
-        raise UsageError(f"q^k must be at most 2^32, got {q}^{k}")
-    if not is_prime(q):
-        raise UsageError(f"--q must be prime, got {q}")
-    if not 2 <= r <= MAX_R:
-        raise UsageError(f"--r must be in 2..{MAX_R}, got {r}")
+    """Refuse code parameters outside the documented limits, naming the
+    flag at fault: each message but the joint q^k one starts with the
+    name of one parameter."""
+    try:
+        check_code_limits(q, k, r)
+    except ValueError as exc:
+        msg = str(exc)
+        raise UsageError(msg if msg.startswith("q^k") else f"--{msg}") from exc
 
 
 def _check_trials(trials: int):

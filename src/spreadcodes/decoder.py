@@ -50,7 +50,9 @@ fail rather than miscorrect.  For r > 2 a pair whose answer leaves
 the final check is the same test.  A space of dimension 2k or more
 lies at distance k or more from every codeword and is refused at once.
 
-:func:`decode_pair` is :func:`decode` on a two-block space.
+:func:`decode_pair` is :func:`decode` on a two-block space.  No code in
+the package calls it and the package does not export it; it stays here
+because the benchmark tracer (``bench/tracing.py``) names it.
 
 The paper's pencil decoder is not used by :func:`decode`.  Its pieces
 below stay in this module only because the benchmark tracer
@@ -245,12 +247,10 @@ def pair_support(R1: Matrix, R2: Matrix, code: SpreadCode) -> PairSupport | None
 
 
 def _membership_point(code: SpreadCode, A: Matrix):
-    """Step-1 acceptance: the pair (I A) is a codeword, detected over
-    F_q as A equal to the matrix in F_q[P] of its first row (see
-    :meth:`SpreadCode.commutes_with_companion`).  Returns mu of the pair
-    codeword [1 : mu], or None."""
-    mu = _from_digits(A.row(0), code.q)
-    return mu if A == code.matrix_rep(mu) else None
+    """Step-1 acceptance: the pair (I A) is a codeword exactly when A
+    lies in F_q[P].  Returns mu of the pair codeword [1 : mu], read by
+    :meth:`SpreadCode.element_of`, or None."""
+    return code.element_of(A)
 
 
 def _nonsingular_core(A: Matrix, code: SpreadCode):

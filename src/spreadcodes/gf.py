@@ -5,9 +5,8 @@ F_{q^k} = F_q[x]/(p) the polynomial a_0 + a_1 x + ... + a_{k-1} x^(k-1)
 is the int a_0 + a_1 q + ... + a_{k-1} q^(k-1): its base-q digits,
 lowest first.  The base field therefore sits inside the extension as
 0..q-1, the residue class of x is the int q, and ``ExtField.elements()``
-is ``range(q**k)``.  Digit tuples appear only at the text boundary
-(``to_str``/``from_str``, point and subspace files) and in the public
-``Codeword.point``.
+is ``range(q**k)``.  Digit tuples appear only at the text boundary:
+``to_str``/``from_str``, point and subspace files.
 
 One test, :func:`is_element`, decides what counts as an element or a
 digit: a plain int, not a bool, in range.  ``Matrix(field, rows)``,

@@ -21,8 +21,8 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .gf import (ExtField, PrimeField, check_coefficients, find_irreducible,
-                 parse_uint)
+from .gf import (ExtField, PrimeField, _from_digits, check_coefficients,
+                 find_irreducible, is_prime, parse_uint)
 from .linalg import (Matrix, hstack, inverse, parse_matrix_lines, rank,
                      rref, vstack)
 
@@ -94,8 +94,8 @@ def subspace_distance(U: Subspace, V: Subspace) -> int:
 class Codeword:
     """A spread codeword: a normalized projective point over F_{q^k}
     together with the subspace it encodes.  Each coordinate of ``point``
-    is the tuple of its k base-q digits, lowest first, as in point
-    files; ``code.ext.element`` turns one back into a field element."""
+    is a field element of ``code.ext``; ``code.ext.to_str`` writes one
+    as the digits of a point file."""
     point: tuple
     subspace: Subspace
 
@@ -209,7 +209,10 @@ class SpreadCode:
 
     @classmethod
     def from_header(cls, line: str) -> "SpreadCode":
+        """The code a header line names, refused by
+        :func:`check_code_limits` before anything is built."""
         q, k, r, *modulus = parse_header(line)
+        check_code_limits(q, k, r)
         return cls(q, k, r, tuple(modulus))
 
     # -- the matrix field F_q[P] --------------------------------------------
@@ -231,16 +234,15 @@ class SpreadCode:
             rows.append(row)
         return Matrix._of_rows(f, rows, self.k)
 
-    def element_of(self, A: Matrix) -> int:
-        """The field element of a matrix in F_q[P]: its first row read as
-        the coefficient vector."""
-        return self.ext.element(A.row(0))
-
-    def commutes_with_companion(self, A: Matrix) -> bool:
-        """Whether A P = P A.  The centralizer of P is F_q[P] itself, so
-        this holds exactly when A is the matrix_rep of its own first
-        row, an O(k^2) test with no matrix product."""
-        return A == self.matrix_rep(A.row(0))
+    def element_of(self, A: Matrix):
+        """The element a with matrix_rep(a) == A, or None when A is not a
+        k x k matrix over F_q in F_q[P], the centralizer of P: an O(k^2)
+        test of A P == P A with no product.  A Matrix was checked when
+        built, so its first row is read unchecked."""
+        if A.field != self.base or A.nrows != self.k or A.ncols != self.k:
+            return None
+        a = _from_digits(A.row(0), self.q)
+        return a if A == self.matrix_rep(a) else None
 
     def frobenius_diag(self, mu) -> Matrix:
         """diag(mu, mu^q, ..., mu^(q^(k-1))) over the extension field."""
@@ -281,8 +283,7 @@ class SpreadCode:
 
     def _codeword(self, coords, blocks) -> Codeword:
         """The codeword of a normalized point from its blocks M(v_i)."""
-        sub = Subspace._of_rref(hstack(*blocks))
-        return Codeword(tuple(self.ext.digits(v) for v in coords), sub)
+        return Codeword(tuple(coords), Subspace._of_rref(hstack(*blocks)))
 
     def codewords(self):
         """All (q^n - 1)/(q^k - 1) codewords, one per projective point,
@@ -320,12 +321,33 @@ class SpreadCode:
         lead, *rest = (basis.columns_slice(i * k, (i + 1) * k)
                        for i in range(j, self.r))
         return (lead == Matrix.identity(self.base, k)
-                and all(map(self.commutes_with_companion, rest)))
+                and all(self.element_of(B) is not None for B in rest))
 
 
 # ---------------------------------------------------------------------------
 # Subspace file format: the code header line, then the basis matrix in
 # the linalg text format over F_q.
+
+MAX_FIELD_ORDER = 1 << 32
+MAX_R = 64
+
+
+def check_code_limits(q: int, k: int, r: int) -> None:
+    """Refuse code parameters from outside the program that would cost
+    more than a bounded build: k >= 2, k <= 32 and q^k <= 2^32, q prime,
+    and 2 <= r <= MAX_R (so |S| < 2^2048 prints in at most 617 digits).
+    ValueError names the value at fault."""
+    if k < 2:
+        raise ValueError("k must be at least 2")
+    # Checked before primality, which then trial-divides q <= 2^16 only.
+    # For q >= 2, k > 32 puts q^k above the limit without computing it.
+    if k > 32 or q ** k > MAX_FIELD_ORDER:
+        raise ValueError(f"q^k must be at most 2^32, got {q}^{k}")
+    if not is_prime(q):
+        raise ValueError(f"q must be prime, got {q}")
+    if not 2 <= r <= MAX_R:
+        raise ValueError(f"r must be in 2..{MAX_R}, got {r}")
+
 
 def parse_header(line: str) -> tuple[int, ...]:
     """The integers of a code header "q k r p_0 ... p_{k-1}", checked
@@ -348,8 +370,9 @@ def format_subspace(code: SpreadCode, sub: Subspace) -> str:
 
 
 def parse_subspace(text: str, code: SpreadCode | None = None):
-    """(code, subspace) of a subspace file; the header builds the code,
-    or must match ``code``.  Blank lines are skipped.  Every malformed
+    """(code, subspace) of a subspace file; the header builds the code
+    within :func:`check_code_limits`, or must match ``code``, which may
+    lie beyond those limits.  Blank lines are skipped.  Every malformed
     line, a width other than n, or a basis spanning only the zero space
     raises a ValueError starting "line N:" for the line at fault."""
     lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1)

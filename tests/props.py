@@ -11,12 +11,13 @@ import itertools
 import random
 
 from spreadcodes import (OpCount, SpreadCode, Subspace, brute_force_decode,
-                         decode, decode_pair, hstack, rank, subspace_distance)
+                         decode, hstack, rank, subspace_distance)
 from spreadcodes.channel import ChannelSpec, corrupt, random_codeword, trial_rng
 from spreadcodes.decoder import (REASON_NO_CODEWORD, DecodeResult,
                                  ReceivedSpace, _dense_point,
                                  _interpolated_point, _nonsingular_core,
-                                 _pair_step, candidate_roots, pair_support)
+                                 _pair_step, candidate_roots, decode_pair,
+                                 pair_support)
 from spreadcodes.gf import PrimeField
 from spreadcodes.linalg import Matrix, disjoint_pivot_tuples, minor
 
@@ -344,7 +345,7 @@ def fast_general_agreement(code: SpreadCode, trials: int,
         R2 = random_matrix(rnd, code.base, k, k)
         pair = Subspace.from_generators(hstack(R1, R2))
         A = pair.basis.columns_slice(k, 2 * k)
-        if 2 * rank(A) <= k - 1 or code.commutes_with_companion(A):
+        if 2 * rank(A) <= k - 1 or code.element_of(A) is not None:
             continue
         fast = _nonsingular_core(A, code)
         slow = _pencil_point(I, A, code)

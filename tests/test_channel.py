@@ -46,14 +46,15 @@ class TestCorrupt:
                 assert result.ok and result.codeword == cw
 
     def test_impossible_specs_rejected(self, code):
+        # Counts are ints, not bools, in range: nothing is coerced.
         cw = code.encode((1, 0))
         rng = trial_rng(0)
-        with pytest.raises(ValueError):
-            corrupt(cw, ChannelSpec(erasures=4, errors=0), code, rng)
-        with pytest.raises(ValueError):
-            corrupt(cw, ChannelSpec(erasures=0, errors=4), code, rng)
-        with pytest.raises(ValueError):
-            corrupt(cw, ChannelSpec(erasures=3, errors=0), code, rng)
+        for erasures, errors, what in [
+                (4, 0, "4"), (0, 4, "4"), (3, 0, "empty"),
+                (True, 1, "True"), (0, 1.0, "1.0"), (1.7, 0, "1.7"),
+                ("2", 0, "'2'"), (0, 2.5, "2.5")]:
+            with pytest.raises(ValueError, match=what):
+                corrupt(cw, ChannelSpec(erasures, errors), code, rng)
 
     def test_deterministic_under_fixed_seed(self, code):
         outs = []
@@ -96,5 +97,12 @@ class TestSimulate:
         assert records[0].successes == 5
 
     def test_input_validation(self, code):
-        with pytest.raises(ValueError):
-            simulate(code, 0, [(0, 0)])
+        # Every count is checked before any cell runs or the cells sort.
+        for trials, cells, what in [
+                (0, [(0, 0)], "0"), (2.5, [(0, 0)], "2.5"),
+                (True, [(0, 0)], "True"), (2, [(1.7, 0)], "1.7"),
+                (2, [("2", True)], "'2'"), (2, [(2, True)], "True"),
+                (2, [(0, 0), (0, 2.5)], "2.5"), (2, [(0, 0), (4, 0)], "4"),
+                (2, [(0, 0), (0, 3)], "empty")]:
+            with pytest.raises(ValueError, match=what):
+                simulate(code, trials, cells)

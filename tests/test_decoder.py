@@ -1,5 +1,6 @@
 import collections
 import functools
+import itertools
 import random
 from unittest import mock
 
@@ -18,7 +19,7 @@ from spreadcodes.decoder import (AffinePencil, ReceivedSpace,
                                  _nonsingular_core, candidate_roots, decode,
                                  decode_pair)
 from spreadcodes.cli import main as cli_main
-from spreadcodes.gf import ExtField, OpCount, PrimeField
+from spreadcodes.gf import ExtField, OpCount, PrimeField, is_element
 from spreadcodes.linalg import Matrix, hstack, rank, vstack
 from spreadcodes.oracle import brute_force_decode
 from spreadcodes.spread import (SpreadCode, Subspace, format_subspace,
@@ -156,7 +157,7 @@ class TestPairwise:
                         accepted += 1
                         assert pair_point(P1, P2, d, code) == ref
                         assert want.ok
-                    if P1 == I and not code.commutes_with_companion(P2):
+                    if P1 == I and code.element_of(P2) is None:
                         closed += 1
                         assert _nonsingular_core(P2, code) == ref
         assert checked == 6 * 6 * 2
@@ -274,7 +275,7 @@ class TestCandidateRoots:
             mus = mu_characterization(blocks[0], blocks[1], code32)
             result = decode(received, code32)
             assert result.ok and result.codeword == cw
-            lead, tail = map(code32.ext.element, result.codeword.point)
+            lead, tail = result.codeword.point
             if lead == code32.ext.one:
                 assert mus == [tail]
 
@@ -377,7 +378,7 @@ class TestInterpolation:
                     blocks = received.blocks
                     high = [i for i, b in enumerate(blocks)
                             if 2 * rank(b) > d - 1]
-                    point = [ext.element(c) for c in cw.point]
+                    point = cw.point
                     j = high[0]
                     for i in high[1:]:
                         want = ext.mul(point[i], ext.inv(point[j]))
@@ -401,7 +402,7 @@ class TestInterpolation:
                 cw = random_codeword(code, rng)
                 received = corrupt(cw, ChannelSpec(eps, e), code, rng)
                 R0, R1 = received.blocks
-                point = [ext.element(c) for c in cw.point]
+                point = cw.point
                 want = ext.mul(point[1], ext.inv(point[0]))
                 args = (R0, R1, received.dim, code)
                 assert interpolated_point(*args) == want
@@ -704,6 +705,21 @@ class TestWorkDoneOnce:
                         == want.subspace.basis)
                 decoded[inside] += 1
         assert decoded[True] and any(hits)
+
+    @pytest.mark.parametrize("qkr", ANSWER_CODES)
+    def test_points_are_field_elements(self, qkr):
+        # Codeword.point holds field elements, plain ints in 0..q^k-1,
+        # whether decode, encode (from digits, too) or the enumeration
+        # built it.
+        code = small_code(qkr)
+        points = [cw.point for cw in itertools.islice(code.codewords(), 50)]
+        points.append(code.encode([(1,) * code.k] * code.r).point)
+        decoded = [decode(received, code).codeword
+                   for _, received in self.channel_outputs(code)]
+        points += [cw.point for cw in decoded if cw is not None]
+        assert any(decoded)
+        assert all(is_element(v, code.q ** code.k)
+                   for point in points for v in point)
 
     @pytest.mark.parametrize("qkr", ANSWER_CODES)
     def test_no_encode_and_one_matrix_rep_per_solved_pair(self, monkeypatch,

@@ -15,6 +15,7 @@ RETIRED = {
     "candidate_roots": "spreadcodes.decoder",
     "pair_support": "spreadcodes.decoder",
     "REASON_AMBIGUOUS": "spreadcodes.decoder",
+    "decode_pair": "spreadcodes.decoder",
     "disjoint_pivot_tuples": "spreadcodes.linalg",
     "minor": "spreadcodes.linalg",
     "nondiagonal_rank": "paper_reference",     # tests/paper_reference.py

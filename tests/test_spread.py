@@ -1,6 +1,10 @@
 import functools
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -87,19 +91,29 @@ class TestMatrixRep:
         assert len(reps) == len({d for _, d in seen})  # injective on sample
 
     @pytest.mark.parametrize("q,k", [(2, 3), (2, 5), (3, 3), (5, 2)])
-    def test_commutes_with_companion_is_the_product_test(self, q, k):
+    def test_element_of_is_the_product_test(self, q, k):
+        # element_of(A) is None exactly when A P != P A, and reads a back
+        # off matrix_rep(a); a matrix that is not k x k over F_q reads as
+        # None.
         code = SpreadCode(q, k, 2)
         P = code.P
         rnd = random.Random(7 * q + k)
         members = 0
         for _ in range(60):
-            A = code.matrix_rep(rnd.randrange(code.ext.order))
+            a = rnd.randrange(code.ext.order)
+            A = code.matrix_rep(a)
             if rnd.random() < 0.5:
                 A = random_matrix(rnd, code.base, k, k)
-            want = A @ P == P @ A
-            assert code.commutes_with_companion(A) == want
-            members += want
+            got = code.element_of(A)
+            assert (got is None) == (A @ P != P @ A)
+            if A == code.matrix_rep(a):
+                assert got == a
+            members += got is not None
         assert 0 < members < 60
+        # The zero block reads as 0, which is not None.
+        assert code.element_of(Matrix.zeros(code.base, k, k)) == 0
+        assert code.element_of(Matrix.zeros(code.base, k, k + 1)) is None
+        assert code.element_of(P.lift(code.ext)) is None
 
     def test_first_row_reads_back(self, code32):
         rnd = random.Random(1)
@@ -179,7 +193,7 @@ class TestEncode:
         a = (1, 1, 0)
         point = (ext.element(a), ext.mul(ext.element(a), code32.alpha))
         cw = code32.encode(point)
-        assert cw.point[0] == ext.digits(ext.one)
+        assert cw.point[0] == ext.one
         assert cw == code32.encode((ext.one, code32.alpha))
 
     @pytest.mark.parametrize("q,k,r", [(2, 3, 3), (3, 2, 3), (2, 3, 4),
@@ -192,7 +206,7 @@ class TestEncode:
             point = [0] * lead + [rnd.randrange(1, code.ext.order)] + [
                 rnd.randrange(code.ext.order) for _ in range(r - lead - 1)]
             cw = code.encode(point)
-            blocks = [code.matrix_rep(code.ext.element(v)) for v in cw.point]
+            blocks = [code.matrix_rep(v) for v in cw.point]
             assert cw.subspace == Subspace.from_generators(hstack(*blocks))
 
     def test_encode_runs_no_elimination(self, code32, monkeypatch):
@@ -411,6 +425,37 @@ class TestHeadersAndFiles:
             SpreadCode(2, 2, 2, (1, 1, 1))
         with pytest.raises(ValueError, match="p_0 = 4"):
             SpreadCode(3, 2, 2, (4, 0))
+
+    def test_header_beyond_the_limits_is_refused_at_once(self):
+        # A header alone builds the code, so its limits hold before any
+        # field work: q = 10^18 + 3 would trial-divide up to 10^9.  The
+        # child process's timeout makes a regression fail fast instead
+        # of stalling the suite.
+        headers = ["1000000000000000003 2 2 0 1",
+                   "2 40 2 " + " ".join(["1"] * 40),    # q^k = 2^40
+                   "2 3 65 1 1 0"]
+        probe = ("import sys\n"
+                 "from spreadcodes.spread import parse_subspace\n"
+                 "for header in sys.argv[1:]:\n"
+                 "    try:\n"
+                 "        parse_subspace(header + '\\n1 4\\n0 0 0 1\\n')\n"
+                 "    except ValueError as exc:\n"
+                 "        print(exc)\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run([sys.executable, "-c", probe, *headers],
+                             check=True, capture_output=True, text=True,
+                             timeout=30,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.stdout.splitlines() == [
+            "line 1: q^k must be at most 2^32, got 1000000000000000003^2",
+            "line 1: q^k must be at most 2^32, got 2^40",
+            "line 1: r must be in 2..64, got 65"]
+        # A code given by the caller may lie beyond the limits.
+        code = SpreadCode(2, 3, 65)
+        text = format_subspace(code, code.encode([1] * 65).subspace)
+        assert parse_subspace(text, code)[0] is code
+        with pytest.raises(ValueError, match="^line 1: r must be in 2..64"):
+            parse_subspace(text)
 
     def test_header_modulus_digit_out_of_range(self):
         # 3 = 1 mod 2 would make x^3 + x + 1, but a header digit is taken
