@@ -5,10 +5,10 @@ of its RREF basis.  :func:`decode` pins blocks of rank at most (d-1)/2
 to zero; each other block i is found by one pair step against the first
 high-rank block j, which always leads.  The step reads the d rows
 (u | v) of the raw blocks (R_j R_i) as pairs of field elements
-a = phi(u), b = phi(v), where phi reads the digits of a row unchecked,
-as ``gf._from_digits`` does: the rows come from a received space that
-:func:`decode` has matched to the code's base field, and every entry
-was checked when its matrix was built.
+a = phi(u), b = phi(v), where phi reads the digits of a row unchecked
+(for q = 2 as the digits of one binary numeral): the rows come from a
+received space that :func:`decode` has matched to the code's base
+field, and every entry was checked when its matrix was built.
 The pair codeword [1 : mu] holds the rows (u, u M(mu)), and
 phi(u M(mu)) = mu phi(u), so finding mu decodes a one-dimensional
 Gabidulin code whose evaluation points are the a (Gabidulin 1985; Silva,
@@ -34,10 +34,12 @@ Welch-Berlekamp-like decoder, 2006, is the same algorithm), in about d^2
 ext ops: :func:`_interpolated_point`.  Within the radius that Q is
 c L(y - mu x) for the subspace polynomial L of the error values, so
 mu = -N_0 / V_0.  It builds no Moore matrix: in characteristic 2 the
-update s^q - D^(q-1) s of a value v is v (v + D), one counted product,
-which the row kernel ``ExtField.square_plus`` computes as v^2 + D v for
-all the values ahead in one call.  For odd
-q that update needs two or more products per value while the Moore
+update s^q - D^(q-1) s of a value v is v (v + D), one counted product.
+N_0 and V_0 are scalars, and the values ahead are one row handle of the
+field (``ExtField.rows``: a slotted int on a packed F_{2^k}, a list on
+a table field), loaded once, from which each point is popped in turn;
+``square_plus`` updates them all as v^2 + D v in one call.  For odd q
+that update needs two or more products per value while the Moore
 columns of the dense solve cost nothing, and for t <= 1 the dense
 system is at most 4 x 4; in both cases the dense solve stays, and it
 is cheaper there in counted ops.
@@ -78,10 +80,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf import _from_digits
 from .linalg import Matrix, _eliminate, hstack, minor, rank, rref
 from .linalg import disjoint_pivot_tuples
 from .spread import Codeword, SpreadCode, Subspace, subspace_distance
+
+# The bits 0 and 1 as the digits of a binary numeral, for the q = 2 read.
+_BINARY = bytes.maketrans(b"\0\1", b"01")
 
 REASON_NO_CODEWORD = "no codeword within distance"
 # Only the pencil search returns it; kept because bench/tracing.py counts it.
@@ -283,8 +287,8 @@ def _pair_step(code: SpreadCode, d: int):
     t >= 2), else their Moore rows u S[:, :t+1] for the dense solve, and
     solve(a, b, t, ext) on those of (Rj Ri) gives mu, or the reason."""
     if code.q == 2 and d >= 5:
-        return (lambda R: [_from_digits(u, 2) for u in R.data],
-                _interpolated_point)
+        return (lambda R: [int(bytes(u[::-1]).translate(_BINARY), 2)
+                           for u in R.data], _interpolated_point)
     ext, S = code.ext, code.diagonalizer.columns_slice(0, (d - 1) // 2 + 1)
     return (lambda R: (R.lift(ext) @ S).data), _dense_point
 
@@ -294,39 +298,48 @@ def _interpolated_point(a: list, b: list, t: int, ext):
     the points (a, b), one per row of (Rj Ri), at t = (d-1)/2: mu of
     the pair codeword [1 : mu], or the failure reason.
 
-    Each live polynomial is one row [N_0, V_0, its values at the points
-    ahead, last point first] and its q-degree, starting as x and y: N_0
-    and V_0 are its x- and y-coefficients of q-degree 0.  At each point
-    the live polynomial s of least (degree, index) among those with a
-    nonzero value D there clears the other's value with one ``axpy`` on
-    the whole row, then becomes s^2 - D s: each value v ahead becomes
-    v (v + D) and the coefficients scale by D.  An s at degree t is
-    dropped instead, after clearing the other: past degree t it can
-    never be the answer, and the survivor, now of lower degree, would
-    only ever clear it, never the reverse.  The survivor of least
-    (degree, index) gives mu = N_0 / V_0.
+    Each live polynomial is [N_0, V_0, h, its q-degree], starting as x
+    and y: N_0 and V_0 are its x- and y-coefficients of q-degree 0,
+    two scalars, and h is the row handle (``ExtField.rows``) of its
+    values at the points ahead, the next point first, so each point is
+    popped off the front.  At each point the live polynomial s of least
+    (degree, index) among those with a nonzero value D there clears the
+    other's value, o - (v/D) s: one ``axpy`` on the handle, and one
+    product per nonzero coefficient unless v/D is 1, the charge of a
+    list ``axpy`` on them.  Then s becomes s^2 - D s: each value v ahead
+    becomes v (v + D), by ``square_plus`` on the handle, and the
+    coefficients scale by D.  An s at degree t is dropped instead,
+    after clearing the other: past degree t it can never be the answer,
+    and the survivor, now of lower degree, would only ever clear it,
+    never the reverse.  The survivor of least (degree, index) gives
+    mu = N_0 / V_0.
     """
-    live = [[[1, 0] + a[::-1], 0], [[0, 1] + b[::-1], 0]]
-    for _ in range(len(a)):
-        hit = [(p[0].pop(), p) for p in live]
-        hit = [(v, p) for v, p in hit if v]
+    rows = ext.rows
+    live = [[1, 0, rows.load(a), 0], [0, 1, rows.load(b), 0]]
+    for ahead in range(len(a) - 1, -1, -1):
+        hit = []
+        for p in live:
+            v, p[2] = rows.pop(p[2])
+            if v:
+                hit.append((v, p))
         if not hit:
             continue
-        ds, s = min(hit, key=lambda vp: vp[1][1])
+        ds, s = min(hit, key=lambda vp: vp[1][3])
         for v, o in hit:
             if o is not s:
                 c = v if ds == 1 else ext.mul(v, ext.inv(ds))
-                o[0] = ext.axpy(o[0], c, s[0])
-        if s[1] == t:
+                for i in 0, 1:
+                    if s[i]:
+                        o[i] ^= s[i] if c == 1 else ext.mul(c, s[i])
+                o[2] = rows.axpy(o[2], c, s[2])
+        if s[3] == t:
             live.remove(s)
             if not live:
                 return REASON_NO_CODEWORD
         else:
-            n0, v0, *ahead = s[0]
-            s[0] = ([ext.mul(n0, ds), ext.mul(v0, ds)]
-                    + ext.square_plus(ahead, ds))
-            s[1] += 1
-    n0, v0 = min(live, key=lambda p: p[1])[0]
+            s[:] = (ext.mul(s[0], ds), ext.mul(s[1], ds),
+                    rows.square_plus(s[2], ds, ahead), s[3] + 1)
+    n0, v0 = min(live, key=lambda p: p[3])[:2]
     if not v0:
         return REASON_NO_CODEWORD
     return n0 if v0 == 1 else ext.mul(n0, ext.inv(v0))
@@ -389,9 +402,9 @@ def decode(received: ReceivedSpace, code: SpreadCode) -> DecodeResult:
     if not high:
         return _fail(REASON_NO_CODEWORD)
     j, ext = high[0], code.ext
-    Rj, I = blocks[j], Matrix.identity(code.base, k)
+    Rj, I = blocks[j], code.identity_block
     # Normalized as built: the blocks before j are pinned, point[j] is 1.
-    point, reps = [ext.zero] * r, [Matrix.zeros(code.base, k, k)] * r
+    point, reps = [ext.zero] * r, [code.zero_block] * r
     point[j], reps[j] = ext.one, I
     read, solve = _pair_step(code, d)
     lead = None
@@ -399,7 +412,8 @@ def decode(received: ReceivedSpace, code: SpreadCode) -> DecodeResult:
         M = Ri = blocks[i]
         mu = _membership_point(code, Ri) if Rj == I else None
         if mu is None:
-            lead = lead or read(Rj)
+            if lead is None:
+                lead = read(Rj)
             mu = solve(lead, read(Ri), (d - 1) // 2, ext)
             if isinstance(mu, str):
                 return _fail(mu)

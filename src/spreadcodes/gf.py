@@ -53,17 +53,21 @@ of 64*ceil((2k - 1)/64) bits, wide enough for an unreduced product;
 g*y is then the XOR of that int shifted by each set bit of g, and one
 Barrett reduction, two products by constants of the field, brings every
 slot below x^k.  So each step is one big-int operation per row, not a
-table walk per entry.  For q = 2 a second row kernel,
-``square_plus(ys, g)`` = y*(y + g) = y^2 + g*y per entry, is the value
-update of the decoder's interpolation; packed, it squares every slot
-by spreading its bits with masks, adds g*y and reduces once.
+table walk per entry.
+
+A row that stays in a kernel across many steps, as the values of the
+decoder's interpolation do, is held as a row handle of ``ExtField.rows``
+(see :class:`_ListRows`).  On a packed q = 2 field the handle is the
+slotted int itself, so reading its first entry is a mask and a shift;
+on every other field it is a list, as slots lose to one table lookup
+per entry.
 
 Multiplications and inversions are tallied on the innermost active
 :class:`OpCount` of the current thread, separately per field layer, so
 decoding costs can be profiled in field operations rather than wall time.
 The row kernels charge their products in one step: ``axpy`` one
 multiplication per nonzero entry of ys, and none at all when g is 0 or
-+-1; ``square_plus`` one per entry.
++-1; ``square_plus`` one per entry, zeros included.
 """
 
 from __future__ import annotations
@@ -440,6 +444,9 @@ class _SlottedRows:
     reduced.  Rows go in and out through an ``array('Q')``, a slot
     being w/64 words and an entry ceil(k/64) of them.
 
+    Such an int is also a row handle (see :class:`_ListRows`), which
+    ``square_plus`` squares by spreading the bits of every slot.
+
     A slot r = h*x^k + l of degree at most 2k - 2 is reduced mod p by
     Barrett's method (Barrett, CRYPTO 1986), exact for polynomials:
     with mu = x^(2k) div p, the quotient r div p is a = h*mu div x^k,
@@ -447,12 +454,13 @@ class _SlottedRows:
     their set bits, one shift and XOR each, so a row takes two constant
     products to reduce whatever the modulus."""
 
-    __slots__ = ("k", "stride", "words", "mu", "rest", "shifts",
+    __slots__ = ("k", "stride", "width", "words", "mu", "rest", "shifts",
                  "patterns", "_masks")
 
     def __init__(self, k: int, bits: int):
         self.k = k
         self.stride = -(-(2 * k - 1) // 64)
+        self.width = 64 * self.stride
         self.words = -(-k // 64)
         mu, r = 0, 1 << 2 * k
         while r >> k:
@@ -463,14 +471,15 @@ class _SlottedRows:
         self.rest = tuple(i for i in range(k) if bits >> i & 1)
         # Squaring spreads bit i of an entry to bit 2i in ceil(log2 k)
         # steps; the step of shift s moves the bits in positions
-        # 4s*j + s .. 4s*j + 2s - 1 of a slot up by s.
+        # 4s*j + s .. 4s*j + 2s - 1 of a slot up by s.  The same shifts
+        # OR-fold the k bits of an entry into its lowest bit.
         self.shifts = []
         s = 1 << (k - 1).bit_length()
         while s > 1:
             s >>= 1
             self.shifts.append(s)
-        self.patterns = [(1 << k - 1) - 1, (1 << k) - 1] + [
-            sum(1 << i for i in range(64 * self.stride)
+        self.patterns = [(1 << k - 1) - 1, (1 << k) - 1, 1] + [
+            sum(1 << i for i in range(self.width)
                 if s <= i % (4 * s) < 2 * s) for s in self.shifts]
         # Sized here for an elimination row of 2k entries, so that a row
         # of any length, an empty one too, finds its masks.
@@ -479,16 +488,21 @@ class _SlottedRows:
 
     def masks(self, n: int) -> tuple:
         """The patterns repeated over at least n slots: the low k - 1
-        bits, the low k bits, then the squaring steps' moves.  They grow
-        by doubling and are kept, since a mask longer than its row costs
-        no more to apply; size and masks change in one assignment."""
+        bits, the low k bits, the lowest bit, then the squaring steps'
+        moves.  They grow by doubling and are kept, since a mask longer
+        than its row costs no more to apply; size and masks change in
+        one assignment."""
         size, masks = self._masks
         if size < n:
-            w, size = 64 * self.stride, max(n, 2 * size)
+            w, size = self.width, max(n, 2 * size)
             ones = ((1 << w * size) - 1) // ((1 << w) - 1)
             masks = tuple(p * ones for p in self.patterns)
             self._masks = size, masks
         return masks
+
+    def _masks_of(self, r: int) -> tuple:
+        """The masks covering every nonzero slot of r."""
+        return self.masks(-(-r.bit_length() // self.width))
 
     def load(self, ys) -> int:
         """The row ys as one int."""
@@ -515,23 +529,23 @@ class _SlottedRows:
             out = [v | u << 64 * j for v, u in zip(out, a[j::stride])]
         return out
 
-    def square(self, y: int, n: int) -> int:
-        """y^2 in each of the n slots, not reduced."""
-        for shift, m in zip(self.shifts, self.masks(n)[2:]):
+    def square(self, y: int) -> int:
+        """y^2 in each slot, not reduced."""
+        for shift, m in zip(self.shifts, self._masks_of(y)[3:]):
             t = y & m
             y ^= t ^ t << shift
         return y
 
-    def mul_add(self, r: int, y: int, g: int, n: int) -> int:
-        """r + g*y in each of the n slots, reduced mod p, for r of
-        degree at most 2k - 2 and y below 2^k per slot: g*y is the XOR
-        of y shifted by each set bit of g."""
+    def mul_add(self, r: int, y: int, g: int) -> int:
+        """r + g*y in each slot, reduced mod p, for r of degree at most
+        2k - 2 and y below 2^k per slot: g*y is the XOR of y shifted by
+        each set bit of g."""
         while g:
             low = g & -g
             r ^= y << low.bit_length() - 1
             g ^= low
         k = self.k
-        mask_h, mask_l = self.masks(n)[:2]
+        mask_h, mask_l = self._masks_of(r)[:2]
         h, a = r >> k & mask_h, 0
         for b in self.mu:
             a ^= h << b
@@ -539,6 +553,73 @@ class _SlottedRows:
         for b in self.rest:
             r ^= a << b
         return r & mask_l
+
+    def count(self, y: int) -> int:
+        """The number of nonzero entries of y, for the charge of
+        ``axpy``: each slot OR-folded into its lowest bit, then a
+        popcount, run only while an OpCount is open."""
+        low = self._masks_of(y)[2]
+        for shift in self.shifts:
+            y |= y >> shift
+        return (y & low).bit_count()
+
+    def pop(self, h: int) -> tuple:
+        return h & self.patterns[1], h >> self.width
+
+    def axpy(self, x: int, g, y: int) -> int:
+        if not g:
+            return x
+        if g == 1:
+            return x ^ y
+        if _open_counters:
+            c = _ACTIVE.current
+            if c is not None:
+                c.ext_mul += self.count(y)
+        return self.mul_add(x, y, g)
+
+    def square_plus(self, h: int, g, n: int) -> int:
+        _charge_ext_mul(n)
+        return self.mul_add(self.square(h), h, g)
+
+
+class _ListRows:
+    """Row handles as lists, last entry first: ``ExtField.rows`` of a
+    field of at most TABLE_LIMIT elements or of odd q.  Each call takes
+    handles and returns a new one, consuming those it is given:
+
+    * ``load(ys)``: the handle of the row ys;
+    * ``pop(h)``: (the first entry, the handle of the rest);
+    * ``axpy(x, g, y)``: x + g*y, charged as ``ExtField.axpy``;
+    * ``square_plus(h, g, n)``: for q = 2, y*(y + g) on each of the n
+      entries of h, the value update of the decoder's interpolation,
+      charged one ext_mul per entry, zeros included."""
+
+    __slots__ = ("axpy", "_ext")
+
+    def __init__(self, ext):
+        self._ext = ext
+        self.axpy = ext.axpy
+
+    def load(self, ys) -> list:
+        return [*reversed(ys)]
+
+    def pop(self, h: list) -> tuple:
+        return h.pop(), h
+
+    def square_plus(self, h: list, g, n: int) -> list:
+        ext = self._ext
+        if not ext._char2:
+            raise ValueError("square_plus needs characteristic 2")
+        _charge_ext_mul(n)
+        exp, log = ext._exp, ext._log
+        return [exp[log[y] + log[y ^ g]] if y and y != g else 0 for y in h]
+
+
+def _charge_ext_mul(n: int) -> None:
+    if _open_counters:
+        c = _ACTIVE.current
+        if c is not None:
+            c.ext_mul += n
 
 
 class ExtField:
@@ -554,7 +635,7 @@ class ExtField:
 
     __slots__ = ("base", "q", "k", "modulus", "order", "zero", "one",
                  "_char2", "_bits", "_red", "_exp", "_log", "_zech",
-                 "_half", "_frob", "_fold", "_rows")
+                 "_half", "_frob", "_fold", "rows")
 
     def __init__(self, base: PrimeField, modulus):
         q, modulus = base.q, tuple(modulus)
@@ -585,14 +666,14 @@ class ExtField:
         else:
             self._red = [(-c) % q for c in modulus[:k]]
         self._exp = self._log = self._zech = self._frob = None
-        self._rows = None
         self._half = 0
         if self.order <= TABLE_LIMIT:
             self._build_tables()
         else:
             self._build_frobenius_map()
-            if self._char2:
-                self._rows = _SlottedRows(k, self._bits)
+        # The row handles (see _ListRows): slotted ints for packed q = 2.
+        self.rows = (_SlottedRows(k, self._bits)
+                     if self._char2 and self._log is None else _ListRows(self))
 
     def _build_tables(self):
         """exp/log over a primitive element g: exp[i] = g^i, stored twice
@@ -866,9 +947,9 @@ class ExtField:
             if g == 1:
                 return [x ^ y for x, y in zip(xs, ys)]
             if log is None:
-                rows, n = self._rows, len(ys)
-                r = rows.mul_add(rows.load(xs), rows.load(ys), g, n)
-                return rows.store(r, n)
+                rows = self.rows
+                return rows.store(rows.mul_add(rows.load(xs), rows.load(ys),
+                                               g), len(ys))
             exp, lg = self._exp, log[g]
             return [x ^ exp[lg + log[y]] if y else x for x, y in zip(xs, ys)]
         if log is None:
@@ -896,25 +977,6 @@ class ExtField:
                     x = exp[ly]
             out.append(x)
         return out
-
-    def square_plus(self, ys, g) -> list:
-        """The row y*(y + g) = y^2 + g*y, entry by entry, for q = 2: the
-        value update of the decoder's interpolation.  Charges one ext_mul
-        per entry, zeros included, as ``mul(y, y ^ g)`` would."""
-        if not self._char2:
-            raise ValueError("square_plus needs characteristic 2")
-        if _open_counters:
-            c = _ACTIVE.current
-            if c is not None:
-                c.ext_mul += len(ys)
-        log = self._log
-        if log is not None:
-            exp = self._exp
-            return [exp[log[y] + log[y ^ g]] if y and y != g else 0
-                    for y in ys]
-        rows, n = self._rows, len(ys)
-        y = rows.load(ys)
-        return rows.store(rows.mul_add(rows.square(y, n), y, g, n), n)
 
     def inv(self, a):
         if not a:

@@ -148,6 +148,9 @@ class SpreadCode:
         self.n = r * k
         self.modulus = full
         self.P = companion_matrix(self.base, full)
+        # The k x k blocks every decode and membership test reads.
+        self.identity_block = Matrix.identity(self.base, k)
+        self.zero_block = Matrix.zeros(self.base, k, k)
         self.alpha = self.ext.gen()
         self.diagonalizer = self._build_diagonalizer()
 
@@ -320,7 +323,7 @@ class SpreadCode:
         j = next(c for c, a in enumerate(basis.row(0)) if a) // k
         lead, *rest = (basis.columns_slice(i * k, (i + 1) * k)
                        for i in range(j, self.r))
-        return (lead == Matrix.identity(self.base, k)
+        return (lead == self.identity_block
                 and all(self.element_of(B) is not None for B in rest))
 
 

@@ -285,6 +285,44 @@ def interpolated_point(Rj: Matrix, Ri: Matrix, d: int, code: SpreadCode):
     return pair_point(Rj, Ri, d, code, (points, _interpolated_point))
 
 
+def list_interpolation(a: list, b: list, t: int, ext):
+    """The q = 2 interpolation of ``_interpolated_point`` with each live
+    polynomial as one list [N_0, V_0, its values ahead, last point
+    first], updated by the list ``axpy`` and by one ``mul`` per value:
+    the same answer, charged the same ext ops, with no row handle."""
+    live = [[[1, 0] + a[::-1], 0], [[0, 1] + b[::-1], 0]]
+    for _ in range(len(a)):
+        hit = [(p[0].pop(), p) for p in live]
+        hit = [(v, p) for v, p in hit if v]
+        if not hit:
+            continue
+        ds, s = min(hit, key=lambda vp: vp[1][1])
+        for v, o in hit:
+            if o is not s:
+                c = v if ds == 1 else ext.mul(v, ext.inv(ds))
+                o[0] = ext.axpy(o[0], c, s[0])
+        if s[1] == t:
+            live.remove(s)
+            if not live:
+                return REASON_NO_CODEWORD
+        else:
+            s[0] = [ext.mul(v, ds) for v in s[0][:2]] + [
+                ext.mul(v, v ^ ds) for v in s[0][2:]]
+            s[1] += 1
+    n0, v0 = min(live, key=lambda p: p[1])[0]
+    if not v0:
+        return REASON_NO_CODEWORD
+    return n0 if v0 == 1 else ext.mul(n0, ext.inv(v0))
+
+
+def list_interpolated_point(Rj: Matrix, Ri: Matrix, d: int,
+                            code: SpreadCode):
+    """:func:`list_interpolation` on the points of the rows of (Rj Ri)."""
+    def points(R):
+        return [code.ext.element(u) for u in R.data]
+    return pair_point(Rj, Ri, d, code, (points, list_interpolation))
+
+
 def dense_step(code: SpreadCode, d: int):
     """(read, solve) of the dense solve at dimension d, whatever q and d
     are: each row u becomes its Moore row (a, a^q, ..., a^(q^t)) for

@@ -28,9 +28,10 @@ from spreadcodes.spread import (SpreadCode, Subspace, format_subspace,
 from paper_reference import _pencil_point, mu_characterization
 from props import (all_subspaces, dense_point, dense_step,
                    fast_general_agreement, interpolated_point,
-                   oracle_agreement_cases, oracle_agreement_exhaustive,
-                   oracle_agreement_sampled, pair_point, pencil_pair_point,
-                   random_element, random_matrix, root_evaluation_trials)
+                   list_interpolated_point, oracle_agreement_cases,
+                   oracle_agreement_exhaustive, oracle_agreement_sampled,
+                   pair_point, pencil_pair_point, random_element,
+                   random_matrix, root_evaluation_trials)
 
 
 @functools.cache
@@ -411,6 +412,42 @@ class TestInterpolation:
                 assert result.ok and result.codeword == cw
                 assert result == dense_decode(received, code)
 
+    @pytest.mark.parametrize("qkr", [(2, 17, 2), (2, 24, 2)])
+    def test_slotted_row_handles(self, qkr):
+        # Packed fields, so the interpolation holds its rows as slotted
+        # ints.  Inside the radius it finds the sent mu, as the dense
+        # solve does; beyond it the two fail with the same reason or
+        # agree on mu, and decode agrees with the dense decode.  On every
+        # input the interpolation on list rows gives the same answer at
+        # the same OpCount.
+        code = small_code(qkr)
+        ext, k = code.ext, code.k
+        assert isinstance(ext.rows.load([1]), int)
+        seen = collections.Counter()
+        for e in range(0, k + 1, 3):
+            for eps in range(0, k, 3):
+                rng = trial_rng(23, e, eps)
+                cw = random_codeword(code, rng)
+                received = corrupt(cw, ChannelSpec(eps, e), code, rng)
+                d = received.dim
+                R0, R1 = received.blocks
+                if d < 5 or 2 * min(rank(R0), rank(R1)) <= d - 1:
+                    continue
+                args = (R0, R1, d, code)
+                with OpCount() as slotted:
+                    mu = interpolated_point(*args)
+                with OpCount() as listed:
+                    assert list_interpolated_point(*args) == mu
+                assert repr(slotted) == repr(listed)
+                assert mu == dense_point(*args)
+                inside = e + eps < k
+                if inside:
+                    point = cw.point
+                    assert mu == ext.mul(point[1], ext.inv(point[0]))
+                assert decode(received, code) == dense_decode(received, code)
+                seen[inside, isinstance(mu, str)] += 1
+        assert seen[True, False] >= 10 and seen[False, True] >= 5
+
     def test_every_five_dimensional_space(self):
         # The 63 hyperplanes of F_2^6: both pair steps give the same
         # outcome, which is brute force's.
@@ -758,6 +795,30 @@ class TestWorkDoneOnce:
             assert calls["read"] == calls["solve"] + (calls["solve"] > 0)
             solved += calls["solve"]
         assert solved
+
+    def test_code_blocks_are_built_once(self, monkeypatch):
+        # The code holds its k x k identity and zero blocks from
+        # construction: no decode and no membership test, of the
+        # received space or of the answer, builds another.
+        cases = [(small_code(qkr), received) for qkr in self.ANSWER_CODES
+                 for _, received in self.channel_outputs(small_code(qkr))]
+        built = collections.Counter()
+        for name in ("identity", "zeros"):
+            real = getattr(Matrix, name).__func__
+
+            def counted(cls, *args, name=name, real=real):
+                built[name] += 1
+                return real(cls, *args)
+
+            monkeypatch.setattr(Matrix, name, classmethod(counted))
+        decoded = 0
+        for code, received in cases:
+            result = decode(received, code)
+            code.is_codeword(received.subspace)
+            if result.ok:
+                assert code.is_codeword(result.codeword.subspace)
+                decoded += 1
+        assert decoded and not built
 
     def test_paper_path_unused(self, monkeypatch):
         # Neither construction nor decode reaches the pencil search, the

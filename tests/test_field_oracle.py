@@ -7,13 +7,15 @@ The fields cover every multiplication kernel: exp/log tables at
 kernel at (3,13).  A packed q = 2 product reduces its high half one
 byte per fold table: at (2,29) the last byte is partial, and (2,33)
 needs four tables.  The row kernel ``axpy`` is checked against the
-per-entry ``add`` and ``mul`` of the same field, and the q = 2 kernel
-``square_plus`` against ``mul`` and the oracle.  Packed q = 2 row
-kernels hold a row as one int with a slot of 64*ceil((2k - 1)/64) bits
-per entry: (2,32) is the last field with one-word slots, (2,64) the
-last whose elements fit one 64-bit word and (2,65) the first whose
-elements do not.  They reduce by Barrett's method, so a dense modulus
-at k = 24 is checked as well.
+per-entry ``add`` and ``mul`` of the same field, and so are the row
+handles of ``ExtField.rows`` (load, pop, axpy and, for q = 2,
+``square_plus``, also against the oracle).  Packed q = 2 row kernels
+hold a row as one int with a slot of 64*ceil((2k - 1)/64) bits per
+entry: (2,32) is the last field with one-word slots, (2,64) the last
+whose elements fit one 64-bit word, (2,65) the first whose elements do
+not, and at (2,129) an element takes three words and its slot five.
+They reduce by Barrett's method, so a dense modulus at k = 24 is
+checked as well.
 """
 
 import pytest
@@ -46,6 +48,21 @@ def fields(q, k, modulus=None):
 
 def element_values(ext, nonzero=False):
     return st.integers(1 if nonzero else 0, ext.order - 1)
+
+
+def unload(rows, h, n):
+    """The n entries of the row handle h, popped front to back."""
+    out = []
+    for _ in range(n):
+        v, h = rows.pop(h)
+        out.append(v)
+    return out
+
+
+def handle_axpy(ext, xs, g, ys):
+    """xs + g*ys through the row handles, read back as a list."""
+    rows = ext.rows
+    return unload(rows, rows.axpy(rows.load(xs), g, rows.load(ys)), len(ys))
 
 
 @pytest.mark.parametrize("q,k", FIELDS)
@@ -133,7 +150,8 @@ def test_row_kernel(q, k, data):
     # axpy(xs, g, ys) = xs + g*ys against the per-entry add and mul, in
     # the extension field and in its base field.  A product by 0 or +-1
     # is free; any other g costs one multiplication per nonzero ys entry.
-    # Packed fields also get a row of length 2k, as in elimination.
+    # Packed fields also get a row of length 2k, as in elimination.  In
+    # the extension field the row handles give the same row and charge.
     ext, _ = fields(q, k)
     for f, values in ((ext, element_values(ext)),
                       (ext.base, st.integers(0, q - 1))):
@@ -155,24 +173,33 @@ def test_row_kernel(q, k, data):
                           else (c.base_mul, c.ext_mul))
                 assert counts == (charged, 0)
                 assert c.ext_inv == c.base_inv == 0
+                if f is ext:
+                    with OpCount() as c:
+                        got = handle_axpy(ext, xs, g, ys)
+                    assert got == want and xs == before
+                    assert (c.ext_mul, c.base_mul, c.ext_inv) == (
+                        charged, 0, 0)
 
 
 @pytest.mark.parametrize("q,k", FIELDS)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_square_plus(q, k, data):
-    # square_plus(ys, g) = y*(y + g) per entry, against mul and add and
-    # against the oracle, zeros and y == g included; it charges one
-    # ext_mul per entry and nothing else.  Odd q has no such kernel.
+    # The row handle's square_plus(h, g, n) = y*(y + g) per entry,
+    # against mul and add and against the oracle, zeros and y == g
+    # included; it charges one ext_mul per entry and nothing else.  Odd
+    # q has no such kernel.
     ext, ref = fields(q, k)
+    rows = ext.rows
     g = data.draw(element_values(ext))
     if q != 2:
         with pytest.raises(ValueError):
-            ext.square_plus([g], g)
+            rows.square_plus(rows.load([g]), g, 1)
         return
     ys = data.draw(st.lists(element_values(ext), max_size=2 * k)) + [0, g]
     with OpCount() as c:
-        got = ext.square_plus(ys, g)
+        got = unload(rows, rows.square_plus(rows.load(ys), g, len(ys)),
+                     len(ys))
     assert (c.ext_mul, c.ext_inv, c.base_mul, c.base_inv) == (len(ys), 0, 0, 0)
     assert got == [ext.mul(y, ext.add(y, g)) for y in ys]
     dg = ext.digits(g)
@@ -180,17 +207,22 @@ def test_square_plus(q, k, data):
         ref.mul(dy, ref.add(dy, dg)) for dy in map(ext.digits, ys)]
 
 
-@pytest.mark.parametrize("k,modulus", [
-    *((k, None) for q, k in PACKED_FIELDS if q == 2),
-    pytest.param(24, DENSE_24, id="24-dense")])
+SLOTTED = [*((k, None) for q, k in PACKED_FIELDS if q == 2), (129, None),
+           pytest.param(24, DENSE_24, id="24-dense")]
+
+
+@pytest.mark.parametrize("k,modulus", SLOTTED)
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_packed_rows(k, modulus, data):
-    # The packed q = 2 row kernels on rows of length 0, 1 and more than
-    # 2k (longer than the slot masks built with the field), with 0, g and
-    # 2^k - 1 drawn often: each entry against mul and the oracle, each
-    # call charged exactly its ext_mul.
+    # The packed q = 2 row kernels, the list axpy and the slotted row
+    # handles, on rows of length 0, 1 and more than 2k (longer than the
+    # slot masks built with the field), with 0, g and 2^k - 1 drawn
+    # often: each entry against mul and the oracle, each call charged
+    # exactly its ext_mul.
     ext, ref = fields(2, k, modulus)
+    rows = ext.rows
+    assert isinstance(rows.load([1]), int)
     top = ext.order - 1
     g = data.draw(st.sampled_from([2, top]) | st.integers(2, top))
     entries = st.sampled_from([0, g, top]) | element_values(ext)
@@ -206,13 +238,38 @@ def test_packed_rows(k, modulus, data):
         assert got == [x ^ ext.mul(g, y) for x, y in zip(xs, ys)]
         assert [ext.digits(v) for v in got] == [
             ref.add(dx, ref.mul(dg, dy)) for dx, dy in zip(dxs, dys)]
+        assert unload(rows, rows.load(ys), n) == ys
         with OpCount() as c:
-            got = ext.square_plus(ys, g)
+            assert handle_axpy(ext, xs, g, ys) == got
+        assert (c.ext_mul, c.ext_inv, c.base_mul, c.base_inv) == (
+            n - ys.count(0), 0, 0, 0)
+        with OpCount() as c:
+            got = unload(rows, rows.square_plus(rows.load(ys), g, n), n)
         assert (c.ext_mul, c.ext_inv, c.base_mul, c.base_inv) == (
             n, 0, 0, 0)
         assert got == [ext.mul(y, y ^ g) for y in ys]
         assert [ext.digits(v) for v in got] == [
             ref.mul(dy, ref.add(dy, dg)) for dy in dys]
+
+
+@pytest.mark.parametrize("k,modulus", SLOTTED)
+def test_slotted_nonzero_count(k, modulus):
+    # The OR-fold count of nonzero slots, which the handle axpy charges,
+    # on rows of x^(k-1), 1 and 0 (every bit of a slot folds into its
+    # lowest), an all-zero row and an empty row; and a pop leaves the
+    # next point in slot 0.
+    ext, _ = fields(2, k, modulus)
+    rows, high = ext.rows, 1 << k - 1
+    for ys in ([high, 1, 0], [0, high, 0, 1, high], [high] * (2 * k + 1),
+               [1, 0] * k, [0] * 5, []):
+        h = rows.load(ys)
+        assert rows.count(h) == len(ys) - ys.count(0)
+        with OpCount() as c:
+            rows.axpy(rows.load([0] * len(ys)), 2, h)
+        assert c.ext_mul == len(ys) - ys.count(0)
+        if ys:
+            v, rest = rows.pop(h)
+            assert v == ys[0] and rest == rows.load(ys[1:])
 
 
 @pytest.mark.parametrize("q,k", [(2, 3), (3, 2), (2, 24), (3, 13)])

@@ -481,7 +481,9 @@ class TestPackedProduct:
         xs = [rnd.getrandbits(k) for _ in ys]
         assert ext.axpy(xs, g, ys) == [
             x ^ shift_and_fold(g, y, k, ext._bits) for x, y in zip(xs, ys)]
-        assert ext.square_plus(ys, g) == [
+        rows = ext.rows
+        h = rows.square_plus(rows.load(ys), g, len(ys))
+        assert rows.store(h, len(ys)) == [
             shift_and_fold(y, y ^ g, k, ext._bits) for y in ys]
 
 
