@@ -40,7 +40,9 @@ class ChannelSpec:
 
 def trial_rng(seed: int, *key: int):
     """Independent numpy Generator for one labeled trial of a master
-    seed."""
+    seed, a plain int (not a bool) of at least 0."""
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"seed must be an int of at least 0, got {seed!r}")
     import numpy as np
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 

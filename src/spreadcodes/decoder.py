@@ -6,9 +6,10 @@ to zero; each other block i is found by one pair step against the first
 high-rank block j, which always leads.  The step reads the d rows
 (u | v) of the raw blocks (R_j R_i) as pairs of field elements
 a = phi(u), b = phi(v), where phi reads the digits of a row unchecked
-(for q = 2 as the digits of one binary numeral): the rows come from a
-received space that :func:`decode` has matched to the code's base
-field, and every entry was checked when its matrix was built.
+through ``gf._from_digits``, the package's one digit reader: the rows
+come from a received space that :func:`decode` has matched to the
+code's base field, and every entry was checked when its matrix was
+built.
 The pair codeword [1 : mu] holds the rows (u, u M(mu)), and
 phi(u M(mu)) = mu phi(u), so finding mu decodes a one-dimensional
 Gabidulin code whose evaluation points are the a (Gabidulin 1985; Silva,
@@ -80,12 +81,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .gf import _from_digits
 from .linalg import Matrix, _eliminate, hstack, minor, rank, rref
 from .linalg import disjoint_pivot_tuples
 from .spread import Codeword, SpreadCode, Subspace, subspace_distance
-
-# The bits 0 and 1 as the digits of a binary numeral, for the q = 2 read.
-_BINARY = bytes.maketrans(b"\0\1", b"01")
 
 REASON_NO_CODEWORD = "no codeword within distance"
 # Only the pencil search returns it; kept because bench/tracing.py counts it.
@@ -161,9 +160,7 @@ class AffinePencil:
         the row kernel ``axpy``."""
         ext = self.field
         minus_one = ext.neg(ext.one)
-        pows = [ext.element(mu)]
-        for _ in range(self.coeff.ncols - 1):
-            pows.append(ext.frobenius(pows[-1], 1))
+        pows = ext._orbit(ext.element(mu), self.coeff.ncols)
         rows = []
         for arow, brow in zip(self.coeff.data, self.offset.data):
             rows.append([ext.sub(p if a == ext.one
@@ -287,8 +284,8 @@ def _pair_step(code: SpreadCode, d: int):
     t >= 2), else their Moore rows u S[:, :t+1] for the dense solve, and
     solve(a, b, t, ext) on those of (Rj Ri) gives mu, or the reason."""
     if code.q == 2 and d >= 5:
-        return (lambda R: [int(bytes(u[::-1]).translate(_BINARY), 2)
-                           for u in R.data], _interpolated_point)
+        return (lambda R: [_from_digits(u, 2) for u in R.data],
+                _interpolated_point)
     ext, S = code.ext, code.diagonalizer.columns_slice(0, (d - 1) // 2 + 1)
     return (lambda R: (R.lift(ext) @ S).data), _dense_point
 

@@ -13,7 +13,8 @@ digit: a plain int, not a bool, in range.  ``Matrix(field, rows)``,
 both forms of :meth:`ExtField.element` and :func:`check_coefficients`
 apply it to what a caller passes.  Values the package already holds,
 such as the rows of a checked matrix, are read without it, through
-``_from_digits``.
+``_from_digits``, the one reader of digits, which for q = 2 takes the
+bits as one binary numeral.
 
 The default modulus of F_{q^k} is the first monic irreducible of degree
 k in a fixed candidate order (:func:`find_irreducible`).  Each candidate
@@ -28,15 +29,16 @@ the field is built:
   held in ``array`` storage.  ``mul``, ``inv`` and ``frobenius`` are
   lookups; for odd q, addition goes through a table of Zech logarithms
   (Huber, *Some comments on Zech's logarithms*, IEEE Trans. IT 1990).
-* larger fields with q = 2: a carry-less product of the packed ints
-  from a table of the 16 multiples a*n, one shifted lookup per 4-bit
-  window n of b.  The high half h of the product, at most k - 1 bits, is
-  reduced by fold tables built once per field, fold_i[n] = n*x^(k+8i)
-  mod p: one lookup and XOR per byte of h.  Every q = 2 field builds
-  them, since the exp/log fill multiplies through this kernel when x is
-  not primitive.  Squaring is F_2-linear, so ``frobenius`` reads a^2
-  off byte tables frob_i[n] = (n*x^(8i))^2 mod p (Hankerson, Menezes
-  and Vanstone 2004, polynomial squaring), one lookup per byte of a.
+* larger fields with q = 2: the carry-less product ``_clmul`` of the
+  packed ints, from a table of the 16 multiples a*n, one shifted lookup
+  per 4-bit window n of b.  The high half h of the product, at most
+  k - 1 bits, is reduced by fold tables built once per field,
+  fold_i[n] = n*x^(k+8i) mod p: one lookup and XOR per byte of h.  Every
+  q = 2 field builds them, since the exp/log fill multiplies through
+  this kernel when x is not primitive.  Squaring is F_2-linear, so
+  ``frobenius`` reads a^2 off byte tables frob_i[n] = (n*x^(8i))^2 mod p
+  (Hankerson, Menezes and Vanstone 2004, polynomial squaring), one
+  lookup per byte of a.
 * larger fields with odd q: schoolbook multiplication of digit lists;
   ``frobenius`` applies the k images (x^i)^q to the digits of a.
 
@@ -50,10 +52,10 @@ odd-q tables one Zech addition per entry, for packed odd q one raw
 product per nonzero entry.  The packed q = 2 branch works on the whole
 row at once.  The row becomes one int with each entry in its own slot
 of 64*ceil((2k - 1)/64) bits, wide enough for an unreduced product;
-g*y is then the XOR of that int shifted by each set bit of g, and one
-Barrett reduction, two products by constants of the field, brings every
-slot below x^k.  So each step is one big-int operation per row, not a
-table walk per entry.
+g*y is then one ``_clmul`` of that int by g, the product a single
+element takes, and one Barrett reduction, two products by constants of
+the field, brings every slot below x^k.  So each step is a few big-int
+operations per row, not a table walk per entry.
 
 A row that stays in a kernel across many steps, as the values of the
 decoder's interpolation do, is held as a row handle of ``ExtField.rows``
@@ -89,6 +91,8 @@ _TYPECODE = "i" if array("i").itemsize >= 4 else "l"
 # words read as one little-endian int.
 _WORD = (1 << 64) - 1
 _BIG_ENDIAN = sys.byteorder == "big"
+# The bits 0 and 1 as the digits of a binary numeral, for the q = 2 read.
+_BINARY = bytes.maketrans(b"\0\1", b"01")
 
 
 class _Local(threading.local):
@@ -152,18 +156,7 @@ class OpCount:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return _prime_factors(n) == [n]
 
 
 def _power(mul, a, e: int):
@@ -400,6 +393,7 @@ def find_irreducible(q: int, k: int) -> tuple[int, ...]:
 
 
 def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending; [] for n < 2."""
     out = []
     f = 2
     while f * f <= n:
@@ -407,7 +401,7 @@ def _prime_factors(n: int) -> list[int]:
             out.append(f)
             while n % f == 0:
                 n //= f
-        f += 1
+        f += 1 + (f > 2)
     if n > 1:
         out.append(n)
     return out
@@ -422,19 +416,31 @@ def _to_digits(a: int, q: int, k: int) -> list[int]:
 
 
 def _from_digits(digits, q: int) -> int:
+    """The element with these base-q digits, lowest first, unchecked;
+    for q = 2 the bits, highest first, are read as one binary numeral."""
+    if q == 2:
+        return int(bytes(digits[::-1]).translate(_BINARY), 2) if digits else 0
     n = 0
     for d in reversed(digits):
         n = n * q + d
     return n
 
 
-def _window_values(a0, a1, a2, a3):
-    """The XOR of the a_i picked by the bits i of n, for every 4-bit
-    value n: with a_i = a*x^i, the table of a*n."""
-    a01, a23 = a0 ^ a1, a2 ^ a3
-    return (0, a0, a1, a01, a2, a2 ^ a0, a2 ^ a1, a2 ^ a01,
-            a3, a3 ^ a0, a3 ^ a1, a3 ^ a01,
-            a23, a23 ^ a0, a23 ^ a1, a23 ^ a01)
+def _clmul(a: int, b: int) -> int:
+    """The carry-less product of a and b, polynomials over F_2 as bit
+    patterns: one shifted multiple a*n, from a table of the 16, per
+    4-bit window n of b."""
+    a1, a2, a3 = a << 1, a << 2, a << 3
+    a01, a23 = a ^ a1, a2 ^ a3
+    t = (0, a, a1, a01, a2, a2 ^ a, a2 ^ a1, a2 ^ a01,
+         a3, a3 ^ a, a3 ^ a1, a3 ^ a01,
+         a23, a23 ^ a, a23 ^ a1, a23 ^ a01)
+    r = s = 0
+    while b:
+        r ^= t[b & 15] << s
+        b >>= 4
+        s += 4
+    return r
 
 
 class _SlottedRows:
@@ -538,12 +544,9 @@ class _SlottedRows:
 
     def mul_add(self, r: int, y: int, g: int) -> int:
         """r + g*y in each slot, reduced mod p, for r of degree at most
-        2k - 2 and y below 2^k per slot: g*y is the XOR of y shifted by
-        each set bit of g."""
-        while g:
-            low = g & -g
-            r ^= y << low.bit_length() - 1
-            g ^= low
+        2k - 2 and y below 2^k per slot: g*y is one carry-less product
+        of the whole row by g."""
+        r ^= _clmul(y, g)
         k = self.k
         mask_h, mask_l = self._masks_of(r)[:2]
         h, a = r >> k & mask_h, 0
@@ -883,16 +886,7 @@ class ExtField:
         """Uncounted product by the packed kernel of this characteristic."""
         k = self.k
         if self._char2:
-            # Carry-less a*b: one shifted multiple a*n per 4-bit window
-            # n of b.
-            t = _window_values(a, a << 1, a << 2, a << 3)
-            r = t[b & 15]
-            b >>= 4
-            s = 4
-            while b:
-                r ^= t[b & 15] << s
-                b >>= 4
-                s += 4
+            r = _clmul(a, b)
             # r = low + h*x^k with deg h <= k - 2: each byte of h is
             # reduced by one lookup in its fold table.
             h = r >> k
@@ -1062,12 +1056,17 @@ class ExtField:
             a = self._apply(a)
         return a
 
+    def _orbit(self, a, n: int) -> list:
+        """a, a^q, a^(q^2), ...: the first n Frobenius conjugates of a,
+        each one ``frobenius`` of the last and charged as that call."""
+        out = [a]
+        for _ in range(n - 1):
+            out.append(self.frobenius(out[-1], 1))
+        return out
+
     def trace(self, a) -> int:
         """Trace down to F_q: the sum of all Frobenius conjugates."""
-        acc = conj = a
-        for _ in range(self.k - 1):
-            conj = self.frobenius(conj, 1)
-            acc = self.add(acc, conj)
+        acc = functools.reduce(self.add, self._orbit(a, self.k))
         if not self.in_base(acc):
             raise ArithmeticError("trace left the base field")
         return acc

@@ -197,6 +197,8 @@ class Matrix:
 
 
 def vstack(*mats: Matrix) -> Matrix:
+    if not mats:
+        raise ValueError("vstack needs at least one matrix")
     field = mats[0].field
     ncols = mats[0].ncols
     rows = []
@@ -208,6 +210,8 @@ def vstack(*mats: Matrix) -> Matrix:
 
 
 def hstack(*mats: Matrix) -> Matrix:
+    if not mats:
+        raise ValueError("hstack needs at least one matrix")
     field = mats[0].field
     nrows = mats[0].nrows
     for m in mats:

@@ -162,12 +162,10 @@ class SpreadCode:
         matrix times column j of S is phi(u)^(q^j), where phi reads u as
         the digits of a field element."""
         ext, k = self.ext, self.k
-        # alpha^i = x^i is already reduced for i < k: the int q^i.
-        col = [self.q ** i for i in range(k)]
-        cols = [col]
-        for _ in range(k - 1):
-            cols.append([ext.frobenius(v, 1) for v in cols[-1]])
-        return Matrix._of_rows(ext, zip(*cols), k)
+        # Row i is the orbit of alpha^i = x^i, already reduced for i < k:
+        # the int q^i.
+        return Matrix._of_rows(ext, [ext._orbit(self.q ** i, k)
+                                     for i in range(k)], k)
 
     @cached_property
     def diagonalizer_inv(self) -> Matrix:
@@ -250,10 +248,7 @@ class SpreadCode:
     def frobenius_diag(self, mu) -> Matrix:
         """diag(mu, mu^q, ..., mu^(q^(k-1))) over the extension field."""
         ext = self.ext
-        vals = [ext.element(mu)]
-        for _ in range(self.k - 1):
-            vals.append(ext.frobenius(vals[-1], 1))
-        return Matrix.diagonal(ext, vals)
+        return Matrix.diagonal(ext, ext._orbit(ext.element(mu), self.k))
 
     def conjugate(self, M: Matrix) -> Matrix:
         """Change a base-field k-by-k matrix to the eigenbasis of P.  The
@@ -296,7 +291,7 @@ class SpreadCode:
             tail = self.r - lead - 1
             for rest in itertools.product(ext.elements(), repeat=tail):
                 point = (ext.zero,) * lead + (ext.one,) + rest[::-1]
-                yield self.encode(point)
+                yield self._codeword(point, map(self.matrix_rep, point))
 
     @cached_property
     def _codeword_cache(self):

@@ -106,3 +106,19 @@ class TestSimulate:
                 (2, [(0, 0), (0, 3)], "empty")]:
             with pytest.raises(ValueError, match=what):
                 simulate(code, trials, cells)
+
+    @pytest.mark.parametrize("seed", [1.5, -1, True, "3", None])
+    def test_seed_must_be_a_plain_int(self, code, seed, monkeypatch):
+        # Refused by trial_rng with a ValueError that names the seed, and
+        # so by simulate before any trial draws a codeword.
+        draws = []
+        monkeypatch.setattr("spreadcodes.channel.random_codeword",
+                            lambda *args: draws.append(args))
+        with pytest.raises(ValueError, match=f"seed .*{seed!r}"):
+            trial_rng(seed, 0, 0, 0)
+        with pytest.raises(ValueError, match=f"seed .*{seed!r}"):
+            simulate(code, 1, [(0, 0)], seed=seed)
+        assert draws == []
+
+    def test_large_int_seed_is_taken(self, code):
+        assert simulate(code, 2, [(0, 0)], seed=1 << 80)[0].successes == 2

@@ -206,6 +206,19 @@ class TestPrimeField:
             PrimeField(6)
         assert is_prime(2) and is_prime(97) and not is_prime(91)
 
+    def test_is_prime_matches_a_sieve(self):
+        n = 10 ** 4
+        sieve = [False, False] + [True] * (n - 2)
+        for i in range(2, math.isqrt(n) + 1):
+            if sieve[i]:
+                sieve[i * i::i] = [False] * len(sieve[i * i::i])
+        assert [m for m in range(n) if is_prime(m)] == [
+            m for m in range(n) if sieve[m]]
+        assert is_prime(65521) and is_prime(65537) and not is_prime(65536)
+        assert not any(is_prime(m) for m in (-7, -2, -1))
+        assert gf._prime_factors(65536) == [2]
+        assert gf._prime_factors(2 * 3 * 3 * 65521) == [2, 3, 65521]
+
     def test_f2_addition(self):
         f = PrimeField(2)
         assert f.add(1, 1) == 0
@@ -485,6 +498,68 @@ class TestPackedProduct:
         h = rows.square_plus(rows.load(ys), g, len(ys))
         assert rows.store(h, len(ys)) == [
             shift_and_fold(y, y ^ g, k, ext._bits) for y in ys]
+
+
+class TestSharedKernels:
+    """The carry-less product, the digit reader and the Frobenius orbit
+    are each written once and serve every caller."""
+
+    @pytest.mark.parametrize("k", [17, 24, 33, 64, 129])
+    def test_clmul_is_the_unreduced_product(self, k):
+        # Of two ints, and of a whole slotted row by one element: every
+        # slot holds its entry's product, unreduced.
+        rnd = random.Random(k)
+        top = (1 << k) - 1
+        pairs = [(0, 0), (0, top), (top, 0), (1, top), (top, top),
+                 (1 << k - 1, 1 << k - 1)]
+        pairs += [(rnd.getrandbits(k), rnd.getrandbits(k))
+                  for _ in range(300)]
+        for a, b in pairs:
+            assert gf._clmul(a, b) == shift_and_fold(a, b, 2 * k, 0)
+        rows = ExtField(PrimeField(2), find_irreducible(2, k)).rows
+        ys = [0, 1, top] + [rnd.getrandbits(k) for _ in range(2 * k)]
+        for g in [1, top, 1 << k - 1] + [rnd.getrandbits(k)
+                                         for _ in range(20)]:
+            assert gf._clmul(rows.load(ys), g) == sum(
+                shift_and_fold(y, g, 2 * k, 0) << rows.width * i
+                for i, y in enumerate(ys))
+
+    def test_binary_digits_round_trip(self):
+        rnd = random.Random(2)
+        for k in range(1, 130):
+            values = [0, 1, (1 << k) - 1, 1 << k - 1] + [
+                rnd.getrandbits(k) for _ in range(20)]
+            for a in values:
+                bits = gf._to_digits(a, 2, k)
+                assert gf._from_digits(bits, 2) == a
+                assert gf._from_digits(tuple(bits), 2) == a
+                assert gf._from_digits(bits + [0, 0], 2) == a
+        # An empty numeral is 0, on table and packed fields alike.
+        assert gf._from_digits([], 2) == gf._from_digits((), 2) == 0
+        for k in 2, 9, 24:
+            ext = ExtField(PrimeField(2), find_irreducible(2, k))
+            assert ext.element([]) == ext.element(()) == 0
+            assert ext.element([0, 1]) == ext.gen()
+
+    # Table fields of both characteristics, and packed ones.
+    @pytest.mark.parametrize("q,k", [(2, 4), (3, 5), (2, 24), (3, 11),
+                                     (5, 7)])
+    def test_orbit_is_repeated_frobenius(self, q, k):
+        ext = ExtField(PrimeField(q), find_irreducible(q, k))
+        rnd = random.Random(q * k)
+        values = [0, 1, ext.gen()] + [rnd.randrange(ext.order)
+                                      for _ in range(5)]
+        for a in values:
+            for n in 1, 2, k, k + 1:
+                with OpCount() as want:
+                    expected = [a]
+                    for _ in range(n - 1):
+                        expected.append(ext.frobenius(expected[-1], 1))
+                with OpCount() as got:
+                    orbit = ext._orbit(a, n)
+                assert orbit == expected
+                assert repr(got) == repr(want)
+            assert ext._orbit(a, k + 1)[k] == a
 
 
 class TestFrobenius:

@@ -236,6 +236,13 @@ class TestPlumbing:
         B = Matrix.identity(F2, 2)
         assert hstack(A, B).data == ((0, 0, 1, 0), (0, 0, 0, 1))
 
+    def test_stacks_need_a_matrix(self):
+        for stack in vstack, hstack:
+            with pytest.raises(ValueError, match="at least one matrix"):
+                stack()
+        A = Matrix.identity(F2, 2)
+        assert vstack(A) == hstack(A) == A
+
     def test_rank_gf2_fast_path_matches_generic(self):
         # rank, rref, inverse and products over F_2 run on packed rows;
         # lifted into F_4 the same matrix takes the generic kernel.

@@ -236,6 +236,29 @@ class TestEnumeration:
         assert len(cws) == expected
         assert len({cw.subspace for cw in cws}) == expected
 
+    @pytest.mark.parametrize("q,k,r", [(2, 2, 2), (2, 3, 2), (3, 2, 3)])
+    def test_enumeration_is_encode(self, q, k, r, monkeypatch):
+        # Each enumerated point is already normalized, so its codeword is
+        # built from its blocks without normalizing it again, and equals
+        # encode of the point, basis included.
+        code = SpreadCode(q, k, r)
+        points = []
+        real = SpreadCode.normalize_point
+
+        def counting(self, point):
+            points.append(point)
+            return real(self, point)
+
+        monkeypatch.setattr(SpreadCode, "normalize_point", counting)
+        cws = list(code.codewords())
+        assert points == []
+        assert len(cws) == code.size
+        for cw in cws:
+            enc = code.encode(cw.point)
+            assert enc.point == cw.point
+            assert enc.subspace.basis == cw.subspace.basis
+        assert len(points) == code.size
+
     def test_all_enumerated_are_members(self, code32):
         for cw in code32.codeword_list():
             assert code32.is_codeword(cw.subspace)
