@@ -3,7 +3,8 @@
 Subcommands: ``params`` (code parameters), ``encode`` (projective point
 file to subspace file), ``decode`` (subspace file to codeword file),
 ``simulate`` (seeded channel statistics), ``bench`` (the ``simulate``
-operation counts for one erasure, across block sizes).
+operation counts for one erasure, across block sizes), the rows of
+``COMMANDS``; a call builds only the subparser argv[0] names, else all.
 
 Exit codes: 0 success, 1 usage or input error, 2 decoding failure.
 
@@ -173,48 +174,46 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def build_parser() -> _Parser:
+_IO = (("--in", dict(dest="infile", required=True)),
+       ("--out", dict(dest="outfile", default=None)))
+
+# name: (help line, handler, flags after the code flags, --k is a list)
+COMMANDS = {
+    "params": ("print code parameters", _cmd_params, (), False),
+    "encode": ("encode a projective point file", _cmd_encode, _IO, False),
+    "decode": ("decode a subspace file", _cmd_decode, _IO, False),
+    "simulate": ("seeded channel statistics", _cmd_simulate, (
+        ("--trials", dict(type=_uint, required=True)),
+        ("--errors", dict(type=_uint, default=0)),
+        ("--erasures", dict(type=_uint, default=0)),
+        ("--seed", dict(type=_uint, default=0))), False),
+    "bench": ("operation-count table over block sizes", _cmd_bench, (
+        ("--trials", dict(type=_uint, default=10)),
+        ("--seed", dict(type=_uint, default=0))), True),
+}
+
+
+def build_parser(argv=()) -> _Parser:
+    """The parser for argv: only the subparser argv[0] names, or all five."""
     parser = _Parser(prog="spreadcodes",
                      description="spread codes over F_q: construction, "
                                  "encoding, decoding and simulation")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("params", help="print code parameters")
-    _add_code_flags(p)
-    p.set_defaults(func=_cmd_params)
-
-    p = sub.add_parser("encode", help="encode a projective point file")
-    _add_code_flags(p)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", dest="outfile", default=None)
-    p.set_defaults(func=_cmd_encode)
-
-    p = sub.add_parser("decode", help="decode a subspace file")
-    _add_code_flags(p)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", dest="outfile", default=None)
-    p.set_defaults(func=_cmd_decode)
-
-    p = sub.add_parser("simulate", help="seeded channel statistics")
-    _add_code_flags(p)
-    p.add_argument("--trials", type=_uint, required=True)
-    p.add_argument("--errors", type=_uint, default=0)
-    p.add_argument("--erasures", type=_uint, default=0)
-    p.add_argument("--seed", type=_uint, default=0)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("bench", help="operation-count table over block sizes")
-    _add_code_flags(p, k_list=True)
-    p.add_argument("--trials", type=_uint, default=10)
-    p.add_argument("--seed", type=_uint, default=0)
-    p.set_defaults(func=_cmd_bench)
-
+    names = argv[:1] if argv and argv[0] in COMMANDS else COMMANDS
+    for name in names:
+        help_line, func, flags, k_list = COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        _add_code_flags(p, k_list)
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

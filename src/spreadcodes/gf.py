@@ -156,7 +156,7 @@ class OpCount:
 
 
 def is_prime(n: int) -> bool:
-    return _prime_factors(n) == [n]
+    return next(_prime_factors(n), None) == n
 
 
 def _power(mul, a, e: int):
@@ -392,19 +392,18 @@ def find_irreducible(q: int, k: int) -> tuple[int, ...]:
     raise RuntimeError("no irreducible polynomial found")  # unreachable
 
 
-def _prime_factors(n: int) -> list[int]:
-    """The distinct primes dividing n, ascending; [] for n < 2."""
-    out = []
+def _prime_factors(n: int):
+    """The distinct primes dividing n, ascending, each found by trial
+    division only when asked for; none for n < 2."""
     f = 2
     while f * f <= n:
         if n % f == 0:
-            out.append(f)
+            yield f
             while n % f == 0:
                 n //= f
         f += 1 + (f > 2)
     if n > 1:
-        out.append(n)
-    return out
+        yield n
 
 
 def _to_digits(a: int, q: int, k: int) -> list[int]:
@@ -735,7 +734,7 @@ class ExtField:
         c = n // m
         g, w = q, 1
         if c > 1:
-            primes = _prime_factors(n)
+            primes = list(_prime_factors(n))
             # x is not primitive, so the search starts after it.
             g = next(g for g in range(q + 1, self.order)
                      if all(self._pow_raw(g, n // p) != 1 for p in primes))

@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import pytest
 
 from spreadcodes.channel import (ChannelSpec, corrupt, random_codeword,
                                  simulate, trial_rng)
+from spreadcodes import cli
 from spreadcodes.cli import MAX_R, MAX_TRIALS, main
 from spreadcodes.spread import SpreadCode, format_subspace
 
@@ -310,3 +312,149 @@ def test_decoding_process_leaves_numpy_unloaded():
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)})
     assert out.stdout.strip() == "False"
+
+
+HELP_LINES = {
+    "params": "print code parameters",
+    "encode": "encode a projective point file",
+    "decode": "decode a subspace file",
+    "simulate": "seeded channel statistics",
+    "bench": "operation-count table over block sizes",
+}
+
+
+def help_text(capsys, parser, argv):
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+class TestParser:
+    @pytest.fixture(autouse=True)
+    def fixed_width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    def test_commands_are_the_five(self):
+        assert list(cli.COMMANDS) == list(HELP_LINES)
+
+    @pytest.mark.parametrize("command", list(HELP_LINES))
+    def test_command_help_is_the_full_parsers(self, capsys, command):
+        full = help_text(capsys, cli.build_parser(), [command, "--help"])
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr()
+        assert out.out == full and out.err == ""
+        assert full.startswith(f"usage: spreadcodes {command} [-h] --q Q")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"]])
+    def test_top_help_lists_every_command(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: spreadcodes [-h] "
+                              "{params,encode,decode,simulate,bench} ...\n")
+        for name, line in HELP_LINES.items():
+            assert f"\n    {name:<20}{line}\n" in out
+
+    @pytest.mark.parametrize("argv,err", [
+        ([], "usage error: the following arguments are required: command\n"),
+        (["foo"], "usage error: argument command: invalid choice: 'foo' "
+                  "(choose from 'params', 'encode', 'decode', 'simulate', "
+                  "'bench')\n"),
+        (["--q", "3", "decode"], "usage error: argument command: invalid "
+                                 "choice: '3' (choose from 'params', "
+                                 "'encode', 'decode', 'simulate', 'bench')\n"),
+        (["decode", "--q", "3"], "usage error: the following arguments are "
+                                 "required: --k, --in\n"),
+        (["params", "--q", "3", "--k", "3", "extra"],
+         "usage error: unrecognized arguments: extra\n"),
+    ])
+    def test_usage_errors_are_unchanged(self, capsys, argv, err):
+        assert run(capsys, *argv) == (1, "", err)
+
+    def test_named_command_builds_one_subparser(self, tmp_path, capsys,
+                                                monkeypatch):
+        ref = SpreadCode(2, 2, 2)
+        space = tmp_path / "space.txt"
+        space.write_text(format_subspace(ref, ref.encode((1, 0)).subspace))
+        names = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counting_add_parser(self, name, **kwargs):
+            names.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                            counting_add_parser)
+        code, _, _ = run(capsys, "decode", "--q", "2", "--k", "2",
+                         "--r", "2", "--in", str(space))
+        assert code == 0 and names == ["decode"]
+        names.clear()
+        run(capsys, "foo")
+        assert names == list(HELP_LINES)
+
+    @pytest.mark.parametrize("argv,want", [
+        (["params", "--q", "3", "--k", "5", "--r", "4", "--p", "1", "2"],
+         dict(command="params", q=3, k=5, r=4, p=[1, 2])),
+        (["params", "--q", "3", "--k", "5"],
+         dict(command="params", q=3, k=5, r=2, p=None)),
+        (["encode", "--q", "2", "--k", "3", "--r", "3", "--p", "1", "1", "0",
+          "--in", "a", "--out", "b"],
+         dict(command="encode", q=2, k=3, r=3, p=[1, 1, 0], infile="a",
+              outfile="b")),
+        (["decode", "--q", "2", "--k", "3", "--in", "a"],
+         dict(command="decode", q=2, k=3, r=2, p=None, infile="a",
+              outfile=None)),
+        (["simulate", "--q", "2", "--k", "3", "--r", "3", "--p", "1", "1",
+          "0", "--trials", "7", "--errors", "1", "--erasures", "2",
+          "--seed", "9"],
+         dict(command="simulate", q=2, k=3, r=3, p=[1, 1, 0], trials=7,
+              errors=1, erasures=2, seed=9)),
+        (["simulate", "--q", "2", "--k", "3", "--trials", "7"],
+         dict(command="simulate", q=2, k=3, r=2, p=None, trials=7, errors=0,
+              erasures=0, seed=0)),
+        (["bench", "--q", "2", "--k", "3,5", "--r", "3", "--p", "1", "1",
+          "--trials", "4", "--seed", "6"],
+         dict(command="bench", q=2, k="3,5", r=3, p=[1, 1], trials=4,
+              seed=6)),
+        (["bench", "--q", "2", "--k", "3,5"],
+         dict(command="bench", q=2, k="3,5", r=2, p=None, trials=10,
+              seed=0)),
+    ])
+    def test_flags_keep_their_dests_defaults_and_types(self, argv, want):
+        func = getattr(cli, f"_cmd_{argv[0]}")
+        for parser in (cli.build_parser(argv), cli.build_parser()):
+            assert vars(parser.parse_args(argv)) == {**want, "func": func}
+
+
+def test_module_entry_point(tmp_path):
+    # python -m spreadcodes.cli reads its arguments from sys.argv.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "COLUMNS": "80"}
+    ref = SpreadCode(3, 2, 3)
+    point = tmp_path / "point.txt"
+    point.write_text("1 2\n0 1\n2 0\n")
+    space, back = tmp_path / "space.txt", tmp_path / "back.txt"
+    flags = ["--q", "3", "--k", "2", "--r", "3"]
+
+    def spreadcodes(*argv):
+        return subprocess.run([sys.executable, "-m", "spreadcodes.cli",
+                               *argv], capture_output=True, text=True,
+                              env=env)
+
+    done = spreadcodes("encode", *flags, "--in", str(point),
+                       "--out", str(space))
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+    want = format_subspace(ref, ref.encode(((1, 2), (0, 1), (2, 0)))
+                           .subspace)
+    assert space.read_text() == want
+    done = spreadcodes("decode", *flags, "--in", str(space),
+                       "--out", str(back))
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+    assert back.read_text() == want
+    done = spreadcodes("decode", "--help")
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout.startswith("usage: spreadcodes decode [-h] --q Q")

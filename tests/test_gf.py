@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -216,8 +217,35 @@ class TestPrimeField:
             m for m in range(n) if sieve[m]]
         assert is_prime(65521) and is_prime(65537) and not is_prime(65536)
         assert not any(is_prime(m) for m in (-7, -2, -1))
-        assert gf._prime_factors(65536) == [2]
-        assert gf._prime_factors(2 * 3 * 3 * 65521) == [2, 3, 65521]
+        assert list(gf._prime_factors(65536)) == [2]
+        assert list(gf._prime_factors(2 * 3 * 3 * 65521)) == [2, 3, 65521]
+        # The one trial division behind is_prime also factors by the sieve.
+        primes = [m for m in range(n) if sieve[m]]
+        for m in range(2, 2000):
+            assert list(gf._prime_factors(m)) == [
+                f for f in primes if f <= m and m % f == 0]
+
+    @pytest.mark.parametrize("n", [2 * 999983 ** 2, 3 * (2 ** 31 - 1) ** 2])
+    def test_is_prime_stops_at_the_first_divisor(self, n):
+        # A composite with a large square cofactor is refused at its
+        # smallest prime; factoring it fully would trial-divide up to the
+        # cofactor's root.  A line budget stops a full factoring early.
+        lines = 0
+
+        def budget(frame, event, arg):
+            nonlocal lines
+            lines += 1
+            if lines > 10_000:
+                raise RuntimeError("is_prime ran past its line budget")
+            return budget
+
+        outer = sys.gettrace()
+        sys.settrace(budget)
+        try:
+            prime = is_prime(n)
+        finally:
+            sys.settrace(outer)
+        assert prime is False
 
     def test_f2_addition(self):
         f = PrimeField(2)
