@@ -193,6 +193,11 @@ COMMANDS = {
 }
 
 
+# Every flag some command takes: the code flags, then each row's own.
+_FLAGS = {"--q", "--k", "--r", "--p"}.union(
+    flag for _, _, flags, _ in COMMANDS.values() for flag, _ in flags)
+
+
 def build_parser(argv=()) -> _Parser:
     """The parser for argv: only the subparser argv[0] names, or all five."""
     parser = _Parser(prog="spreadcodes",
@@ -213,6 +218,12 @@ def build_parser(argv=()) -> _Parser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
+        # Given first, a command's flag, or a prefix of one as argparse
+        # takes it, would have argparse read its value as the command.
+        first = argv[0].partition("=")[0] if argv else ""
+        if len(first) > 2 and any(f.startswith(first) for f in _FLAGS):
+            raise UsageError(f"the command comes first: {first} goes after "
+                             f"one of {', '.join(COMMANDS)}")
         args = build_parser(argv).parse_args(argv)
         return args.func(args)
     except UsageError as exc:

@@ -67,9 +67,11 @@ per entry.
 Multiplications and inversions are tallied on the innermost active
 :class:`OpCount` of the current thread, separately per field layer, so
 decoding costs can be profiled in field operations rather than wall time.
-The row kernels charge their products in one step: ``axpy`` one
-multiplication per nonzero entry of ys, and none at all when g is 0 or
-+-1; ``square_plus`` one per entry, zeros included.
+Every kernel charges through the one helper ``_charge(kind, n)``, called
+only while ``_open_counters`` says some counter is open.  The row
+kernels charge their products in one step: ``axpy`` one multiplication
+per nonzero entry of ys, and none at all when g is 0 or +-1;
+``square_plus`` one per entry, zeros included.
 """
 
 from __future__ import annotations
@@ -153,6 +155,15 @@ class OpCount:
     def __repr__(self):
         return (f"OpCount(base_mul={self.base_mul}, base_inv={self.base_inv}, "
                 f"ext_mul={self.ext_mul}, ext_inv={self.ext_inv})")
+
+
+def _charge(kind: str, n: int = 1) -> None:
+    """Add n to field ``kind`` of this thread's innermost OpCount, if
+    any.  Each kernel tests ``_open_counters`` before it calls this, so
+    while no counter is open anywhere the kernels make no call here."""
+    c = _ACTIVE.current
+    if c is not None:
+        setattr(c, kind, getattr(c, kind) + n)
 
 
 def is_prime(n: int) -> bool:
@@ -244,9 +255,7 @@ class PrimeField:
 
     def mul(self, a: int, b: int) -> int:
         if _open_counters:
-            c = _ACTIVE.current
-            if c is not None:
-                c.base_mul += 1
+            _charge("base_mul")
         return (a * b) % self.q
 
     def axpy(self, xs, g: int, ys) -> list[int]:
@@ -261,18 +270,14 @@ class PrimeField:
         if not g:
             return list(xs)
         if _open_counters:
-            c = _ACTIVE.current
-            if c is not None:
-                c.base_mul += len(ys) - ys.count(0)
+            _charge("base_mul", len(ys) - ys.count(0))
         return [(x + g * y) % q for x, y in zip(xs, ys)]
 
     def inv(self, a: int) -> int:
         if a % self.q == 0:
             raise ZeroDivisionError("inverse of zero in F_q")
         if _open_counters:
-            c = _ACTIVE.current
-            if c is not None:
-                c.base_inv += 1
+            _charge("base_inv")
         return pow(a, self.q - 2, self.q)
 
     def pow(self, a: int, e: int) -> int:
@@ -574,13 +579,12 @@ class _SlottedRows:
         if g == 1:
             return x ^ y
         if _open_counters:
-            c = _ACTIVE.current
-            if c is not None:
-                c.ext_mul += self.count(y)
+            _charge("ext_mul", self.count(y))
         return self.mul_add(x, y, g)
 
     def square_plus(self, h: int, g, n: int) -> int:
-        _charge_ext_mul(n)
+        if _open_counters:
+            _charge("ext_mul", n)
         return self.mul_add(self.square(h), h, g)
 
 
@@ -612,16 +616,10 @@ class _ListRows:
         ext = self._ext
         if not ext._char2:
             raise ValueError("square_plus needs characteristic 2")
-        _charge_ext_mul(n)
+        if _open_counters:
+            _charge("ext_mul", n)
         exp, log = ext._exp, ext._log
         return [exp[log[y] + log[y ^ g]] if y and y != g else 0 for y in h]
-
-
-def _charge_ext_mul(n: int) -> None:
-    if _open_counters:
-        c = _ACTIVE.current
-        if c is not None:
-            c.ext_mul += n
 
 
 class ExtField:
@@ -914,9 +912,7 @@ class ExtField:
 
     def mul(self, a, b):
         if _open_counters:
-            c = _ACTIVE.current
-            if c is not None:
-                c.ext_mul += 1
+            _charge("ext_mul")
         if not (a and b):
             return 0
         log = self._log
@@ -932,9 +928,7 @@ class ExtField:
             return list(xs)
         q = self.q
         if g != 1 and g != q - 1 and _open_counters:
-            c = _ACTIVE.current
-            if c is not None:
-                c.ext_mul += len(ys) - ys.count(0)
+            _charge("ext_mul", len(ys) - ys.count(0))
         log = self._log
         if self._char2:
             if g == 1:
@@ -975,9 +969,7 @@ class ExtField:
         if not a:
             raise ZeroDivisionError("inverse of zero in F_{q^k}")
         if _open_counters:
-            c = _ACTIVE.current
-            if c is not None:
-                c.ext_inv += 1
+            _charge("ext_inv")
         log = self._log
         if log is not None:
             return self._exp[self.order - 1 - log[a]]
@@ -1042,9 +1034,7 @@ class ExtField:
         if j == 0:
             return a
         if _open_counters:
-            c = _ACTIVE.current
-            if c is not None:
-                c.base_mul += self.k * self.k
+            _charge("base_mul", self.k * self.k)
         log = self._log
         if log is not None:
             if not a:

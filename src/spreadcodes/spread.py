@@ -16,7 +16,6 @@ where M is the coefficient-wise isomorphism onto F_q[P].
 
 from __future__ import annotations
 
-import copy
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -178,20 +177,11 @@ class SpreadCode:
     # -- code parameters ----------------------------------------------------
 
     def pairwise(self) -> "SpreadCode":
-        """The two-block code with the same fields and companion matrix,
-        used for pairwise decoding instances.  It shares this code's
-        fields, companion matrix and diagonalizer instead of rebuilding
-        them."""
+        """The two-block code with the same modulus, used for pairwise
+        decoding instances: this code when r = 2, else built anew."""
         if self.r == 2:
             return self
-        return self._pairwise_cache
-
-    @cached_property
-    def _pairwise_cache(self) -> "SpreadCode":
-        pair = copy.copy(self)
-        pair.__dict__.pop("_codeword_cache", None)
-        pair.r, pair.n = 2, 2 * self.k
-        return pair
+        return SpreadCode(self.q, self.k, 2, self.modulus[:self.k])
 
     @property
     def size(self) -> int:

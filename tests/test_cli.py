@@ -364,9 +364,9 @@ class TestParser:
         (["foo"], "usage error: argument command: invalid choice: 'foo' "
                   "(choose from 'params', 'encode', 'decode', 'simulate', "
                   "'bench')\n"),
-        (["--q", "3", "decode"], "usage error: argument command: invalid "
-                                 "choice: '3' (choose from 'params', "
-                                 "'encode', 'decode', 'simulate', 'bench')\n"),
+        (["3", "decode"], "usage error: argument command: invalid "
+                          "choice: '3' (choose from 'params', "
+                          "'encode', 'decode', 'simulate', 'bench')\n"),
         (["decode", "--q", "3"], "usage error: the following arguments are "
                                  "required: --k, --in\n"),
         (["params", "--q", "3", "--k", "3", "extra"],
@@ -374,6 +374,18 @@ class TestParser:
     ])
     def test_usage_errors_are_unchanged(self, capsys, argv, err):
         assert run(capsys, *argv) == (1, "", err)
+
+    @pytest.mark.parametrize("argv", [
+        ["--q", "3", "decode", "--k", "3", "--in", "x"],
+        ["--q=3", "params"], ["--trials", "5"], ["--q"],
+        ["--tri", "5", "simulate"]])
+    def test_flag_before_the_command_is_named(self, capsys, argv):
+        # argparse took the flag's value for the command: "invalid
+        # choice: '3'", or "command" missing when no value followed.
+        flag = argv[0].partition("=")[0]
+        assert run(capsys, *argv) == (
+            1, "", f"usage error: the command comes first: {flag} goes "
+                   "after one of params, encode, decode, simulate, bench\n")
 
     def test_named_command_builds_one_subparser(self, tmp_path, capsys,
                                                 monkeypatch):

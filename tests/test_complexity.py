@@ -1,0 +1,71 @@
+"""Cost gates: the paper's O((n - k) k^3) claim as exact scaling tests.
+
+OpCount figures are deterministic, so the decoder's cost can be held to
+a closed form in the received dimension d rather than to a timing.  Per
+solved pair, ``ext_total / (r - 1)``, the worst of a few seeded inputs
+at distance k - 1 and just beyond the radius must stay within
+
+* d^2 + C2*d for q = 2 (Koetter interpolation, about d^2 ext ops);
+* d^3/3 + C3*d^2 for q = 3 (the dense Welch-Berlekamp solve).
+
+Building a code charges only its diagonalizer S: k^3 (k - 1) base
+multiplications, no extension-field op and no inversion.  A kernel
+change that raises a cost has to raise a bound here, in the open.
+"""
+
+import pytest
+
+from spreadcodes import OpCount, SpreadCode, decode
+from spreadcodes.channel import ChannelSpec, corrupt, random_codeword, trial_rng
+
+SEED = 7
+INPUTS = 4
+
+# Measured worst c, rounded up: 4.984 at (2, 64, 2), d = 63; 0.573 at
+# (3, 6, 2) and (3, 6, 4), d = 5.
+C2 = 5.0
+C3 = 0.6
+
+DECODE_GRID = ([(2, k, 2) for k in (8, 16, 24, 32, 48, 64)] + [(2, 16, 4)]
+               + [(3, k, 2) for k in (6, 9, 12, 15, 18)] + [(3, 6, 4)])
+
+BUILD_GRID = ([(2, k, 2) for k in (8, 16, 24, 32)]
+              + [(3, k, 2) for k in (6, 12, 18)])
+
+
+def cells(k):
+    """(errors, erasures): two splits of distance k - 1, inside the
+    radius, and one of distance k, beyond it."""
+    h = k // 2
+    return [(k - 1 - h, h), (h, k - 1 - h), (k - h, h)]
+
+
+def bound(q, d):
+    return d * d + C2 * d if q == 2 else d ** 3 / 3 + C3 * d * d
+
+
+@pytest.mark.parametrize("qkr", DECODE_GRID, ids=str)
+def test_ext_ops_per_pair_step(qkr):
+    q, k, r = qkr
+    code = SpreadCode(*qkr)
+    for e, eps in cells(k):
+        for i in range(INPUTS):
+            rng = trial_rng(SEED, e, eps, i)
+            cw = random_codeword(code, rng)
+            received = corrupt(cw, ChannelSpec(eps, e), code, rng)
+            with OpCount() as c:
+                result = decode(received, code)
+            if e + eps < k:
+                assert result.ok and result.codeword == cw
+            d = received.dim
+            assert c.ext_total / (r - 1) <= bound(q, d), (
+                f"cell {(e, eps)} input {i}: {c.ext_total} ext ops at d = {d}")
+
+
+@pytest.mark.parametrize("qkr", BUILD_GRID, ids=str)
+def test_build_charges_only_the_diagonalizer(qkr):
+    k = qkr[1]
+    with OpCount() as c:
+        SpreadCode(*qkr)
+    assert (c.ext_mul, c.ext_inv, c.base_inv) == (0, 0, 0)
+    assert c.base_mul <= k ** 3 * (k - 1)

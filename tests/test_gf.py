@@ -133,12 +133,15 @@ PARENT_MODULI = {
 }
 
 # The largest fields the CLI accepts, where trial division took 1.9 to
-# 21 s: (q, k) -> (low coefficients as above, bound on _poly_divmod
-# calls in the search).  Each bound is about twice the count of the gcd
-# test (1419, 598, 5747, 27637 and 489); trial division needs over
-# 2^16 calls at (2, 32) and over 10^6 at (1619, 3).
+# 21 s, and two library-only degrees, (2, 64) and (2, 129): (q, k) ->
+# (low coefficients as above, bound on _poly_divmod calls in the
+# search).  Each bound is about twice the count of the gcd test (1419,
+# 598, 5747, 27637, 489, 822 and 3612); trial division needs over 2^16
+# calls at (2, 32) and over 10^6 at (1619, 3).
 LARGE_FIELDS = {
     (2, 32): ((1, 0, 1, 1, 0, 0, 0, 1), 2800),
+    (2, 64): ((1, 1, 0, 1, 1), 1650),
+    (2, 129): ((1, 0, 0, 0, 0, 1), 7200),
     (3, 20): ((1, 2, 0, 1), 1200),
     (251, 4): ((4, 1), 11500),
     (1619, 3): ((6, 1), 55000),
