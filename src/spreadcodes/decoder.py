@@ -5,11 +5,13 @@ of its RREF basis.  :func:`decode` pins blocks of rank at most (d-1)/2
 to zero; each other block i is found by one pair step against the first
 high-rank block j, which always leads.  The step reads the d rows
 (u | v) of the raw blocks (R_j R_i) as pairs of field elements
-a = phi(u), b = phi(v), where phi reads the digits of a row unchecked
-through ``gf._from_digits``, the package's one digit reader: the rows
-come from a received space that :func:`decode` has matched to the
-code's base field, and every entry was checked when its matrix was
-built.
+a = phi(u), b = phi(v), where phi reads a row as the base-q digits of
+a field element.  Over F_2 a matrix holds each row as an int with
+column j at bit j (:mod:`spreadcodes.linalg`), so block j of a basis
+row is a shift and a mask of it, and that int is phi(u) itself.  The
+rows are read unchecked: they come from a received space that
+:func:`decode` has matched to the code's base field, and every entry
+was checked when its matrix was built.
 The pair codeword [1 : mu] holds the rows (u, u M(mu)), and
 phi(u M(mu)) = mu phi(u), so finding mu decodes a one-dimensional
 Gabidulin code whose evaluation points are the a (Gabidulin 1985; Silva,
@@ -81,7 +83,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf import _from_digits
 from .linalg import Matrix, _eliminate, hstack, minor, rank, rref
 from .linalg import disjoint_pivot_tuples
 from .spread import Codeword, SpreadCode, Subspace, subspace_distance
@@ -284,8 +285,7 @@ def _pair_step(code: SpreadCode, d: int):
     t >= 2), else their Moore rows u S[:, :t+1] for the dense solve, and
     solve(a, b, t, ext) on those of (Rj Ri) gives mu, or the reason."""
     if code.q == 2 and d >= 5:
-        return (lambda R: [_from_digits(u, 2) for u in R.data],
-                _interpolated_point)
+        return (lambda R: R.bits), _interpolated_point
     ext, S = code.ext, code.diagonalizer.columns_slice(0, (d - 1) // 2 + 1)
     return (lambda R: (R.lift(ext) @ S).data), _dense_point
 

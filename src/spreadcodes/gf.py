@@ -13,8 +13,7 @@ digit: a plain int, not a bool, in range.  ``Matrix(field, rows)``,
 both forms of :meth:`ExtField.element` and :func:`check_coefficients`
 apply it to what a caller passes.  Values the package already holds,
 such as the rows of a checked matrix, are read without it, through
-``_from_digits``, the one reader of digits, which for q = 2 takes the
-bits as one binary numeral.
+``_from_digits``, the one reader of digits.
 
 The default modulus of F_{q^k} is the first monic irreducible of degree
 k in a fixed candidate order (:func:`find_irreducible`).  Each candidate
@@ -93,8 +92,6 @@ _TYPECODE = "i" if array("i").itemsize >= 4 else "l"
 # words read as one little-endian int.
 _WORD = (1 << 64) - 1
 _BIG_ENDIAN = sys.byteorder == "big"
-# The bits 0 and 1 as the digits of a binary numeral, for the q = 2 read.
-_BINARY = bytes.maketrans(b"\0\1", b"01")
 
 
 class _Local(threading.local):
@@ -420,10 +417,7 @@ def _to_digits(a: int, q: int, k: int) -> list[int]:
 
 
 def _from_digits(digits, q: int) -> int:
-    """The element with these base-q digits, lowest first, unchecked;
-    for q = 2 the bits, highest first, are read as one binary numeral."""
-    if q == 2:
-        return int(bytes(digits[::-1]).translate(_BINARY), 2) if digits else 0
+    """The element with these base-q digits, lowest first, unchecked."""
     n = 0
     for d in reversed(digits):
         n = n * q + d

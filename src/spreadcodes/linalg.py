@@ -20,10 +20,15 @@ row kernel ``axpy``.  The kernel charges nothing for a product by 0 or
 +-1, so a product with a base-field matrix of 0/+-1 entries, such as a
 lifted F_2 or F_3 matrix, costs no multiplication at all.
 
-Over F_2 itself, :func:`rref` (and so :func:`inverse`), :func:`rank`
-and ``A @ B`` skip both: they run on rows packed into ints, one byte
-per column, where every row update is one XOR and nothing is charged.
-One packed reduction gives :func:`rank`; :func:`rref` runs it again,
+Over F_2 a matrix holds its rows as ints, ``bits``, with column j at
+bit j, so a row is read as a field element of F_{2^k} with no
+conversion, and the slice of block j of a row is a shift and a mask.
+A matrix that a kernel made builds the tuples of ``data`` from those
+ints on first read only; every other field holds ``data`` itself.  :func:`rref` (and so
+:func:`inverse`), :func:`rank`, ``A @ B``, ``+``, ``-``,
+:func:`hstack`, :func:`vstack`, ``columns_slice``, equality and hashing
+run on the ints, where every row update is one XOR and nothing is
+charged.  One reduction gives :func:`rank`; :func:`rref` runs it again,
 backward over that basis.  Only :func:`det` runs the loop over F_2.
 
 Row and column tuples for minors are 1-based and order-sensitive: the
@@ -33,12 +38,14 @@ repeated index makes the minor vanish.  The empty minor is 1.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import reduce
 from operator import xor
 
-from .gf import PrimeField, is_element, parse_uint
+from .gf import PrimeField, _from_digits, is_element, parse_uint
+
+# The characters of a binary numeral as the bits 0 and 1, for the rows
+# of an F_2 matrix read as tuples.
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 
 class Matrix:
@@ -46,9 +53,10 @@ class Matrix:
     have equal length and each entry is an element of the field, a
     plain int in 0..q-1 over F_q or 0..q^k-1 over F_{q^k}: the
     constructor raises a ValueError that names the first entry that is
-    not.  ``Matrix(field, [])`` is 0 x 0."""
+    not.  ``Matrix(field, [])`` is 0 x 0.  Over F_2, ``bits`` holds the
+    rows as ints, column j at bit j, which the kernels read."""
 
-    __slots__ = ("field", "nrows", "ncols", "data")
+    __slots__ = ("field", "nrows", "ncols", "data", "bits")
 
     def __init__(self, field, rows):
         data = tuple(map(tuple, rows))
@@ -61,24 +69,42 @@ class Matrix:
                     raise ValueError(f"entry {a!r} is outside 0..{n - 1}")
         self.field, self.data, self.nrows = field, data, len(data)
         self.ncols = len(data[0]) if data else 0
+        if _is_gf2(field):
+            self.bits = tuple(_from_digits(row, 2) for row in data)
 
     @classmethod
     def _of_rows(cls, field, rows, ncols: int) -> "Matrix":
         """A matrix from rows of ncols field elements each, unchecked:
         the rows of checked matrices or field operations on them.  The
         width is given, so a matrix with no rows keeps it."""
+        if _is_gf2(field):
+            return Matrix._of_bits(field, [_from_digits(row, 2)
+                                           for row in rows], ncols)
         M = cls.__new__(cls)
         M.field, M.data = field, tuple(map(tuple, rows))
         M.nrows, M.ncols = len(M.data), ncols
         return M
 
+    @staticmethod
+    def _of_bits(field, xs, ncols: int) -> "Matrix":
+        """An F_2 matrix from its rows as ints below 2^ncols, column j
+        at bit j, unchecked."""
+        M = _BitMatrix.__new__(_BitMatrix)
+        M.field, M.bits, M._data = field, tuple(xs), None
+        M.nrows, M.ncols = len(M.bits), ncols
+        return M
+
     @classmethod
     def zeros(cls, field, nrows: int, ncols: int) -> "Matrix":
+        if _is_gf2(field):
+            return Matrix._of_bits(field, [0] * nrows, ncols)
         z = field.zero
         return cls._of_rows(field, [[z] * ncols for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, field, n: int) -> "Matrix":
+        if _is_gf2(field):
+            return Matrix._of_bits(field, [1 << i for i in range(n)], n)
         z, o = field.zero, field.one
         return cls._of_rows(field, [[o if i == j else z for j in range(n)]
                                     for i in range(n)], n)
@@ -96,11 +122,16 @@ class Matrix:
         return self.data[i][j]
 
     def __eq__(self, other):
-        return (isinstance(other, Matrix) and other.field == self.field
-                and other.ncols == self.ncols and other.data == self.data)
+        if not (isinstance(other, Matrix) and other.field == self.field
+                and other.ncols == self.ncols):
+            return False
+        if _is_gf2(self.field):
+            return other.bits == self.bits
+        return other.data == self.data
 
     def __hash__(self):
-        return hash((self.field, self.ncols, self.data))
+        return hash((self.field, self.ncols,
+                     self.bits if _is_gf2(self.field) else self.data))
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field!r})"
@@ -109,16 +140,23 @@ class Matrix:
         """Each output row is the sum of the rows of ``other`` scaled by
         the nonzero entries of the matching row of ``self``, through the
         field's row kernel ``axpy``: a coefficient of +-1 costs no
-        multiplication.  Over F_2 the sum is an XOR of packed rows."""
+        multiplication.  Over F_2 the sum is an XOR of the rows of
+        ``other`` at the set bits of the row of ``self``."""
         if self.field != other.field:
             raise ValueError("field mismatch")
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
         f = self.field
         if _is_gf2(f):
-            rows = _pack(other.data)
-            return _unpack(f, [reduce(xor, itertools.compress(rows, arow), 0)
-                               for arow in self.data], other.ncols)
+            rows, out = other.bits, []
+            for x in self.bits:
+                acc = 0
+                while x:
+                    low = x & -x
+                    acc ^= rows[low.bit_length() - 1]
+                    x ^= low
+                out.append(acc)
+            return Matrix._of_bits(f, out, other.ncols)
         zero = [f.zero] * other.ncols
         out = []
         for arow in self.data:
@@ -132,11 +170,16 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
         f = self.field
+        if _is_gf2(f):
+            return Matrix._of_bits(f, map(xor, self.bits, other.bits),
+                                   self.ncols)
         return Matrix._of_rows(f, [[f.add(a, b) for a, b in zip(ra, rb)]
                                    for ra, rb in zip(self.data, other.data)],
                                self.ncols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
+        if _is_gf2(self.field):
+            return self + other
         self._same_shape(other)
         f = self.field
         return Matrix._of_rows(f, [[f.sub(a, b) for a, b in zip(ra, rb)]
@@ -173,10 +216,22 @@ class Matrix:
     def row(self, i: int) -> tuple:
         return self.data[i]
 
+    def _top(self, n: int) -> "Matrix":
+        """The first n rows."""
+        if _is_gf2(self.field):
+            return Matrix._of_bits(self.field, self.bits[:n], self.ncols)
+        return Matrix._of_rows(self.field, self.data[:n], self.ncols)
+
     def columns_slice(self, start: int, stop: int) -> "Matrix":
+        cols = range(self.ncols)[start:stop]
+        if _is_gf2(self.field):
+            mask = (1 << len(cols)) - 1
+            return Matrix._of_bits(self.field, [x >> cols.start & mask
+                                                for x in self.bits],
+                                   len(cols))
         return Matrix._of_rows(self.field,
                                [row[start:stop] for row in self.data],
-                               len(range(self.ncols)[start:stop]))
+                               len(cols))
 
     def is_zero(self) -> bool:
         z = self.field.zero
@@ -196,16 +251,39 @@ class Matrix:
         return Matrix._of_rows(ext, self.data, self.ncols)
 
 
+class _BitMatrix(Matrix):
+    """An F_2 matrix made by a kernel from its rows as ints.  Its
+    ``data`` is built from them on first read, through a property of
+    this class alone, so that attribute reads on other matrices stay
+    plain slot reads."""
+
+    __slots__ = ("_data",)
+
+    @property
+    def data(self):
+        # x | 1 << n is a 1 and then the n bits of x, highest first, so
+        # its binary numeral reversed, up to that 1, is row x as digits.
+        if self._data is None:
+            n = self.ncols
+            self._data = tuple(
+                tuple(bin(x | 1 << n)[:2:-1].encode().translate(_BIT_VALUES))
+                for x in self.bits)
+        return self._data
+
+
 def vstack(*mats: Matrix) -> Matrix:
     if not mats:
         raise ValueError("vstack needs at least one matrix")
     field = mats[0].field
     ncols = mats[0].ncols
+    gf2 = _is_gf2(field)
     rows = []
     for m in mats:
         if m.field != field or m.ncols != ncols:
             raise ValueError("vstack needs matching fields and widths")
-        rows.extend(m.data)
+        rows.extend(m.bits if gf2 else m.data)
+    if gf2:
+        return Matrix._of_bits(field, rows, ncols)
     return Matrix._of_rows(field, rows, ncols)
 
 
@@ -217,6 +295,12 @@ def hstack(*mats: Matrix) -> Matrix:
     for m in mats:
         if m.field != field or m.nrows != nrows:
             raise ValueError("hstack needs matching fields and heights")
+    if _is_gf2(field):
+        rows, width = [0] * nrows, 0
+        for m in mats:
+            rows = [x | y << width for x, y in zip(rows, m.bits)]
+            width += m.ncols
+        return Matrix._of_bits(field, rows, width)
     return Matrix._of_rows(field, [sum(parts, ()) for parts in
                                    zip(*(m.data for m in mats))],
                            sum(m.ncols for m in mats))
@@ -296,22 +380,10 @@ def _is_gf2(f) -> bool:
     return isinstance(f, PrimeField) and f.q == 2
 
 
-def _pack(rows) -> list[int]:
-    """Rows over F_2 as ints, column j in byte j: XOR never carries
-    between bytes, so the bytes stay 0 or 1, and the entry in column j
-    is bit 8j."""
-    return [int.from_bytes(bytes(row), "little") for row in rows]
-
-
-def _unpack(f, xs, ncols: int) -> Matrix:
-    return Matrix._of_rows(f, [x.to_bytes(ncols, "little") for x in xs],
-                           ncols)
-
-
 def _echelon_gf2(xs) -> list:
-    """The one packed reduction over F_2: each row is reduced by the
-    basis rows before it, keyed by their pivot bit (the lowest), and
-    what is left of it, if anything, joins the basis.  No basis row
+    """The one reduction over F_2, on rows as ints: each row is reduced
+    by the basis rows before it, keyed by their pivot bit (the lowest),
+    and what is left of it, if anything, joins the basis.  No basis row
     holds the pivot of an earlier one, so the basis length is the
     rank."""
     basis = []
@@ -328,18 +400,18 @@ def _rref_gf2(M: Matrix) -> RrefResult:
     # The backward pass is the same reduction over the basis reversed:
     # each row is cleared at the pivots of the rows after it, which are
     # cleared already, and keeps its own pivot.  Then sort by pivot.
-    basis = _echelon_gf2(_pack(M.data))
+    basis = _echelon_gf2(M.bits)
     basis = sorted(_echelon_gf2([b for _, b in reversed(basis)]))
     rows = [b for _, b in basis]
-    R = _unpack(M.field, rows + [0] * (M.nrows - len(rows)), M.ncols)
-    return RrefResult(R, len(rows), tuple((low.bit_length() - 1) // 8 + 1
+    R = Matrix._of_bits(M.field, rows + [0] * (M.nrows - len(rows)), M.ncols)
+    return RrefResult(R, len(rows), tuple(low.bit_length()
                                           for low, _ in basis))
 
 
 def rank(M: Matrix) -> int:
     f = M.field
     if _is_gf2(f):
-        return len(_echelon_gf2(_pack(M.data)))
+        return len(_echelon_gf2(M.bits))
     return len(_eliminate(f, [list(row) for row in M.data], M.ncols)[0])
 
 

@@ -36,8 +36,7 @@ class Subspace:
 
     def __init__(self, M: Matrix):
         res = rref(M)
-        self.basis = Matrix._of_rows(M.field, res.matrix.data[:res.rank],
-                                     M.ncols)
+        self.basis = res.matrix._top(res.rank)
 
     @classmethod
     def from_generators(cls, M: Matrix) -> "Subspace":
@@ -215,24 +214,37 @@ class SpreadCode:
 
         Row i is the coefficient vector of a*x^i, so each row is the one
         above times P: shifted one place right, plus its last entry
-        times the last row of P.  That costs O(k^2) base operations."""
-        f = self.base
-        row = list(self.ext.digits(self.ext.element(a)))
-        last = self.P.row(self.k - 1)
+        times the last row of P.  That costs O(k^2) base operations.
+        Over F_2 a row is that element itself, so each step is a shift
+        and, when the top bit is set, an XOR of the modulus."""
+        f, k = self.base, self.k
+        a = self.ext.element(a)
+        if self.q == 2:
+            top, p = 1 << k, self.ext._bits
+            rows = [a]
+            for _ in range(k - 1):
+                a <<= 1
+                if a & top:
+                    a ^= p
+                rows.append(a)
+            return Matrix._of_bits(f, rows, k)
+        row = list(self.ext.digits(a))
+        last = self.P.row(k - 1)
         rows = [row]
-        for _ in range(self.k - 1):
+        for _ in range(k - 1):
             row = f.axpy([f.zero] + row[:-1], row[-1], last)
             rows.append(row)
-        return Matrix._of_rows(f, rows, self.k)
+        return Matrix._of_rows(f, rows, k)
 
     def element_of(self, A: Matrix):
         """The element a with matrix_rep(a) == A, or None when A is not a
         k x k matrix over F_q in F_q[P], the centralizer of P: an O(k^2)
         test of A P == P A with no product.  A Matrix was checked when
-        built, so its first row is read unchecked."""
+        built, so its first row is read unchecked: over F_2 it is the
+        element."""
         if A.field != self.base or A.nrows != self.k or A.ncols != self.k:
             return None
-        a = _from_digits(A.row(0), self.q)
+        a = A.bits[0] if self.q == 2 else _from_digits(A.row(0), self.q)
         return a if A == self.matrix_rep(a) else None
 
     def frobenius_diag(self, mu) -> Matrix:

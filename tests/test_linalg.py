@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spreadcodes.gf import ExtField, OpCount, PrimeField, find_irreducible
-from spreadcodes.linalg import (Matrix, det, disjoint_pivot_tuples,
-                                format_matrix, hstack, inverse, minor,
-                                parse_matrix, rank, rref, vstack)
+from spreadcodes.linalg import (Matrix, _eliminate, det,
+                                disjoint_pivot_tuples, format_matrix, hstack,
+                                inverse, minor, parse_matrix, rank, rref,
+                                vstack)
 from spreadcodes.spread import Subspace
 
 from paper_reference import nondiagonal_rank
@@ -371,6 +372,126 @@ class TestEmptyWidth:
         assert hash(Z3) == hash(Matrix.zeros(field, 0, 3))
         zero3, zero5 = (Subspace(Matrix.zeros(F2, 1, n)) for n in (3, 5))
         assert zero3 != zero5 and len({zero3, zero5}) == 2
+
+
+def tuple_rref(rows, ncols):
+    """RREF over F_2 on tuples, by the generic loop ``_eliminate`` and a
+    back pass through the row kernel ``axpy``: (rows, rank, pivots)."""
+    R = [list(row) for row in rows]
+    pivots, _ = _eliminate(F2, R, ncols)
+    for r in range(len(pivots) - 1, -1, -1):
+        col = pivots[r][0]
+        for row in R[:r]:
+            if row[col]:
+                row[:] = F2.axpy(row, 1, R[r])
+    return (tuple(map(tuple, R)), len(pivots),
+            tuple(col + 1 for col, _ in pivots))
+
+
+def tuple_product(A, B, ncols):
+    out = []
+    for arow in A:
+        acc = [0] * ncols
+        for a, brow in zip(arow, B):
+            if a:
+                acc = F2.axpy(acc, a, brow)
+        out.append(tuple(acc))
+    return tuple(out)
+
+
+class TestBitRows:
+    """An F_2 matrix holds its rows as ints, column j at bit j, and its
+    kernels run on them.  Each kernel agrees with the same operation on
+    tuples, through the generic loop ``_eliminate`` or the row kernel
+    ``axpy``, on the shapes the decoder and the channel build: blocks of
+    d x k, received spaces of d x rk, codewords of k x rk, the channel's
+    draws, and matrices with no rows or no columns."""
+
+    SHAPES = sorted({(m, n) for k, r in ((2, 2), (3, 4), (5, 2), (9, 2))
+                     for m in (0, 1, k - 1, k, k + 1, 2 * k - 1)
+                     for n in (0, k, r * k)}
+                    | {(3, 65), (12, 100), (0, 130)})
+
+    @staticmethod
+    def draw(rnd, m, n):
+        """Rows of about half zeros, with a repeated and a zero row
+        among them when there are at least two."""
+        rows = [tuple(rnd.randrange(2) if rnd.random() < 0.5 else 0
+                      for _ in range(n)) for _ in range(m)]
+        if m >= 2:
+            rows[rnd.randrange(m)] = rows[rnd.randrange(m)]
+            rows[rnd.randrange(m)] = (0,) * n
+        return rows
+
+    @staticmethod
+    def of(rows, n):
+        """Matrix(F2, rows) where that keeps the width, else zeros."""
+        return Matrix(F2, rows) if rows else Matrix.zeros(F2, 0, n)
+
+    def assert_holds(self, M, rows, n):
+        """M, made by a kernel, is the matrix of these tuple rows: same
+        shape, data, equality and hash as one built from the tuples."""
+        rows = tuple(rows)
+        assert (M.nrows, M.ncols, M.data) == (len(rows), n, rows)
+        built = self.of(rows, n)
+        assert M == built and built == M and hash(M) == hash(built)
+        assert M.bits == tuple(sum(a << j for j, a in enumerate(row))
+                               for row in rows)
+
+    @pytest.mark.parametrize("m,n", SHAPES)
+    def test_kernels_match_tuples(self, m, n):
+        rnd = random.Random(m * 1000 + n)
+        for _ in range(3):
+            rows, other = self.draw(rnd, m, n), self.draw(rnd, m, n)
+            M, N = self.of(rows, n), self.of(other, n)
+            with OpCount() as c:
+                res = rref(M)
+                ref = tuple_rref(rows, n)
+                assert (res.rank, res.pivot_cols) == ref[1:]
+                self.assert_holds(res.matrix, ref[0], n)
+                assert rank(M) == ref[1]
+                self.assert_holds(M + N, (tuple(F2.axpy(a, 1, b))
+                                          for a, b in zip(rows, other)), n)
+                self.assert_holds(M - N, (tuple(F2.axpy(a, 1, b))
+                                          for a, b in zip(rows, other)), n)
+                T = tuple(zip(*rows)) if rows else ((),) * n
+                self.assert_holds(M.transpose(), T, m)
+                self.assert_holds(M.transpose() @ N,
+                                  tuple_product(T, other, n), n)
+                B = self.draw(rnd, n, m)
+                self.assert_holds(M @ self.of(B, m),
+                                  tuple_product(rows, B, m), m)
+                self.assert_holds(vstack(M, N, M), rows + other + rows, n)
+                self.assert_holds(hstack(M, N, M),
+                                  (a + b + a for a, b in
+                                   zip(rows, other)), 3 * n)
+                lo, hi = sorted(rnd.randrange(n + 1) for _ in range(2))
+                self.assert_holds(M.columns_slice(lo, hi),
+                                  (row[lo:hi] for row in rows), hi - lo)
+                pick_r = [rnd.randrange(m) for _ in range(m)] if m else []
+                pick_c = [rnd.randrange(n) for _ in range(lo)] if n else []
+                self.assert_holds(M.submatrix(pick_r, pick_c),
+                                  (tuple(rows[i][j] for j in pick_c)
+                                   for i in pick_r), len(pick_c))
+            # Products by 0 and 1 are charged nothing, over F_2 as in
+            # the row kernel.
+            assert c.base_total == 0 and c.ext_total == 0
+
+    def test_det_still_runs_the_loop(self):
+        rnd = random.Random(3)
+        for n in range(1, 6):
+            rows = self.draw(rnd, n, n)
+            R = [list(row) for row in rows]
+            full = len(_eliminate(F2, R, n)[0]) == n
+            assert det(self.of(rows, n)) == int(full)
+
+    def test_identity_and_zeros(self):
+        for n in (0, 1, 9, 70):
+            self.assert_holds(Matrix.identity(F2, n),
+                              (tuple(int(i == j) for j in range(n))
+                               for i in range(n)), n)
+            self.assert_holds(Matrix.zeros(F2, 2, n), [(0,) * n] * 2, n)
+            self.assert_holds(Matrix.zeros(F2, 0, n), [], n)
 
 
 class TestNondiagonalRank:
