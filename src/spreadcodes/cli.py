@@ -30,6 +30,7 @@ import sys
 from .channel import simulate
 from .decoder import ReceivedSpace, decode
 from .gf import parse_uint
+from .linalg import numbered_lines
 from .spread import (MAX_R, SpreadCode, check_code_limits, format_subspace,
                      parse_subspace)
 
@@ -102,7 +103,7 @@ def _write(path: str | None, text: str):
 
 
 def _parse_point(lines: list[str], code: SpreadCode) -> list[tuple]:
-    rows = [(i + 1, ln) for i, ln in enumerate(lines) if ln.strip()]
+    rows = numbered_lines(lines)
     if len(rows) != code.r:
         raise ValueError(f"line {max(len(lines), 1)}: expected {code.r} "
                          f"coordinate lines, found {len(rows)}")

@@ -656,7 +656,8 @@ class ExtField:
             # table per byte of the high half of a product, which has at
             # most k - 1 bits.  Built before the exp/log tables, whose
             # fill calls _mul_raw when x is not primitive.
-            self._fold = self._byte_tables(self._bits ^ (1 << k), k - 1, 1)
+            self._fold = self._byte_tables(
+                self._x_steps(self._bits ^ (1 << k), k - 1))
         else:
             self._red = [(-c) % q for c in modulus[:k]]
         self._exp = self._log = self._zech = self._frob = None
@@ -755,22 +756,30 @@ class ExtField:
                 log[e + 1 if e % q != q - 1 else e - (q - 1)]
                 for d, e in enumerate(exp[:n])))
 
-    def _byte_tables(self, e, nbits: int, step: int):
-        """For q = 2: the F_2-linear map sending bit j of an nbits-bit
-        int to e*x^(step*j) mod p, as one table per byte, table i
-        mapping n to the image of n << 8i; the last table has 2^w entries
-        for its w <= 8 bits.  Each bit doubles the table, appending it
-        XORed with the next image."""
-        k, bits = self.k, self._bits
+    def _x_steps(self, a: int, n: int) -> list:
+        """For q = 2: a, a*x, ..., a*x^(n-1) mod p for n >= 1, each step
+        a shift and, when the top bit is set, an XOR of the modulus.  The
+        byte tables and ``SpreadCode.matrix_rep`` take their rows here."""
+        top, p = 1 << self.k, self._bits
+        out = [a]
+        for _ in range(n - 1):
+            a <<= 1
+            if a & top:
+                a ^= p
+            out.append(a)
+        return out
+
+    @staticmethod
+    def _byte_tables(images) -> list:
+        """For q = 2: the F_2-linear map sending bit j of an int to
+        images[j], as one table per byte, table i mapping n to the image of
+        n << 8i; the last table has 2^w entries for its w <= 8 bits.  Each
+        bit doubles the table, appending it XORed with its image."""
         tables = []
-        for i in range(0, nbits, 8):
+        for i in range(0, len(images), 8):
             table = [0]
-            for _ in range(min(8, nbits - i)):
+            for e in images[i:i + 8]:
                 table += [v ^ e for v in table]
-                for _ in range(step):
-                    e <<= 1
-                    if e >> k:
-                        e ^= bits
             tables.append(table)
         return tables
 
@@ -781,7 +790,7 @@ class ExtField:
         For odd q, _frob[i] = the digits of (x^i)^q."""
         q, k = self.q, self.k
         if self._char2:
-            self._frob = self._byte_tables(1, k, 2)
+            self._frob = self._byte_tables(self._x_steps(1, 2 * k - 1)[::2])
             return
         xq = self._pow_raw(q, q)
         images = [1]

@@ -41,11 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import xor
 
-from .gf import PrimeField, _from_digits, is_element, parse_uint
-
-# The characters of a binary numeral as the bits 0 and 1, for the rows
-# of an F_2 matrix read as tuples.
-_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+from .gf import PrimeField, _from_digits, _to_digits, is_element, parse_uint
 
 
 class Matrix:
@@ -96,15 +92,11 @@ class Matrix:
 
     @classmethod
     def zeros(cls, field, nrows: int, ncols: int) -> "Matrix":
-        if _is_gf2(field):
-            return Matrix._of_bits(field, [0] * nrows, ncols)
         z = field.zero
         return cls._of_rows(field, [[z] * ncols for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, field, n: int) -> "Matrix":
-        if _is_gf2(field):
-            return Matrix._of_bits(field, [1 << i for i in range(n)], n)
         z, o = field.zero, field.one
         return cls._of_rows(field, [[o if i == j else z for j in range(n)]
                                     for i in range(n)], n)
@@ -261,13 +253,9 @@ class _BitMatrix(Matrix):
 
     @property
     def data(self):
-        # x | 1 << n is a 1 and then the n bits of x, highest first, so
-        # its binary numeral reversed, up to that 1, is row x as digits.
         if self._data is None:
             n = self.ncols
-            self._data = tuple(
-                tuple(bin(x | 1 << n)[:2:-1].encode().translate(_BIT_VALUES))
-                for x in self.bits)
+            self._data = tuple(tuple(_to_digits(x, 2, n)) for x in self.bits)
         return self._data
 
 
@@ -506,9 +494,14 @@ def format_matrix(M: Matrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+def numbered_lines(lines) -> list:
+    """The non-blank lines of a text file as (line number, text) pairs,
+    numbered from 1, which every parse error names."""
+    return [(n, ln) for n, ln in enumerate(lines, 1) if ln.strip()]
+
+
 def parse_matrix(field, text: str) -> Matrix:
-    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1)
-             if ln.strip()]
+    lines = numbered_lines(text.splitlines())
     if not lines:
         raise ValueError("line 1: empty matrix text")
     return parse_matrix_lines(field, lines)

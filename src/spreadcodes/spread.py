@@ -22,8 +22,8 @@ from functools import cached_property
 
 from .gf import (ExtField, PrimeField, _from_digits, check_coefficients,
                  find_irreducible, is_prime, parse_uint)
-from .linalg import (Matrix, hstack, inverse, parse_matrix_lines, rank,
-                     rref, vstack)
+from .linalg import (Matrix, hstack, inverse, numbered_lines,
+                     parse_matrix_lines, rank, rref, vstack)
 
 
 class Subspace:
@@ -214,25 +214,17 @@ class SpreadCode:
 
         Row i is the coefficient vector of a*x^i, so each row is the one
         above times P: shifted one place right, plus its last entry
-        times the last row of P.  That costs O(k^2) base operations.
-        Over F_2 a row is that element itself, so each step is a shift
-        and, when the top bit is set, an XOR of the modulus."""
-        f, k = self.base, self.k
-        a = self.ext.element(a)
+        times the digits of x^k mod p, the last row of P.  That costs
+        O(k^2) base operations.  Over F_2 a row is that element itself,
+        stepped by the field's own x-step."""
+        f, k, ext = self.base, self.k, self.ext
+        a = ext.element(a)
         if self.q == 2:
-            top, p = 1 << k, self.ext._bits
-            rows = [a]
-            for _ in range(k - 1):
-                a <<= 1
-                if a & top:
-                    a ^= p
-                rows.append(a)
-            return Matrix._of_bits(f, rows, k)
-        row = list(self.ext.digits(a))
-        last = self.P.row(k - 1)
+            return Matrix._of_bits(f, ext._x_steps(a, k), k)
+        row, red = list(ext.digits(a)), ext._red
         rows = [row]
         for _ in range(k - 1):
-            row = f.axpy([f.zero] + row[:-1], row[-1], last)
+            row = f.axpy([f.zero] + row[:-1], row[-1], red)
             rows.append(row)
         return Matrix._of_rows(f, rows, k)
 
@@ -316,12 +308,12 @@ class SpreadCode:
         if W.dim != self.k or W.ambient != self.n:
             return False
         k, basis = self.k, W.basis
-        # Row 0 of an RREF basis starts at the leftmost pivot.
-        j = next(c for c, a in enumerate(basis.row(0)) if a) // k
-        lead, *rest = (basis.columns_slice(i * k, (i + 1) * k)
-                       for i in range(j, self.r))
+        # In an RREF basis every block left of the leftmost pivot is zero.
+        blocks = (basis.columns_slice(i * k, (i + 1) * k)
+                  for i in range(self.r))
+        lead = next(B for B in blocks if B != self.zero_block)
         return (lead == self.identity_block
-                and all(self.element_of(B) is not None for B in rest))
+                and all(self.element_of(B) is not None for B in blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +367,7 @@ def parse_subspace(text: str, code: SpreadCode | None = None):
     lie beyond those limits.  Blank lines are skipped.  Every malformed
     line, a width other than n, or a basis spanning only the zero space
     raises a ValueError starting "line N:" for the line at fault."""
-    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1)
-             if ln.strip()]
+    lines = numbered_lines(text.splitlines())
     if not lines:
         raise ValueError("line 1: empty subspace file")
     head_no, header = lines[0]

@@ -9,6 +9,9 @@ import pytest
 from spreadcodes import gf
 from spreadcodes.gf import (ExtField, OpCount, PrimeField, find_irreducible,
                             is_prime, poly_is_irreducible)
+from spreadcodes.spread import SpreadCode
+
+from test_field_oracle import DENSE_24
 
 
 def poly_eval(coeffs, x, q):
@@ -532,8 +535,8 @@ class TestPackedProduct:
 
 
 class TestSharedKernels:
-    """The carry-less product, the digit reader and the Frobenius orbit
-    are each written once and serve every caller."""
+    """The carry-less product, the digit reader, the Frobenius orbit and
+    the q = 2 x-step are each written once and serve every caller."""
 
     @pytest.mark.parametrize("k", [17, 24, 33, 64, 129])
     def test_clmul_is_the_unreduced_product(self, k):
@@ -591,6 +594,40 @@ class TestSharedKernels:
                 assert orbit == expected
                 assert repr(got) == repr(want)
             assert ext._orbit(a, k + 1)[k] == a
+
+    # Table fields, packed ones, and a modulus with 23 nonzero terms.
+    @pytest.mark.parametrize("k,modulus", [
+        *((k, None) for k in [*range(2, 10), 16, 17, 24, 33, 64, 129]),
+        pytest.param(24, DENSE_24, id="24-dense")])
+    def test_x_step_serves_rows_and_byte_tables(self, k, modulus):
+        # The x-step, the rows of matrix_rep over F_2, and the fold and
+        # Frobenius byte tables built from it, against shift_and_fold.
+        modulus = modulus or find_irreducible(2, k)
+        ext = ExtField(PrimeField(2), modulus)
+
+        def times(a, b):
+            return shift_and_fold(a, b, k, ext._bits)
+
+        rnd = random.Random(k)
+        values = [0, 1, (1 << k) - 1, 1 << k - 1] + [
+            rnd.getrandbits(k) for _ in range(5)]
+        code = SpreadCode(2, k, 2, modulus[:k])
+        for a in values:
+            for n in 1, 2, k, 2 * k:
+                assert ext._x_steps(a, n) == [times(a, 1 << i)
+                                              for i in range(n)]
+            assert code.matrix_rep(a).bits == tuple(times(a, 1 << i)
+                                                    for i in range(k))
+        # fold_i[n] = n*x^(k+8i) over the k - 1 bits of a product's high
+        # half; frob_i[n] = (n*x^(8i))^2 over the k bits of an element.
+        tables = [(ext._fold, k - 1, lambda n: times(n, 1 << k))]
+        if ext._frob is not None:
+            tables.append((ext._frob, k, lambda n: times(n, n)))
+        for table, nbits, image in tables:
+            assert [len(t) for t in table] == [
+                1 << min(8, nbits - i) for i in range(0, nbits, 8)]
+            for i, t in enumerate(table):
+                assert t == [image(n << 8 * i) for n in range(len(t))]
 
 
 class TestFrobenius:

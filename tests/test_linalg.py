@@ -492,6 +492,24 @@ class TestBitRows:
                                for i in range(n)), n)
             self.assert_holds(Matrix.zeros(F2, 2, n), [(0,) * n] * 2, n)
             self.assert_holds(Matrix.zeros(F2, 0, n), [], n)
+            # The same matrices built from their bit rows.
+            for M, xs in ((Matrix.identity(F2, n), [1 << i for i in range(n)]),
+                          (Matrix.zeros(F2, 2, n), [0, 0]),
+                          (Matrix.zeros(F2, 0, n), [])):
+                B = Matrix._of_bits(F2, xs, n)
+                assert M == B and B == M and hash(M) == hash(B)
+                assert M.bits == B.bits and M.nrows == B.nrows
+
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 129])
+    def test_data_of_bit_rows(self, n):
+        # The tuples a kernel-made matrix builds on first read are those
+        # of the same rows given as tuples.
+        rnd = random.Random(n)
+        top = tuple(int(j == n - 1) for j in range(n))
+        rows = self.draw(rnd, 6, n) + [(1,) * n, top]
+        built = Matrix(F2, rows)
+        M = Matrix._of_bits(F2, built.bits, n)
+        assert M._data is None and M.data == built.data
 
 
 class TestNondiagonalRank:

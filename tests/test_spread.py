@@ -71,8 +71,11 @@ class TestMatrixRep:
         assert code22.matrix_rep(code22.ext.one) == Matrix.identity(
             code22.base, 2)
 
-    def test_generator_maps_to_companion(self, code22):
-        assert code22.matrix_rep(code22.alpha) == code22.P
+    def test_generator_maps_to_companion(self):
+        # Table fields of both characteristics, and packed ones.
+        for q, k in [(2, 2), (3, 3), (5, 2), (2, 17), (3, 11)]:
+            code = SpreadCode(q, k, 2)
+            assert code.matrix_rep(code.alpha) == code.P
 
     @pytest.mark.parametrize("q,k", [(2, 2), (2, 3), (3, 2)])
     def test_ring_isomorphism_sampled(self, q, k):
@@ -327,6 +330,47 @@ class TestMembership:
         assert W == Subspace.from_generators(M)
         assert W == code32.encode((1, 1)).subspace
         assert code32.is_codeword(W)
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_kernel_made_bases_stay_packed(self, r):
+        # On bases that the F_2 kernels made, membership reads bits only,
+        # builds no tuples, and agrees with the list of codewords: for
+        # codewords led by each block, spans of flipped codeword bases,
+        # random spaces of dimension k - 1, k and k + 1, and a codeword
+        # of a longer code.
+        code = SpreadCode(2, 3, r)
+        f, k, n = code.base, code.k, code.n
+        members = {cw.subspace for cw in code.codeword_list()}
+        rnd = random.Random(r)
+
+        def bit_matrix(xs, width=n):
+            return Matrix._of_bits(f, xs, width)
+
+        spaces = []
+        for lead in range(r):
+            for _ in range(4):
+                point = [0] * lead + [1] + [rnd.randrange(code.ext.order)
+                                            for _ in range(r - lead - 1)]
+                B = code.encode(point).subspace.basis
+                G = bit_matrix([rnd.getrandbits(k) for _ in range(k)], k)
+                if rank(G) == k:
+                    spaces.append(Subspace(G @ B))
+                flipped = list(B.bits)
+                flipped[rnd.randrange(k)] ^= 1 << rnd.randrange(n)
+                spaces.append(Subspace(bit_matrix(flipped)))
+        for d in (k - 1, k, k + 1):
+            spaces += [Subspace(bit_matrix([rnd.getrandbits(n)
+                                            for _ in range(d)]))
+                       for _ in range(8)]
+        longer = SpreadCode(2, k, r + 1).encode([1] * (r + 1)).subspace
+        spaces.append(Subspace(bit_matrix(longer.basis.bits, n + k)))
+        answers = []
+        for W in spaces:
+            assert W.basis._data is None
+            answers.append(code.is_codeword(W))
+            assert answers[-1] == (W in members)
+            assert W.basis._data is None
+        assert 0 < sum(answers) < len(answers)
 
     def test_wrong_dimension_rejected(self, code22):
         W = Subspace.from_generators(Matrix(code22.base, [[1, 0, 0, 0]]))
