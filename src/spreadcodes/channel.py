@@ -17,21 +17,21 @@ it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .decoder import ReceivedSpace, decode
 from .gf import OpCount, _from_digits, is_element
-from .linalg import Matrix, vstack
+from .linalg import Matrix, Record, vstack
 from .spread import Codeword, SpreadCode, Subspace, subspace_distance
 
 RETRY_BUDGET = 100
 
 
-@dataclass(frozen=True)
-class ChannelSpec:
+class ChannelSpec(Record):
     """One channel cell: dimensions dropped and dimensions adjoined."""
-    erasures: int
-    errors: int
+
+    __slots__ = ("erasures", "errors")
+
+    def __init__(self, erasures: int, errors: int):
+        self._set(erasures, errors)
 
     @property
     def target_distance(self) -> int:
@@ -96,16 +96,17 @@ def corrupt(cw: Codeword, spec: ChannelSpec, code: SpreadCode,
                        f"within {RETRY_BUDGET} draws")
 
 
-@dataclass(frozen=True)
-class SimRecord:
+class SimRecord(Record):
     """Decoding statistics for one (errors, erasures) cell."""
-    errors: int
-    erasures: int
-    trials: int
-    successes: int
-    failures: int
-    mean_ops: float
-    max_ops: int
+
+    __slots__ = ("errors", "erasures", "trials", "successes", "failures",
+                 "mean_ops", "max_ops")
+
+    def __init__(self, errors: int, erasures: int, trials: int,
+                 successes: int, failures: int, mean_ops: float,
+                 max_ops: int):
+        self._set(errors, erasures, trials, successes, failures, mean_ops,
+                  max_ops)
 
     def line(self) -> str:
         return (f"{self.errors} {self.erasures} {self.trials} "

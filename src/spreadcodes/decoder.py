@@ -81,9 +81,7 @@ counts (see :class:`spreadcodes.gf.OpCount`) tally independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .linalg import Matrix, _eliminate, hstack, minor, rank, rref
+from .linalg import Matrix, Record, _eliminate, hstack, minor, rank, rref
 from .linalg import disjoint_pivot_tuples
 from .spread import Codeword, SpreadCode, Subspace, subspace_distance
 
@@ -93,19 +91,19 @@ REASON_AMBIGUOUS = "multiple candidates passed the rank test"
 REASON_DIMENSION = "received dimension is at least twice the codeword dimension"
 
 
-@dataclass(frozen=True)
-class ReceivedSpace:
+class ReceivedSpace(Record):
     """A received subspace split into r blocks of k columns each."""
-    subspace: Subspace
-    k: int
 
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"block size must be at least 1, got {self.k}")
-        if self.subspace.dim < 1:
+    __slots__ = ("subspace", "k")
+
+    def __init__(self, subspace: Subspace, k: int):
+        if k < 1:
+            raise ValueError(f"block size must be at least 1, got {k}")
+        if subspace.dim < 1:
             raise ValueError("received space must have dimension at least 1")
-        if self.subspace.ambient % self.k:
+        if subspace.ambient % k:
             raise ValueError("ambient dimension is not a multiple of k")
+        self._set(subspace, k)
 
     @property
     def r(self) -> int:
@@ -122,10 +120,13 @@ class ReceivedSpace:
                 for i in range(self.r)]
 
 
-@dataclass(frozen=True)
-class DecodeResult:
-    codeword: Codeword | None
-    reason: str = ""
+class DecodeResult(Record):
+    """A decoded codeword, or None and the reason no codeword was found."""
+
+    __slots__ = ("codeword", "reason")
+
+    def __init__(self, codeword: Codeword | None, reason: str = ""):
+        self._set(codeword, reason)
 
     @property
     def ok(self) -> bool:
@@ -136,18 +137,17 @@ def _fail(reason: str) -> DecodeResult:
     return DecodeResult(None, reason)
 
 
-@dataclass(frozen=True)
-class AffinePencil:
+class AffinePencil(Record):
     """The matrix pencil R(x) = coeff * diag(x, x^q, ...) - offset over
     F_{q^k}; entry (i, j) is coeff[i,j] * x^(q^j) - offset[i,j]."""
-    coeff: Matrix
-    offset: Matrix
 
-    def __post_init__(self):
-        if (self.coeff.field != self.offset.field
-                or self.coeff.nrows != self.offset.nrows
-                or self.coeff.ncols != self.offset.ncols):
+    __slots__ = ("coeff", "offset")
+
+    def __init__(self, coeff: Matrix, offset: Matrix):
+        if (coeff.field != offset.field or coeff.nrows != offset.nrows
+                or coeff.ncols != offset.ncols):
             raise ValueError("pencil parts must match in field and shape")
+        self._set(coeff, offset)
 
     @property
     def field(self):
@@ -171,15 +171,18 @@ class AffinePencil:
         return Matrix._of_rows(ext, rows, self.coeff.ncols)
 
 
-@dataclass(frozen=True)
-class PairSupport:
+class PairSupport(Record):
     """Support data for the general pairwise step: the pencil in RREF
     coordinates plus the tuple selection feeding the candidate roots.
-    All indices are 1-based columns/rows of the pencil."""
-    pencil: AffinePencil
-    rows: tuple[int, ...]      # disjoint row tuple with nonzero minor
-    cols: tuple[int, ...]      # matching column tuple
-    free: tuple[int, ...]      # diagonal indices appended one at a time
+    All indices are 1-based columns/rows of the pencil: ``rows`` is a
+    disjoint row tuple with nonzero minor, ``cols`` the matching column
+    tuple and ``free`` the diagonal indices appended one at a time."""
+
+    __slots__ = ("pencil", "rows", "cols", "free")
+
+    def __init__(self, pencil: AffinePencil, rows: tuple, cols: tuple,
+                 free: tuple):
+        self._set(pencil, rows, cols, free)
 
 
 def candidate_roots(pencil: AffinePencil, rows, cols, free) -> list[tuple]:

@@ -17,9 +17,9 @@ such as the rows of a checked matrix, are read without it, through
 
 The default modulus of F_{q^k} is the first monic irreducible of degree
 k in a fixed candidate order (:func:`find_irreducible`).  Each candidate
-is tested by Ben-Or's gcd test on coefficient lists in at most
-O(k^3 log q) base operations, where trial division needs up to q^(k/2)
-divisions.
+is tested by Ben-Or's gcd test, on bit patterns for q = 2 and on
+coefficient lists for odd q, in at most O(k^3 log q) base operations,
+where trial division needs up to q^(k/2) divisions.
 
 Extension-field multiplication uses one of three kernels, fixed when
 the field is built:
@@ -342,6 +342,33 @@ def _poly_sub(f, g, q: int) -> list[int]:
     return _poly_trim(out)
 
 
+def _gf2_divmod(a: int, b: int) -> tuple:
+    """(a div b, a mod b) for polynomials over F_2 as bit patterns,
+    b nonzero: long division by shift and XOR."""
+    n, quo = b.bit_length(), 0
+    while a.bit_length() >= n:
+        s = a.bit_length() - n
+        quo ^= 1 << s
+        a ^= b << s
+    return quo, a
+
+
+@functools.lru_cache(maxsize=1)
+def _gf2_is_irreducible(p: int) -> bool:
+    """Ben-Or's test of :func:`poly_is_irreducible` for q = 2 on the
+    bit pattern of p: h is squared by ``_clmul`` and reduced, and the
+    gcd is Euclid's, each step one ``_gf2_divmod``."""
+    h = 2
+    for _ in range((p.bit_length() - 1) // 2):
+        h = _gf2_divmod(_clmul(h, h), p)[1]
+        a, b = p, h ^ 2
+        while b:
+            a, b = b, _gf2_divmod(a, b)[1]
+        if a != 1:
+            return False
+    return True
+
+
 @functools.lru_cache(maxsize=1)
 def poly_is_irreducible(p: tuple[int, ...], q: int) -> bool:
     """Ben-Or's test (Ben-Or, *Probabilistic algorithms in finite
@@ -350,14 +377,18 @@ def poly_is_irreducible(p: tuple[int, ...], q: int) -> bool:
     so a monic p of degree k is irreducible iff gcd(x^(q^i) - x, p) = 1
     for i = 1 .. k/2.  Step i raises h = x^(q^(i-1)) mod p to the q-th
     power by left-to-right square-and-multiply, O(log q) products mod
-    p, so a p with a small factor fails within the first steps.  The
-    last answer is kept, so the ExtField built on the modulus that
-    :func:`find_irreducible` has just returned does not test it again,
-    while a later search still runs in full."""
+    p, so a p with a small factor fails within the first steps.  For
+    q = 2 the test runs on ints (:func:`_gf2_is_irreducible`), for odd q
+    on coefficient lists.  The last answer of each form is kept, so the
+    ExtField built on the modulus that :func:`find_irreducible` has just
+    returned does not test it again, while a later search still runs in
+    full."""
     p = tuple(c % q for c in p)
     k = len(p) - 1
     if k < 1 or p[-1] != 1:
         raise ValueError("polynomial must be monic of degree >= 1")
+    if q == 2:
+        return _gf2_is_irreducible(_from_digits(p, 2))
     p = list(p)
     bits = bin(q)[3:]                  # q's bits after the leading 1
     h = [0, 1]
@@ -380,13 +411,17 @@ def find_irreducible(q: int, k: int) -> tuple[int, ...]:
 
     Candidates are ordered by the coefficient tuple read from the
     highest non-leading coefficient down, so e.g. x^3+x+1 precedes
-    x^3+x^2+1 over F_2.  Deterministic; returns the full coefficient
-    tuple (p_0, ..., p_{k-1}, 1).
+    x^3+x^2+1 over F_2; for q = 2 that is the order of the bit patterns
+    as ints.  Deterministic; returns the full coefficient tuple
+    (p_0, ..., p_{k-1}, 1).
     """
     if not is_prime(q):
         raise ValueError(f"field order must be prime, got {q}")
     if k < 2:
         raise ValueError("extension degree must be at least 2")
+    if q == 2:
+        p = next(filter(_gf2_is_irreducible, range(1 << k, 2 << k)))
+        return tuple(_to_digits(p, 2, k + 1))
     for high_first in itertools.product(range(q), repeat=k):
         coeffs = tuple(reversed(high_first)) + (1,)
         if poly_is_irreducible(coeffs, q):
@@ -466,11 +501,7 @@ class _SlottedRows:
         self.stride = -(-(2 * k - 1) // 64)
         self.width = 64 * self.stride
         self.words = -(-k // 64)
-        mu, r = 0, 1 << 2 * k
-        while r >> k:
-            shift = r.bit_length() - 1 - k
-            mu ^= 1 << shift
-            r ^= bits << shift
+        mu = _gf2_divmod(1 << 2 * k, bits)[0]
         self.mu = tuple(i for i in range(k + 1) if mu >> i & 1)
         self.rest = tuple(i for i in range(k) if bits >> i & 1)
         # Squaring spreads bit i of an entry to bit 2i in ceil(log2 k)

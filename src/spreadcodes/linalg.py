@@ -38,7 +38,6 @@ repeated index makes the minor vanish.  The empty minor is 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import xor
 
 from .gf import PrimeField, _from_digits, _to_digits, is_element, parse_uint
@@ -258,6 +257,10 @@ class _BitMatrix(Matrix):
             self._data = tuple(tuple(_to_digits(x, 2, n)) for x in self.bits)
         return self._data
 
+    def __reduce__(self):
+        # Copied and pickled from its bits, as ``data`` cannot be set.
+        return Matrix._of_bits, (self.field, self.bits, self.ncols)
+
 
 def vstack(*mats: Matrix) -> Matrix:
     if not mats:
@@ -294,12 +297,54 @@ def hstack(*mats: Matrix) -> Matrix:
                            sum(m.ncols for m in mats))
 
 
-@dataclass(frozen=True)
-class RrefResult:
-    """Reduced row echelon form of a matrix, with its rank and pivots."""
-    matrix: Matrix
-    rank: int
-    pivot_cols: tuple[int, ...]  # 1-based, ascending
+class Record:
+    """The frozen base of the package's records.  A record's fields are
+    its ``__slots__``, set once by ``__init__`` through ``_set`` and
+    read-only after.  A record equals only a record of its own class
+    with equal fields, hashes over its fields, is written as
+    ``Name(field=value, ...)`` and is copied and pickled by rebuilding
+    it from its fields."""
+
+    __slots__ = ()
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class RrefResult(Record):
+    """Reduced row echelon form of a matrix, with its rank and its pivot
+    columns, 1-based and ascending."""
+
+    __slots__ = ("matrix", "rank", "pivot_cols")
+
+    def __init__(self, matrix: Matrix, rank: int, pivot_cols: tuple):
+        self._set(matrix, rank, pivot_cols)
 
 
 def _clear(f, row: list, g, prow: list, col: int):

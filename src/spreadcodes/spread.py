@@ -17,12 +17,11 @@ where M is the coefficient-wise isomorphism onto F_q[P].
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
 from .gf import (ExtField, PrimeField, _from_digits, check_coefficients,
                  find_irreducible, is_prime, parse_uint)
-from .linalg import (Matrix, hstack, inverse, numbered_lines,
+from .linalg import (Matrix, Record, hstack, inverse, numbered_lines,
                      parse_matrix_lines, rank, rref, vstack)
 
 
@@ -88,14 +87,17 @@ def subspace_distance(U: Subspace, V: Subspace) -> int:
     return 2 * rank(vstack(U.basis, V.basis)) - U.dim - V.dim
 
 
-@dataclass(frozen=True)
-class Codeword:
+class Codeword(Record):
     """A spread codeword: a normalized projective point over F_{q^k}
     together with the subspace it encodes.  Each coordinate of ``point``
     is a field element of ``code.ext``; ``code.ext.to_str`` writes one
-    as the digits of a point file."""
-    point: tuple
-    subspace: Subspace
+    as the digits of a point file.  Equality and hashing read the point
+    only."""
+
+    __slots__ = ("point", "subspace")
+
+    def __init__(self, point: tuple, subspace: Subspace):
+        self._set(point, subspace)
 
     def __eq__(self, other):
         return isinstance(other, Codeword) and other.point == self.point
@@ -120,8 +122,9 @@ def companion_matrix(field: PrimeField, modulus) -> Matrix:
 
 class SpreadCode:
     """A spread code instance with everything fixed per code: the base
-    and extension fields, the companion matrix P, and the matrix of
-    Frobenius-conjugate eigenvectors of P used by the decoder.
+    and extension fields, the companion matrix P (built when first
+    read), and the matrix of Frobenius-conjugate eigenvectors of P used
+    by the decoder.
     ``modulus`` is None for the default, or the k low coefficients
     p_0 ... p_{k-1}, each in 0..q-1, of a monic irreducible.
 
@@ -145,7 +148,6 @@ class SpreadCode:
         self.r = r
         self.n = r * k
         self.modulus = full
-        self.P = companion_matrix(self.base, full)
         # The k x k blocks every decode and membership test reads.
         self.identity_block = Matrix.identity(self.base, k)
         self.zero_block = Matrix.zeros(self.base, k, k)
@@ -164,6 +166,12 @@ class SpreadCode:
         # the int q^i.
         return Matrix._of_rows(ext, [ext._orbit(self.q ** i, k)
                                      for i in range(k)], k)
+
+    @cached_property
+    def P(self) -> Matrix:
+        """The companion matrix of the modulus, built on first use: no
+        decode reads it."""
+        return companion_matrix(self.base, self.modulus)
 
     @cached_property
     def diagonalizer_inv(self) -> Matrix:

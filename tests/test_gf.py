@@ -83,13 +83,13 @@ class TestFindIrreducible:
 
     def test_found_modulus_is_tested_once(self, monkeypatch):
         divisions = []
-        real = gf._poly_divmod
+        real = gf._gf2_divmod
 
         def counting(*args):
             divisions.append(args)
             return real(*args)
 
-        monkeypatch.setattr(gf, "_poly_divmod", counting)
+        monkeypatch.setattr(gf, "_gf2_divmod", counting)
         p = find_irreducible(2, 8)
         assert divisions
         divisions.clear()
@@ -137,10 +137,11 @@ PARENT_MODULI = {
 
 # The largest fields the CLI accepts, where trial division took 1.9 to
 # 21 s, and two library-only degrees, (2, 64) and (2, 129): (q, k) ->
-# (low coefficients as above, bound on _poly_divmod calls in the
-# search).  Each bound is about twice the count of the gcd test (1419,
-# 598, 5747, 27637, 489, 822 and 3612); trial division needs over 2^16
-# calls at (2, 32) and over 10^6 at (1619, 3).
+# (low coefficients as above, bound on the polynomial divisions in the
+# search: _gf2_divmod calls for q = 2, _poly_divmod calls for odd q).
+# Each bound is about twice the count of the gcd test (1419, 598, 5747,
+# 27637, 489, 822 and 3612); trial division needs over 2^16 calls at
+# (2, 32) and over 10^6 at (1619, 3).
 LARGE_FIELDS = {
     (2, 32): ((1, 0, 1, 1, 0, 0, 0, 1), 2800),
     (2, 64): ((1, 1, 0, 1, 1), 1650),
@@ -149,6 +150,28 @@ LARGE_FIELDS = {
     (251, 4): ((4, 1), 11500),
     (1619, 3): ((6, 1), 55000),
     (65521, 2): ((17,), 1000),
+}
+
+
+# find_irreducible(2, k) for k = 17..64 as the list form of the search
+# returned it, low coefficients as above.
+Q2_MODULI = {
+    17: (1, 0, 0, 1), 18: (1, 0, 0, 1), 19: (1, 1, 1, 0, 0, 1),
+    20: (1, 0, 0, 1), 21: (1, 0, 1), 22: (1, 1), 23: (1, 0, 0, 0, 0, 1),
+    24: (1, 1, 0, 1, 1), 25: (1, 0, 0, 1), 26: (1, 1, 0, 1, 1),
+    27: (1, 1, 1, 0, 0, 1), 28: (1, 1), 29: (1, 0, 1), 30: (1, 1),
+    31: (1, 0, 0, 1), 32: (1, 0, 1, 1, 0, 0, 0, 1), 33: (1, 1, 0, 1, 0, 0, 1),
+    34: (1, 1, 0, 1, 1), 35: (1, 0, 1), 36: (1, 0, 1, 0, 1, 1),
+    37: (1, 1, 1, 1, 1, 1), 38: (1, 1, 0, 0, 0, 1, 1), 39: (1, 0, 0, 0, 1),
+    40: (1, 0, 0, 1, 1, 1), 41: (1, 0, 0, 1), 42: (1, 1, 1, 0, 0, 1),
+    43: (1, 0, 0, 1, 1, 0, 1), 44: (1, 0, 0, 0, 0, 1), 45: (1, 1, 0, 1, 1),
+    46: (1, 1), 47: (1, 0, 0, 0, 0, 1), 48: (1, 0, 1, 1, 0, 1),
+    49: (1, 0, 0, 0, 1, 1, 1), 50: (1, 0, 1, 1, 1), 51: (1, 1, 0, 1, 0, 0, 1),
+    52: (1, 0, 0, 1), 53: (1, 1, 1, 0, 0, 0, 1), 54: (1, 0, 1, 1, 1, 1, 1),
+    55: (1, 1, 1, 0, 0, 0, 1), 56: (1, 0, 1, 0, 1, 0, 0, 1),
+    57: (1, 0, 0, 0, 1), 58: (1, 1, 0, 0, 0, 1, 1), 59: (1, 1, 0, 1, 1, 1, 1),
+    60: (1, 1), 61: (1, 1, 1, 0, 0, 1), 62: (1, 0, 0, 1, 0, 1, 1), 63: (1, 1),
+    64: (1, 1, 0, 1, 1),
 }
 
 
@@ -195,16 +218,31 @@ class TestIrreducibilityTest:
     def test_largest_fields_take_polynomial_work(self, q, k, monkeypatch):
         low, bound = LARGE_FIELDS[q, k]
         calls = 0
-        real = gf._poly_divmod
+        # The q = 2 search divides bit patterns, odd q coefficient lists.
+        name = "_gf2_divmod" if q == 2 else "_poly_divmod"
+        real = getattr(gf, name)
 
         def counting(*args):
             nonlocal calls
             calls += 1
             return real(*args)
 
-        monkeypatch.setattr(gf, "_poly_divmod", counting)
+        monkeypatch.setattr(gf, name, counting)
         assert find_irreducible(q, k) == full_modulus(k, low)
         assert calls <= bound
+
+    def test_binary_search_keeps_the_list_form_moduli(self):
+        found = {k: find_irreducible(2, k) for k in Q2_MODULI}
+        assert found == {k: full_modulus(k, low)
+                         for k, low in Q2_MODULI.items()}
+
+    def test_binary_division(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            a, b = rng.getrandbits(80), rng.getrandbits(rng.randrange(1, 40))
+            quo, rem = gf._gf2_divmod(a, b | 1)
+            assert rem.bit_length() < (b | 1).bit_length()
+            assert gf._clmul(quo, b | 1) ^ rem == a
 
 
 class TestPrimeField:
