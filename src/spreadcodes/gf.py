@@ -45,23 +45,23 @@ For q = 2, addition and subtraction are XOR in every case.
 
 Both field classes have a row kernel, ``axpy(xs, g, ys)`` = xs + g*ys
 entry by entry, which is the inner loop of elimination and of matrix
-products in :mod:`spreadcodes.linalg`.  It runs one branch per kernel
-above: for q = 2 tables an exp/log lookup and an XOR per entry, for
-odd-q tables one Zech addition per entry, for packed odd q one raw
-product per nonzero entry.  The packed q = 2 branch works on the whole
-row at once.  The row becomes one int with each entry in its own slot
-of 64*ceil((2k - 1)/64) bits, wide enough for an unreduced product;
-g*y is then one ``_clmul`` of that int by g, the product a single
-element takes, and one Barrett reduction, two products by constants of
-the field, brings every slot below x^k.  So each step is a few big-int
-operations per row, not a table walk per entry.
+products in :mod:`spreadcodes.linalg`.  It runs one branch per kind of
+field: for q = 2 tables an exp/log lookup and an XOR per entry, for
+odd-q tables one Zech addition per entry, and for packed fields of
+either characteristic one raw product per nonzero entry, none when g
+is +-1, then the field's own ``add`` or ``sub``.
 
 A row that stays in a kernel across many steps, as the values of the
 decoder's interpolation do, is held as a row handle of ``ExtField.rows``
-(see :class:`_ListRows`).  On a packed q = 2 field the handle is the
-slotted int itself, so reading its first entry is a mask and a shift;
-on every other field it is a list, as slots lose to one table lookup
-per entry.
+(see :class:`_ListRows`).  On a packed q = 2 field the handle is one int
+with each entry in its own slot of 64*ceil((2k - 1)/64) bits, wide
+enough for an unreduced product.  g*y is then one ``_clmul`` of that
+int by g, the product a single element takes, and one Barrett
+reduction, two products by constants of the field, brings every slot
+below x^k: a few big-int operations per row, not a table walk per
+entry, and reading the first entry is a mask and a shift.  On every
+other field the handle is a list, as slots lose to one table lookup per
+entry.
 
 Multiplications and inversions are tallied on the innermost active
 :class:`OpCount` of the current thread, separately per field layer, so
@@ -88,8 +88,8 @@ from array import array
 TABLE_LIMIT = 1 << 16
 # Array type code for table entries: signed, at least 32 bits.
 _TYPECODE = "i" if array("i").itemsize >= 4 else "l"
-# The slotted rows of the packed q = 2 row kernels are arrays of 64-bit
-# words read as one little-endian int.
+# The slotted row handles of packed q = 2 fields are loaded from arrays
+# of 64-bit words read as one little-endian int.
 _WORD = (1 << 64) - 1
 _BIG_ENDIAN = sys.byteorder == "big"
 
@@ -477,14 +477,13 @@ def _clmul(a: int, b: int) -> int:
 
 
 class _SlottedRows:
-    """A row of F_{2^k} elements held as one int for the packed q = 2
-    row kernels: entry i in slot i, bits w*i .. w*i + w - 1, with
-    w = 64*ceil((2k - 1)/64) bits, room for a product before it is
-    reduced.  Rows go in and out through an ``array('Q')``, a slot
-    being w/64 words and an entry ceil(k/64) of them.
-
-    Such an int is also a row handle (see :class:`_ListRows`), which
-    ``square_plus`` squares by spreading the bits of every slot.
+    """A row of F_{2^k} elements held as one int, the row handle (see
+    :class:`_ListRows`) of a packed q = 2 field: entry i in slot i, bits
+    w*i .. w*i + w - 1, with w = 64*ceil((2k - 1)/64) bits, room for a
+    product before it is reduced.  A row goes in through an
+    ``array('Q')``, a slot being w/64 words and an entry ceil(k/64) of
+    them, and comes out one entry at a time through ``pop``;
+    ``square_plus`` squares it by spreading the bits of every slot.
 
     A slot r = h*x^k + l of degree at most 2k - 2 is reduced mod p by
     Barrett's method (Barrett, CRYPTO 1986), exact for polynomials:
@@ -552,17 +551,6 @@ class _SlottedRows:
         if _BIG_ENDIAN:
             a.byteswap()
         return int.from_bytes(a, "little")
-
-    def store(self, r: int, n: int) -> list:
-        """The n entries of r, each below 2^k."""
-        stride = self.stride
-        a = array("Q", r.to_bytes(8 * stride * n, "little"))
-        if _BIG_ENDIAN:
-            a.byteswap()
-        out = a[::stride].tolist()
-        for j in range(1, self.words):
-            out = [v | u << 64 * j for v, u in zip(out, a[j::stride])]
-        return out
 
     def square(self, y: int) -> int:
         """y^2 in each slot, not reduced."""
@@ -964,23 +952,18 @@ class ExtField:
         if g != 1 and g != q - 1 and _open_counters:
             _charge("ext_mul", len(ys) - ys.count(0))
         log = self._log
+        if log is None:
+            op = self.add
+            if g == q - 1:
+                op = self.sub
+            elif g != 1:
+                ys = [self._mul_raw(g, y) if y else 0 for y in ys]
+            return [op(x, y) if y else x for x, y in zip(xs, ys)]
         if self._char2:
             if g == 1:
                 return [x ^ y for x, y in zip(xs, ys)]
-            if log is None:
-                rows = self.rows
-                return rows.store(rows.mul_add(rows.load(xs), rows.load(ys),
-                                               g), len(ys))
             exp, lg = self._exp, log[g]
             return [x ^ exp[lg + log[y]] if y else x for x, y in zip(xs, ys)]
-        if log is None:
-            sign = 1
-            if g == q - 1:
-                sign = -1
-            elif g != 1:
-                ys = [self._mul_raw(g, y) if y else 0 for y in ys]
-            return [self._digitwise(x, y, sign) if y else x
-                    for x, y in zip(xs, ys)]
         # One Zech addition per entry: x + g*y = g^lx * (1 + g^(ly - lx)),
         # where a negative index wraps around the period n of the tables.
         exp, zech, n, lg = self._exp, self._zech, self.order - 1, log[g]

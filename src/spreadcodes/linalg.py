@@ -14,9 +14,10 @@ between threads.
 
 One elimination loop, :func:`_eliminate`, serves :func:`rref`,
 :func:`det`, :func:`inverse` and :func:`rank`.  Its row updates, the
-back pass of :func:`rref` and every product ``A @ B`` (each output row
-a sum of rows of B scaled by the entries of A) run through the field's
-row kernel ``axpy``.  The kernel charges nothing for a product by 0 or
+back pass of :func:`rref`, every product ``A @ B`` (each output row a
+sum of rows of B scaled by the entries of A), and ``A + B``, ``A - B``
+and ``-A`` (one update by +-1 per row) run through the field's row
+kernel ``axpy``.  The kernel charges nothing for a product by 0 or
 +-1, so a product with a base-field matrix of 0/+-1 entries, such as a
 lifted F_2 or F_3 matrix, costs no multiplication at all.
 
@@ -158,35 +159,28 @@ class Matrix:
             out.append(acc)
         return Matrix._of_rows(f, out, other.ncols)
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
+    def _axpy(self, g, other: "Matrix") -> "Matrix":
+        """self + g*other for g = +-1, one row kernel call per row, and
+        over F_2 one XOR per row of bits."""
         f = self.field
-        if _is_gf2(f):
-            return Matrix._of_bits(f, map(xor, self.bits, other.bits),
-                                   self.ncols)
-        return Matrix._of_rows(f, [[f.add(a, b) for a, b in zip(ra, rb)]
-                                   for ra, rb in zip(self.data, other.data)],
-                               self.ncols)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if _is_gf2(self.field):
-            return self + other
-        self._same_shape(other)
-        f = self.field
-        return Matrix._of_rows(f, [[f.sub(a, b) for a, b in zip(ra, rb)]
-                                   for ra, rb in zip(self.data, other.data)],
-                               self.ncols)
-
-    def __neg__(self) -> "Matrix":
-        f = self.field
-        return Matrix._of_rows(f, [[f.neg(a) for a in row]
-                                   for row in self.data], self.ncols)
-
-    def _same_shape(self, other):
-        if self.field != other.field:
+        if f != other.field:
             raise ValueError("field mismatch")
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
+        if _is_gf2(f):
+            return Matrix._of_bits(f, map(xor, self.bits, other.bits),
+                                   self.ncols)
+        return Matrix._of_rows(f, [f.axpy(ra, g, rb) for ra, rb
+                                   in zip(self.data, other.data)], self.ncols)
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._axpy(1, other)
+
+    def __sub__(self, other: "Matrix") -> "Matrix":
+        return self._axpy(self.field.q - 1, other)
+
+    def __neg__(self) -> "Matrix":
+        return Matrix.zeros(self.field, self.nrows, self.ncols) - self
 
     def scale(self, value) -> "Matrix":
         f = self.field

@@ -556,6 +556,22 @@ class TestMultiBlock:
         assert found > 0
 
 
+class TestLargeCharacteristic:
+    @pytest.mark.parametrize("q,k", [(65521, 2), (1619, 3)])
+    def test_one_error_decodes_near_the_field_limit(self, q, k):
+        # q^k close to the CLI's limit of 2^32 with q far above the
+        # tables' reach: the packed odd-q kernel, which must hold no
+        # table sized by q, decodes one error back to the codeword.
+        code = SpreadCode(q, k, 2)
+        assert code.ext._log is None
+        spec = ChannelSpec(erasures=0, errors=1)
+        for i in range(5):
+            rng = trial_rng(q, k, i)
+            cw = random_codeword(code, rng)
+            result = decode(corrupt(cw, spec, code, rng), code)
+            assert result.ok and result.codeword == cw
+
+
 class TestWorkDoneOnce:
     """The pair path reuses what its caller holds: one rank per input
     block, the raw blocks of the received RREF with no re-canonicalized

@@ -21,7 +21,10 @@ F3 = PrimeField(3)
 F5 = PrimeField(5)
 F9 = ExtField(F3, find_irreducible(3, 2))  # exp/log table kernel
 F8 = ExtField(F2, find_irreducible(2, 3))  # the field of SpreadCode(2, 3, 2)
-KERNEL_FIELDS = [F2, F3, F5, F9]
+# Packed kernels: q^k is above TABLE_LIMIT.
+F2_17 = ExtField(F2, find_irreducible(2, 17))
+F3_11 = ExtField(F3, find_irreducible(3, 11))
+KERNEL_FIELDS = [F2, F3, F5, F9, F2_17, F3_11]
 
 
 def sparse_matrix(rnd, field, nrows, ncols):
@@ -174,6 +177,27 @@ class TestKernel:
             for i, j, t in itertools.product(range(n), range(p), range(m)):
                 want[i][j] = field.add(want[i][j], field.mul(A[i, t], B[t, j]))
             assert (A @ B).data == tuple(map(tuple, want))
+
+    @pytest.mark.parametrize("field", KERNEL_FIELDS)
+    def test_sums_and_negation_match_entries(self, field):
+        # A + B, A - B and -A take one row kernel call per row with
+        # g = +-1, so they agree with add, sub and neg entry by entry and
+        # charge nothing, on matrices with no rows or no columns too.
+        rnd = random.Random(43 * field.q + getattr(field, "k", 1))
+        shapes = [(0, 0), (0, 3), (3, 0)] + [
+            (rnd.randrange(1, 5), rnd.randrange(1, 6)) for _ in range(30)]
+        for n, m in shapes:
+            A, B = (sparse_matrix(rnd, field, n, m) if n
+                    else Matrix.zeros(field, 0, m) for _ in range(2))
+            with OpCount() as c:
+                got = A + B, A - B, -A
+            assert (c.base_mul, c.base_inv, c.ext_mul, c.ext_inv) == (0,) * 4
+            ops = field.add, field.sub, lambda a, b: field.neg(a)
+            for M, op in zip(got, ops):
+                assert (M.nrows, M.ncols) == (n, m)
+                assert M.data == tuple(
+                    tuple(op(a, b) for a, b in zip(ra, rb))
+                    for ra, rb in zip(A.data, B.data))
 
 
 class TestMinor:
