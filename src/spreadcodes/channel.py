@@ -3,14 +3,24 @@
 The transmission model keeps a random (k - erasures)-dimensional
 subspace H of the sent codeword and adjoins an independent random
 subspace of ``errors`` extra dimensions, so the received space sits at
-subspace distance errors + erasures from the codeword.  The distance is
-enforced by verify-and-retry: a fresh sample is drawn until the target
-distance holds exactly (budget 100 draws per sample).
+subspace distance errors + erasures from the codeword.  A draw of H
+(keep x k, with keep = k - erasures) and E (errors x n) is tested
+before the received space is built, and redrawn until it passes
+(budget 100 draws per sample).  With B the codeword's basis and
+R = span(HB, E), R has dimension keep + errors and distance
+errors + erasures from the codeword exactly when rank(H) = keep and
+rank([B; E]) = k + errors: HB lies in the codeword, so
+R + C = span(B, E), and dim(R ∩ C) = dim R + k - dim(R + C).  A
+rejected draw costs one small rank; only the accepted one is
+multiplied out and reduced, and with no errors and no erasures the
+received space is the codeword's own.
 
 Randomness is numpy based and splittable.  Trial t of cell (e, eps)
 under master seed s draws from ``SeedSequence(s, spawn_key=(e, eps, t))``,
 so any single trial can be reproduced in isolation and trials may run
-in any order or in parallel without changing the statistics.  numpy is
+in any order or in parallel without changing the statistics.  Each
+draw is one ``integers`` call, which takes values from the stream one
+at a time, so it equals a call per matrix or per coordinate.  numpy is
 imported on the first draw, so a process that only decodes never loads
 it.
 """
@@ -19,8 +29,8 @@ from __future__ import annotations
 
 from .decoder import ReceivedSpace, decode
 from .gf import OpCount, _from_digits, is_element
-from .linalg import Matrix, Record, vstack
-from .spread import Codeword, SpreadCode, Subspace, subspace_distance
+from .linalg import Matrix, Record, rank, vstack
+from .spread import Codeword, SpreadCode, Subspace
 
 RETRY_BUDGET = 100
 
@@ -47,17 +57,38 @@ def trial_rng(seed: int, *key: int):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-def _random_matrix(rng, field, nrows: int, ncols: int) -> Matrix:
-    vals = rng.integers(0, field.q, size=(nrows, ncols))
-    return Matrix._of_rows(field, vals.tolist(), ncols)
+def _draw(rng, field, *shapes) -> list:
+    """A uniform matrix over the prime field for each (nrows, ncols)
+    shape in turn, from one numpy call.  Over F_2 each bit row is sliced
+    off the packed draw by a shift and a mask."""
+    q = field.q
+    vals = rng.integers(0, q, size=sum(a * b for a, b in shapes))
+    if q == 2:
+        import numpy as np
+        x = int.from_bytes(np.packbits(vals, bitorder="little").tobytes(),
+                           "little")
+    else:
+        flat = vals.tolist()
+    out, i = [], 0
+    for nrows, ncols in shapes:
+        starts = range(i, i + nrows * ncols, ncols)
+        if q == 2:
+            mask = (1 << ncols) - 1
+            out.append(Matrix._of_bits(field, [x >> j & mask for j in starts],
+                                       ncols))
+        else:
+            out.append(Matrix._of_rows(field, [flat[j:j + ncols]
+                                               for j in starts], ncols))
+        i += nrows * ncols
+    return out
 
 
 def random_codeword(code: SpreadCode, rng) -> Codeword:
     """Uniformly random codeword, via a uniform nonzero projective point."""
     q = code.q
     while True:
-        coords = [_from_digits(rng.integers(0, q, size=code.k).tolist(), q)
-                  for _ in range(code.r)]
+        M, = _draw(rng, code.base, (code.r, code.k))
+        coords = M.bits if q == 2 else [_from_digits(row, q) for row in M.data]
         if any(coords):
             return code.encode(coords)
 
@@ -75,23 +106,28 @@ def _check_cell(code: SpreadCode, errors, erasures):
         raise ValueError("the received space would be empty")
 
 
+def _accepts(B: Matrix, H: Matrix, E: Matrix) -> bool:
+    """Whether R = span(HB, E) has dimension rows(H) + rows(E) and lies
+    at distance rows(E) + rows(B) - rows(H) from span(B), for B of full
+    row rank: exactly when H and [B; E] have full row rank."""
+    return (rank(H) == H.nrows
+            and (not E.nrows or rank(vstack(B, E)) == B.nrows + E.nrows))
+
+
 def corrupt(cw: Codeword, spec: ChannelSpec, code: SpreadCode,
             rng) -> ReceivedSpace:
     """Received space at distance exactly errors + erasures from cw."""
     eps, e = spec.erasures, spec.errors
     _check_cell(code, e, eps)
-    keep = code.k - eps
+    k, n, keep = code.k, code.n, code.k - eps
+    B = cw.subspace.basis
     for _ in range(RETRY_BUDGET):
-        parts = []
-        if keep:
-            H = _random_matrix(rng, code.base, keep, code.k)
-            parts.append(H @ cw.subspace.basis)
-        if e:
-            parts.append(_random_matrix(rng, code.base, e, code.n))
-        R = Subspace.from_generators(vstack(*parts))
-        if (R.dim == keep + e
-                and subspace_distance(R, cw.subspace) == spec.target_distance):
-            return ReceivedSpace(R, code.k)
+        H, E = _draw(rng, code.base, (keep, k), (e, n))
+        if _accepts(B, H, E):
+            if not e and keep == k:
+                return ReceivedSpace(cw.subspace, k)
+            R = Subspace.from_generators(vstack(H @ B, E))
+            return ReceivedSpace(R, k)
     raise RuntimeError("channel sampling failed to hit the target distance "
                        f"within {RETRY_BUDGET} draws")
 

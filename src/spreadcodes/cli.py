@@ -90,8 +90,17 @@ def _make_code(args) -> SpreadCode:
 
 
 def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The file as UTF-8 text, which the parsers split into lines; a
+    byte that is not UTF-8 is an input error naming its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start].decode("utf-8")
+        raise ValueError(f"line {len((head + '.').splitlines())}: byte "
+                         f"0x{data[exc.start]:02x} is not UTF-8 text "
+                         f"({exc.reason})") from exc
 
 
 def _write(path: str | None, text: str):

@@ -1,9 +1,14 @@
+import hashlib
+
 import pytest
 
-from spreadcodes.channel import (ChannelSpec, SimRecord, corrupt,
-                                 random_codeword, simulate, trial_rng)
+from spreadcodes.channel import (ChannelSpec, SimRecord, _accepts, _draw,
+                                 corrupt, random_codeword, simulate,
+                                 trial_rng)
 from spreadcodes.decoder import decode
-from spreadcodes.spread import SpreadCode, subspace_distance
+from spreadcodes.gf import PrimeField
+from spreadcodes.linalg import Matrix, vstack
+from spreadcodes.spread import SpreadCode, Subspace, subspace_distance
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +68,89 @@ class TestCorrupt:
             cw = random_codeword(code, rng)
             outs.append(corrupt(cw, ChannelSpec(1, 1), code, rng))
         assert outs[0].subspace == outs[1].subspace
+
+
+def _state(rng):
+    s = rng.bit_generator.state
+    return (s["state"]["state"], s["state"]["inc"], s["has_uint32"],
+            s["uinteger"])
+
+
+# Cells inside and beyond the radius, and with no kept dimension.
+PIN_CELLS = {
+    (2, 9, 2): [(0, 0), (4, 4), (3, 4), (5, 5), (0, 8), (9, 0), (9, 9)],
+    (3, 5, 4): [(0, 0), (1, 2), (3, 3), (0, 4), (15, 0), (15, 5)],
+    (2, 24, 2): [(0, 0), (11, 12), (24, 0), (24, 24)],
+    (5, 2, 3): [(0, 0), (0, 1), (1, 1), (1, 2), (4, 0), (4, 2)],
+    (7, 3, 2): [(0, 0), (1, 1), (0, 2), (2, 0), (3, 1), (3, 3)],
+}
+
+# sha256 over PIN_CELLS of each sent point, received basis and generator
+# state after each call, for trials 0..2 under master seed 11, as the
+# channel drew them with one numpy call per matrix and per coordinate.
+PIN_DIGEST = ("fbde0d0eea40faf2303103ce7323b779"
+              "b4fa3a481ee6ee90bd3e885918d86ac5")
+
+
+class TestStream:
+    def test_draws_and_states_are_pinned(self):
+        h = hashlib.sha256()
+        for qkr, cells in PIN_CELLS.items():
+            code = SpreadCode(*qkr)
+            for e, eps in cells:
+                for t in range(3):
+                    rng = trial_rng(11, e, eps, t)
+                    cw = random_codeword(code, rng)
+                    h.update(repr((qkr, e, eps, t, cw.point,
+                                   _state(rng))).encode())
+                    received = corrupt(cw, ChannelSpec(eps, e), code, rng)
+                    h.update(repr((received.subspace.basis.data,
+                                   _state(rng))).encode())
+        assert h.hexdigest() == PIN_DIGEST
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 65521])
+    def test_one_draw_equals_one_call_per_shape(self, q):
+        # The matrices of one call per shape, and the generator left
+        # where those calls leave it.
+        field = PrimeField(q)
+        shapes = ((3, 5), (0, 4), (2, 11))
+        for seed in range(4):
+            rng, ref = trial_rng(seed), trial_rng(seed)
+            got = _draw(rng, field, *shapes)
+            for (nrows, ncols), M in zip(shapes, got):
+                want = ref.integers(0, q, size=(nrows, ncols)).tolist()
+                assert (M.nrows, M.ncols) == (nrows, ncols)
+                assert [list(row) for row in M.data] == want
+            assert _state(rng) == _state(ref)
+
+
+class TestRankTest:
+    @pytest.mark.parametrize("qkr", [(2, 3, 3), (3, 3, 2), (5, 2, 3)])
+    def test_accepts_exactly_when_the_space_hits_the_target(self, qkr):
+        # Every cell, raw draws rejected ones included: the rank test
+        # agrees with building R and measuring it.
+        code = SpreadCode(*qkr)
+        k, n = code.k, code.n
+        seen = set()
+        for e in range(n - k + 1):
+            for eps in range(k + 1):
+                keep = k - eps
+                if keep + e < 1:
+                    continue
+                for t in range(12):
+                    rng = trial_rng(5, e, eps, t)
+                    cw = random_codeword(code, rng)
+                    B = cw.subspace.basis
+                    H = Matrix._of_rows(code.base, rng.integers(
+                        0, code.q, size=(keep, k)).tolist(), k)
+                    E = Matrix._of_rows(code.base, rng.integers(
+                        0, code.q, size=(e, n)).tolist(), n)
+                    R = Subspace.from_generators(vstack(H @ B, E))
+                    hit = (R.dim == keep + e and subspace_distance(
+                        R, cw.subspace) == e + eps)
+                    assert _accepts(B, H, E) == hit, (e, eps, t)
+                    seen.add(hit)
+        assert seen == {True, False}
 
 
 class TestSimulate:

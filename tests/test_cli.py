@@ -149,6 +149,28 @@ class TestEncodeDecode:
                            "--r", "2", "--in", str(point))
         assert code == 1 and "line 2" in err
 
+    @pytest.mark.parametrize("data,line", [
+        (b"2 2 2 1 1\n2 4\n1 0 \xff 0\n0 1 0 0\n", 3),
+        (b"2 2 2 1 1\r\n2 4\r\n1 0 0 0\r\n0 1 \xc3( 0\r\n", 4),
+        (b"\xff", 1)])
+    def test_non_utf8_subspace_file_is_line_numbered(self, tmp_path, capsys,
+                                                     data, line):
+        space = tmp_path / "bad.txt"
+        space.write_bytes(data)
+        code, _, err = run(capsys, "decode", "--q", "2", "--k", "2",
+                           "--r", "2", "--in", str(space))
+        assert code == 1 and f"line {line}: " in err and "UTF-8" in err
+
+    @pytest.mark.parametrize("data,line", [(b"1 0\n0 \xff\n", 2),
+                                           (b"\n\n1 \xe2\x82\n", 3)])
+    def test_non_utf8_point_file_is_line_numbered(self, tmp_path, capsys,
+                                                  data, line):
+        point = tmp_path / "point.txt"
+        point.write_bytes(data)
+        code, _, err = run(capsys, "encode", "--q", "2", "--k", "2",
+                           "--r", "2", "--in", str(point))
+        assert code == 1 and f"line {line}: " in err and "UTF-8" in err
+
     def test_malformed_header_is_line_numbered(self, tmp_path, capsys):
         space = tmp_path / "bad.txt"
         space.write_text("\n2 2 x 1 1\n1 4\n1 0 0 0\n")
