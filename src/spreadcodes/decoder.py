@@ -38,10 +38,13 @@ ext ops: :func:`_interpolated_point`.  Within the radius that Q is
 c L(y - mu x) for the subspace polynomial L of the error values, so
 mu = -N_0 / V_0.  It builds no Moore matrix: in characteristic 2 the
 update s^q - D^(q-1) s of a value v is v (v + D), one counted product.
-N_0 and V_0 are scalars, and the values ahead are one row handle of the
-field (``ExtField.rows``: a slotted int on a packed F_{2^k}, a list on
-a table field), loaded once, from which each point is popped in turn;
-``square_plus`` updates them all as v^2 + D v in one call.  For odd q
+Each live polynomial is one row handle of the field (``ExtField.rows``:
+a slotted int on a packed F_{2^k}, a list on a table field), loaded
+once with its values ahead and then N_0 and V_0, from which each point
+is popped in turn.  The coefficients ride in the products each step
+already makes: a clear is one ``axpy`` on the handle, and
+``square_plus`` takes each value v ahead to v^2 + D v and scales the
+two coefficients by D, in one call.  For odd q
 that update needs two or more products per value while the Moore
 columns of the dense solve cost nothing, and for t <= 1 the dense
 system is at most 4 x 4; in both cases the dense solve stays, and it
@@ -298,48 +301,46 @@ def _interpolated_point(a: list, b: list, t: int, ext):
     the points (a, b), one per row of (Rj Ri), at t = (d-1)/2: mu of
     the pair codeword [1 : mu], or the failure reason.
 
-    Each live polynomial is [N_0, V_0, h, its q-degree], starting as x
-    and y: N_0 and V_0 are its x- and y-coefficients of q-degree 0,
-    two scalars, and h is the row handle (``ExtField.rows``) of its
-    values at the points ahead, the next point first, so each point is
-    popped off the front.  At each point the live polynomial s of least
-    (degree, index) among those with a nonzero value D there clears the
-    other's value, o - (v/D) s: one ``axpy`` on the handle, and one
-    product per nonzero coefficient unless v/D is 1, the charge of a
-    list ``axpy`` on them.  Then s becomes s^2 - D s: each value v ahead
-    becomes v (v + D), by ``square_plus`` on the handle, and the
-    coefficients scale by D.  An s at degree t is dropped instead,
-    after clearing the other: past degree t it can never be the answer,
-    and the survivor, now of lower degree, would only ever clear it,
-    never the reverse.  The survivor of least (degree, index) gives
-    mu = N_0 / V_0.
+    Each live polynomial is [h, its q-degree], starting as x and y.  h
+    is one row handle (``ExtField.rows``): its values at the points
+    ahead, the next point first, so each point is popped off the front,
+    and after them N_0 and V_0, its x- and y-coefficients of q-degree 0.
+    At each point the live polynomial s of least (degree, index) among
+    those with a nonzero value D there clears the other's value,
+    o - (v/D) s: one ``axpy`` on the whole handle, coefficients
+    included, one product per nonzero entry unless v/D is 1.  Then s
+    becomes s^2 - D s: each value v ahead becomes v (v + D) and the
+    coefficients scale by D, in one ``square_plus`` on the handle.  An
+    s at degree t is dropped instead, after clearing the other: past
+    degree t it can never be the answer, and the survivor, now of lower
+    degree, would only ever clear it, never the reverse.  The survivor
+    of least (degree, index) is left holding only N_0 and V_0, and
+    gives mu = N_0 / V_0.
     """
     rows = ext.rows
-    live = [[1, 0, rows.load(a), 0], [0, 1, rows.load(b), 0]]
+    live = [[rows.load([*a, 1, 0]), 0], [rows.load([*b, 0, 1]), 0]]
     for ahead in range(len(a) - 1, -1, -1):
         hit = []
         for p in live:
-            v, p[2] = rows.pop(p[2])
+            v, p[0] = rows.pop(p[0])
             if v:
                 hit.append((v, p))
         if not hit:
             continue
-        ds, s = min(hit, key=lambda vp: vp[1][3])
+        ds, s = min(hit, key=lambda vp: vp[1][1])
         for v, o in hit:
             if o is not s:
                 c = v if ds == 1 else ext.mul(v, ext.inv(ds))
-                for i in 0, 1:
-                    if s[i]:
-                        o[i] ^= s[i] if c == 1 else ext.mul(c, s[i])
-                o[2] = rows.axpy(o[2], c, s[2])
-        if s[3] == t:
+                o[0] = rows.axpy(o[0], c, s[0])
+        if s[1] == t:
             live.remove(s)
             if not live:
                 return REASON_NO_CODEWORD
         else:
-            s[:] = (ext.mul(s[0], ds), ext.mul(s[1], ds),
-                    rows.square_plus(s[2], ds, ahead), s[3] + 1)
-    n0, v0 = min(live, key=lambda p: p[3])[:2]
+            s[0] = rows.square_plus(s[0], ds, ahead, 2)
+            s[1] += 1
+    n0, h = rows.pop(min(live, key=lambda p: p[1])[0])
+    v0 = rows.pop(h)[0]
     if not v0:
         return REASON_NO_CODEWORD
     return n0 if v0 == 1 else ext.mul(n0, ext.inv(v0))

@@ -51,9 +51,10 @@ odd-q tables one Zech addition per entry, and for packed fields of
 either characteristic one raw product per nonzero entry, none when g
 is +-1, then the field's own ``add`` or ``sub``.
 
-A row that stays in a kernel across many steps, as the values of the
-decoder's interpolation do, is held as a row handle of ``ExtField.rows``
-(see :class:`_ListRows`).  On a packed q = 2 field the handle is one int
+A row that stays in a kernel across many steps, as each polynomial of
+the decoder's interpolation does (its values ahead, then its two
+coefficients of q-degree 0), is held as a row handle of
+``ExtField.rows`` (see :class:`_ListRows`).  On a packed q = 2 field the handle is one int
 with each entry in its own slot of 64*ceil((2k - 1)/64) bits, wide
 enough for an unreduced product.  g*y is then one ``_clmul`` of that
 int by g, the product a single element takes, and one Barrett
@@ -70,7 +71,7 @@ Every kernel charges through the one helper ``_charge(kind, n)``, called
 only while ``_open_counters`` says some counter is open.  The row
 kernels charge their products in one step: ``axpy`` one multiplication
 per nonzero entry of ys, and none at all when g is 0 or +-1;
-``square_plus`` one per entry, zeros included.
+``square_plus(h, g, n, m)`` one per entry, n + m in all, zeros included.
 """
 
 from __future__ import annotations
@@ -483,7 +484,8 @@ class _SlottedRows:
     product before it is reduced.  A row goes in through an
     ``array('Q')``, a slot being w/64 words and an entry ceil(k/64) of
     them, and comes out one entry at a time through ``pop``;
-    ``square_plus`` squares it by spreading the bits of every slot.
+    ``square_plus`` squares its first n slots by spreading their bits,
+    masked off the m after them, then adds g*y over the whole row.
 
     A slot r = h*x^k + l of degree at most 2k - 2 is reduced mod p by
     Barrett's method (Barrett, CRYPTO 1986), exact for polynomials:
@@ -595,10 +597,10 @@ class _SlottedRows:
             _charge("ext_mul", self.count(y))
         return self.mul_add(x, y, g)
 
-    def square_plus(self, h: int, g, n: int) -> int:
+    def square_plus(self, h: int, g, n: int, m: int = 0) -> int:
         if _open_counters:
-            _charge("ext_mul", n)
-        return self.mul_add(self.square(h), h, g)
+            _charge("ext_mul", n + m)
+        return self.mul_add(self.square(h & (1 << self.width * n) - 1), h, g)
 
 
 class _ListRows:
@@ -609,9 +611,12 @@ class _ListRows:
     * ``load(ys)``: the handle of the row ys;
     * ``pop(h)``: (the first entry, the handle of the rest);
     * ``axpy(x, g, y)``: x + g*y, charged as ``ExtField.axpy``;
-    * ``square_plus(h, g, n)``: for q = 2, y*(y + g) on each of the n
-      entries of h, the value update of the decoder's interpolation,
-      charged one ext_mul per entry, zeros included."""
+    * ``square_plus(h, g, n, m=0)``: for q = 2 and a handle of n + m
+      entries, y*(y + g) on each of the first n and g*y on the last m:
+      the degree step of the decoder's interpolation, whose handles hold
+      the values ahead and then two coefficients.  It charges n + m
+      ext_mul, one per entry, zeros included.  In the list, last entry
+      first, the m entries are its first m items."""
 
     __slots__ = ("axpy", "_ext")
 
@@ -625,14 +630,19 @@ class _ListRows:
     def pop(self, h: list) -> tuple:
         return h.pop(), h
 
-    def square_plus(self, h: list, g, n: int) -> list:
+    def square_plus(self, h: list, g, n: int, m: int = 0) -> list:
         ext = self._ext
         if not ext._char2:
             raise ValueError("square_plus needs characteristic 2")
         if _open_counters:
-            _charge("ext_mul", n)
+            _charge("ext_mul", n + m)
         exp, log = ext._exp, ext._log
-        return [exp[log[y] + log[y ^ g]] if y and y != g else 0 for y in h]
+        lg = log[g]
+        # One pass: the m at the front take g*y, the rest y*(y + g).
+        return [0 if not y else
+                (exp[lg + log[y]] if g else 0) if i < m else
+                (exp[log[y] + log[y ^ g]] if y != g else 0)
+                for i, y in enumerate(h)]
 
 
 class ExtField:
@@ -993,18 +1003,30 @@ class ExtField:
         return self._inv_raw(a)
 
     def _inv_raw(self, a):
-        """Uncounted inverse by the extended Euclidean algorithm."""
+        """Uncounted inverse by the extended Euclidean algorithm.
+
+        For q = 2 it is the binary form (Hankerson, Menezes and Vanstone,
+        Guide to Elliptic Curve Cryptography, 2.48) with g1*a = u and
+        g2*a = v mod p throughout, from u = a and v = p, as two
+        alternating loops with no swap: one reduces v by shifts of u
+        until v is the shorter, the other u by shifts of v, each
+        keeping its side's bit length.  Their gcd is 1, so neither side
+        reaches 0 while the other is not 1, and the inverse is the g of
+        whichever side first reaches 1."""
         if self._char2:
-            # Invariants g1*a = u and g2*a = v mod p (Hankerson, Menezes
-            # and Vanstone, Guide to Elliptic Curve Cryptography, 2.48).
             u, v, g1, g2 = a, self._bits, 1, 0
+            lu, lv = u.bit_length(), v.bit_length()
             while u != 1:
-                j = u.bit_length() - v.bit_length()
-                if j < 0:
-                    u, v, g1, g2 = v, u, g2, g1
-                    j = -j
-                u ^= v << j
-                g1 ^= g2 << j
+                while lv >= lu:
+                    v ^= u << lv - lu
+                    g2 ^= g1 << lv - lu
+                    lv = v.bit_length()
+                if v == 1:
+                    return g2
+                while lu >= lv:
+                    u ^= v << lu - lv
+                    g1 ^= g2 << lu - lv
+                    lu = u.bit_length()
             return g1
         q = self.q
         r0, r1 = list(self.modulus), _poly_trim(_to_digits(a, q, self.k))

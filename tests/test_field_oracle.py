@@ -9,7 +9,9 @@ byte per fold table: at (2,29) the last byte is partial, and (2,33)
 needs four tables.  The row kernel ``axpy`` is checked against the
 per-entry ``add`` and ``mul`` of the same field, and so are the row
 handles of ``ExtField.rows`` (load, pop, axpy and, for q = 2,
-``square_plus``, also against the oracle).  Packed q = 2 row kernels
+``square_plus`` with and without its tail of g*y entries, also against
+the oracle).  The packed q = 2 inverse is checked at its edge cases as
+well as on random elements.  Packed q = 2 row kernels
 hold a row as one int with a slot of 64*ceil((2k - 1)/64) bits per
 entry: (2,32) is the last field with one-word slots, (2,64) the last
 whose elements fit one 64-bit word, (2,65) the first whose elements do
@@ -185,10 +187,11 @@ def test_row_kernel(q, k, data):
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_square_plus(q, k, data):
-    # The row handle's square_plus(h, g, n) = y*(y + g) per entry,
-    # against mul and add and against the oracle, zeros and y == g
-    # included; it charges one ext_mul per entry and nothing else.  Odd
-    # q has no such kernel.
+    # The row handle's square_plus(h, g, n, m) = y*(y + g) on each of
+    # the first n entries and g*y on the m after them, against mul and
+    # add and against the oracle, zeros and y == g included; it charges
+    # one ext_mul per entry and nothing else.  n = 0 leaves only the
+    # tail, and m = 0 is the call without one.  Odd q has no such kernel.
     ext, ref = fields(q, k)
     rows = ext.rows
     g = data.draw(element_values(ext))
@@ -197,14 +200,40 @@ def test_square_plus(q, k, data):
             rows.square_plus(rows.load([g]), g, 1)
         return
     ys = data.draw(st.lists(element_values(ext), max_size=2 * k)) + [0, g]
-    with OpCount() as c:
-        got = unload(rows, rows.square_plus(rows.load(ys), g, len(ys)),
-                     len(ys))
-    assert (c.ext_mul, c.ext_inv, c.base_mul, c.base_inv) == (len(ys), 0, 0, 0)
-    assert got == [ext.mul(y, ext.add(y, g)) for y in ys]
+    zs = data.draw(st.lists(element_values(ext), min_size=1, max_size=3))
     dg = ext.digits(g)
-    assert [ext.digits(v) for v in got] == [
-        ref.mul(dy, ref.add(dy, dg)) for dy in map(ext.digits, ys)]
+    for head, tail in ((ys, zs + [0]), (ys, []), ([], zs + [0])):
+        n, m = len(head), len(tail)
+        tail_arg = (m,) if m else ()
+        with OpCount() as c:
+            h = rows.square_plus(rows.load(head + tail), g, n, *tail_arg)
+        assert (c.ext_mul, c.ext_inv, c.base_mul, c.base_inv) == (
+            n + m, 0, 0, 0)
+        got = unload(rows, h, n + m)
+        assert got == ([ext.mul(y, ext.add(y, g)) for y in head]
+                       + [ext.mul(g, z) for z in tail])
+        assert [ext.digits(v) for v in got] == (
+            [ref.mul(dy, ref.add(dy, dg)) for dy in map(ext.digits, head)]
+            + [ref.mul(dg, dz) for dz in map(ext.digits, tail)])
+
+
+INVERSE_EDGES = [*(pytest.param(k, None, id=str(k))
+                   for k in (17, 24, 33, 64, 65)),
+                 pytest.param(24, DENSE_24, id="24-dense")]
+
+
+@pytest.mark.parametrize("k,modulus", INVERSE_EDGES)
+def test_inverse_edge_cases(k, modulus):
+    # The packed q = 2 inverse, a binary Euclid between a and p, at its
+    # ends: 1 (no step), x and x^(k-1) (one bit), the modulus's low part
+    # p - x^k (one step from p) and the all-ones element, against the
+    # oracle.
+    ext, ref = fields(2, k, modulus)
+    low = ext.element(ext.modulus[:k])
+    for a in (1, ext.gen(), 1 << k - 1, low, ext.order - 1):
+        inv = ext.inv(a)
+        assert ext.digits(inv) == ref.inv(ext.digits(a))
+        assert ext.mul(a, inv) == ext.one
 
 
 SLOTTED = [*((k, None) for q, k in PACKED_FIELDS if q == 2), (129, None),
@@ -219,7 +248,8 @@ def test_packed_rows(k, modulus, data):
     # handles, on rows of length 0, 1 and more than 2k (longer than the
     # slot masks built with the field), with 0, g and 2^k - 1 drawn
     # often: each entry against mul and the oracle, each call charged
-    # exactly its ext_mul.
+    # exactly its ext_mul.  ``square_plus`` runs with and without a
+    # tail.
     ext, ref = fields(2, k, modulus)
     rows = ext.rows
     assert isinstance(rows.load([1]), int)
@@ -250,6 +280,19 @@ def test_packed_rows(k, modulus, data):
         assert got == [ext.mul(y, y ^ g) for y in ys]
         assert [ext.digits(v) for v in got] == [
             ref.mul(dy, ref.add(dy, dg)) for dy in dys]
+        # With a tail of m entries after the n, each taking g*z, as the
+        # interpolation's two coefficients do; at n = 0 only the tail.
+        zs = data.draw(st.lists(entries, min_size=1, max_size=3))
+        m = len(zs)
+        with OpCount() as c:
+            h = rows.square_plus(rows.load(ys + zs), g, n, m)
+        assert (c.ext_mul, c.ext_inv, c.base_mul, c.base_inv) == (
+            n + m, 0, 0, 0)
+        got = unload(rows, h, n + m)
+        assert got == ([ext.mul(y, y ^ g) for y in ys]
+                       + [ext.mul(g, z) for z in zs])
+        assert [ext.digits(v) for v in got[n:]] == [
+            ref.mul(dg, ext.digits(z)) for z in zs]
 
 
 @pytest.mark.parametrize("k,modulus", SLOTTED)

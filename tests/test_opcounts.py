@@ -16,7 +16,9 @@ decoded codeword assembled from the blocks the decode already holds,
 with one distance check per decode.  (3, 3, 4) gives the multi-pair
 loop of an odd-q code a gate, and (5, 2, 3) the q >= 5 path, where
 products by coefficients other than 0 and +-1 are charged.  The same
-four counts are pinned for building each code.  No count may rise.
+four counts are pinned for building each code.  No count may rise,
+and a cell whose decode runs the q = 2 interpolation must read exactly
+its pin.
 Success and failure tallies must not change at all; for (2, 5, 2),
 (3, 3, 2) and (2, 3, 3) they are the ones first pinned on the
 digit-tuple element implementation (commit 67d2df8).
@@ -24,7 +26,7 @@ digit-tuple element implementation (commit 67d2df8).
 
 import pytest
 
-from spreadcodes import OpCount, SpreadCode, decode, simulate
+from spreadcodes import OpCount, SpreadCode, decode, decoder, simulate
 from spreadcodes.channel import ChannelSpec, corrupt, random_codeword, trial_rng
 
 SEED = 7
@@ -47,7 +49,18 @@ PINNED_COUNTS = {
     (2, 17, 2): {(8, 8): (2123, 104, 0, 0), (9, 8): (2309, 98, 0, 0)},
     (5, 2, 3): {(0, 0): (0, 0, 11, 5), (1, 1): (16, 0, 8, 4),
                 (0, 1): (24, 10, 39, 4), (1, 0): (154, 33, 34, 8)},
+    (2, 5, 3): {(2, 2): (367, 44, 0, 0), (3, 3): (297, 37, 0, 0)},
+    (2, 24, 2): {(10, 11): (3649, 130, 0, 0)},
 }
+
+# Cells at d >= 5 over F_2, whose pair steps run the interpolation: a
+# refactor of it must leave their counts exactly at the pins.  (2, 5, 3)
+# is an r > 2 code, and (2, 24, 2) (10, 11) is the benchmark's
+# build-q2k24r2 cell, on slotted rows.
+INTERPOLATION_CELLS = [((2, 5, 2), (2, 2)), ((2, 5, 2), (3, 3)),
+                       ((2, 5, 3), (2, 2)), ((2, 5, 3), (3, 3)),
+                       ((2, 17, 2), (8, 8)), ((2, 17, 2), (9, 8)),
+                       ((2, 24, 2), (10, 11))]
 
 PINNED_LINES = {
     (2, 5, 2): ["0 0 6 6 0 0.00 0", "1 3 6 6 0 13.33 15",
@@ -92,22 +105,38 @@ def test_build_counts_do_not_rise(qkr):
         f"{now} exceeds {pinned}")
 
 
+def cell_counts(code, e, eps) -> tuple:
+    """The four OpCount fields of decoding the cell's trials, summed."""
+    totals = [0, 0, 0, 0]
+    for t in range(TRIALS):
+        rng = trial_rng(SEED, e, eps, t)
+        cw = random_codeword(code, rng)
+        received = corrupt(cw, ChannelSpec(eps, e), code, rng)
+        with OpCount() as c:
+            decode(received, code)
+        for i, n in enumerate((c.ext_mul, c.ext_inv, c.base_mul,
+                               c.base_inv)):
+            totals[i] += n
+    return tuple(totals)
+
+
 @pytest.mark.parametrize("qkr", sorted(PINNED_COUNTS))
 def test_decode_counts_do_not_rise(qkr):
     code = SpreadCode(*qkr)
     for (e, eps), pinned in PINNED_COUNTS[qkr].items():
-        totals = [0, 0, 0, 0]
-        for t in range(TRIALS):
-            rng = trial_rng(SEED, e, eps, t)
-            cw = random_codeword(code, rng)
-            received = corrupt(cw, ChannelSpec(eps, e), code, rng)
-            with OpCount() as c:
-                decode(received, code)
-            for i, n in enumerate((c.ext_mul, c.ext_inv, c.base_mul,
-                                   c.base_inv)):
-                totals[i] += n
+        totals = cell_counts(code, e, eps)
         assert all(now <= then for now, then in zip(totals, pinned)), (
-            f"cell {(e, eps)}: {tuple(totals)} exceeds {pinned}")
+            f"cell {(e, eps)}: {totals} exceeds {pinned}")
+
+
+@pytest.mark.parametrize("qkr,cell", INTERPOLATION_CELLS)
+def test_interpolation_counts_equal_pins(qkr, cell, monkeypatch):
+    calls = []
+    solve = decoder._interpolated_point
+    monkeypatch.setattr(decoder, "_interpolated_point",
+                        lambda *args: calls.append(1) or solve(*args))
+    assert cell_counts(SpreadCode(*qkr), *cell) == PINNED_COUNTS[qkr][cell]
+    assert calls
 
 
 @pytest.mark.parametrize("qkr", sorted(PINNED_LINES))
