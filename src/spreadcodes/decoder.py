@@ -38,13 +38,14 @@ ext ops: :func:`_interpolated_point`.  Within the radius that Q is
 c L(y - mu x) for the subspace polynomial L of the error values, so
 mu = -N_0 / V_0.  It builds no Moore matrix: in characteristic 2 the
 update s^q - D^(q-1) s of a value v is v (v + D), one counted product.
-Each live polynomial is one row handle of the field (``ExtField.rows``:
-a slotted int on a packed F_{2^k}, a list on a table field), loaded
-once with its values ahead and then N_0 and V_0, from which each point
-is popped in turn.  The coefficients ride in the products each step
-already makes: a clear is one ``axpy`` on the handle, and
-``square_plus`` takes each value v ahead to v^2 + D v and scales the
-two coefficients by D, in one call.  For odd q
+The two live polynomials are two row handles of the field
+(``ExtField.rows``: a slotted int on a packed F_{2^k}, a list on a
+table field), each loaded once with its values ahead and then N_0 and
+V_0, from which each point is popped in turn.  The coefficients ride in
+the products each step already makes: a clear is one ``axpy`` on the
+handle by v/D, one ``ExtField.div``, and ``square_plus`` takes each
+value v ahead to v^2 + D v and scales the two coefficients by D, in one
+call.  For odd q
 that update needs two or more products per value while the Moore
 columns of the dense solve cost nothing, and for t <= 1 the dense
 system is at most 4 x 4; in both cases the dense solve stays, and it
@@ -53,10 +54,13 @@ is cheaper there in counted ops.
 The lead block R_j is read once, and only if a pair step runs.  The
 codeword is built from the blocks the decode holds, with no encode, and
 accepted only within distance k - 1 of W, so out-of-contract inputs
-fail rather than miscorrect.  For r > 2 a pair whose answer leaves
-2 rank(R_j M(mu) - R_i) above d - 1 ends the decode early; for r = 2
-the final check is the same test.  A space of dimension 2k or more
-lies at distance k or more from every codeword and is refused at once.
+fail rather than miscorrect.  A pair whose answer leaves
+2 rank(R_j M(mu) - R_i) above d - 1 ends the decode.  For r = 2 that is
+the whole acceptance test: W + C is C plus the rows (0, u (R_i - R_j M)),
+so dist(W, C) = k - d + 2 rank(R_j M - R_i), which a pinned block (M = 0)
+keeps below k, and a membership pair is C.  For r > 2 the codeword
+takes one final distance check.  A space of dimension 2k or more lies
+at distance k or more from every codeword and is refused at once.
 
 :func:`decode_pair` is :func:`decode` on a two-block space.  No code in
 the package calls it and the package does not export it; it stays here
@@ -301,49 +305,58 @@ def _interpolated_point(a: list, b: list, t: int, ext):
     the points (a, b), one per row of (Rj Ri), at t = (d-1)/2: mu of
     the pair codeword [1 : mu], or the failure reason.
 
-    Each live polynomial is [h, its q-degree], starting as x and y.  h
-    is one row handle (``ExtField.rows``): its values at the points
-    ahead, the next point first, so each point is popped off the front,
-    and after them N_0 and V_0, its x- and y-coefficients of q-degree 0.
-    At each point the live polynomial s of least (degree, index) among
-    those with a nonzero value D there clears the other's value,
-    o - (v/D) s: one ``axpy`` on the whole handle, coefficients
-    included, one product per nonzero entry unless v/D is 1.  Then s
-    becomes s^2 - D s: each value v ahead becomes v (v + D) and the
-    coefficients scale by D, in one ``square_plus`` on the handle.  An
-    s at degree t is dropped instead, after clearing the other: past
-    degree t it can never be the answer, and the survivor, now of lower
-    degree, would only ever clear it, never the reverse.  The survivor
-    of least (degree, index) is left holding only N_0 and V_0, and
-    gives mu = N_0 / V_0.
+    The live polynomials, x and y at the start, are two row handles
+    (``ExtField.rows``) and their q-degrees dx and dy.  A handle holds
+    the values at the points ahead, the next point first, so each point
+    is popped off the front, and after them N_0 and V_0, its x- and
+    y-coefficients of q-degree 0.  At each point the polynomial s of
+    least degree, x on a tie, among those with a nonzero value D there
+    clears the other's value v, o - (v/D) s: one ``div`` unless D is 1,
+    then one ``axpy`` on the whole handle.  Then s becomes s^2 - D s:
+    each value v ahead becomes v (v + D) and the coefficients scale by
+    D, in one ``square_plus``.  An s at degree t is dropped instead,
+    after clearing the other: past degree t it can never be the answer,
+    and the survivor, now of lower degree, would only ever clear it, so
+    the points left run on the survivor alone.  The survivor of least
+    degree, x on a tie, is left holding only N_0 and V_0, and gives
+    mu = N_0 / V_0.
     """
     rows = ext.rows
-    live = [[rows.load([*a, 1, 0]), 0], [rows.load([*b, 0, 1]), 0]]
-    for ahead in range(len(a) - 1, -1, -1):
-        hit = []
-        for p in live:
-            v, p[0] = rows.pop(p[0])
-            if v:
-                hit.append((v, p))
-        if not hit:
-            continue
-        ds, s = min(hit, key=lambda vp: vp[1][1])
-        for v, o in hit:
-            if o is not s:
-                c = v if ds == 1 else ext.mul(v, ext.inv(ds))
-                o[0] = rows.axpy(o[0], c, s[0])
-        if s[1] == t:
-            live.remove(s)
-            if not live:
+    x, y = rows.load([*a, 1, 0]), rows.load([*b, 0, 1])
+    dx = dy = n = 0
+    for n in range(len(a) - 1, -1, -1):
+        vx, x = rows.pop(x)
+        vy, y = rows.pop(y)
+        if vx and (dx <= dy or not vy):
+            if vy:
+                y = rows.axpy(y, vy if vx == 1 else ext.div(vy, vx), x)
+            if dx == t:
+                s, ds = y, dy
+                break
+            x = rows.square_plus(x, vx, n, 2)
+            dx += 1
+        elif vy:
+            if vx:
+                x = rows.axpy(x, vx if vy == 1 else ext.div(vx, vy), y)
+            if dy == t:
+                s, ds = x, dx
+                break
+            y = rows.square_plus(y, vy, n, 2)
+            dy += 1
+    else:
+        s, ds = (x, dx) if dx <= dy else (y, dy)
+    for n in range(n - 1, -1, -1):
+        v, s = rows.pop(s)
+        if v:
+            if ds == t:
                 return REASON_NO_CODEWORD
-        else:
-            s[0] = rows.square_plus(s[0], ds, ahead, 2)
-            s[1] += 1
-    n0, h = rows.pop(min(live, key=lambda p: p[1])[0])
-    v0 = rows.pop(h)[0]
+            s = rows.square_plus(s, v, n, 2)
+            ds += 1
+    n0, s = rows.pop(s)
+    v0 = rows.pop(s)[0]
     if not v0:
         return REASON_NO_CODEWORD
-    return n0 if v0 == 1 else ext.mul(n0, ext.inv(v0))
+    return n0 if v0 == 1 else ext.div(n0, v0)
 
 
 def _dense_point(a: tuple, b: tuple, t: int, ext):
@@ -419,10 +432,10 @@ def decode(received: ReceivedSpace, code: SpreadCode) -> DecodeResult:
             if isinstance(mu, str):
                 return _fail(mu)
             M = code.matrix_rep(mu)
-            if r > 2 and 2 * rank(Rj @ M - Ri) > d - 1:
+            if 2 * rank(Rj @ M - Ri) > d - 1:
                 return _fail(REASON_NO_CODEWORD)
         point[i], reps[i] = mu, M
     cw = code._codeword(point, reps)
-    if subspace_distance(sub, cw.subspace) >= k:
+    if r > 2 and subspace_distance(sub, cw.subspace) >= k:
         return _fail(REASON_NO_CODEWORD)
     return DecodeResult(cw)

@@ -41,7 +41,8 @@ the field is built:
 * larger fields with odd q: schoolbook multiplication of digit lists;
   ``frobenius`` applies the k images (x^i)^q to the digits of a.
 
-For q = 2, addition and subtraction are XOR in every case.
+For q = 2, addition and subtraction are XOR in every case.  ``div(a, b)``
+charges what ``mul(a, inv(b))`` does, and costs one Euclid on packed q = 2.
 
 Both field classes have a row kernel, ``axpy(xs, g, ys)`` = xs + g*ys
 entry by entry, which is the inner loop of elimination and of matrix
@@ -681,7 +682,7 @@ class ExtField:
         self._bits = self._red = self._fold = None
         if self._char2:
             self._bits = sum(c << i for i, c in enumerate(modulus))
-            # For the q = 2 _mul_raw: _fold[i][n] = n*x^(k+8i) mod p, one
+            # For the q = 2 _reduce: _fold[i][n] = n*x^(k+8i) mod p, one
             # table per byte of the high half of a product, which has at
             # most k - 1 bits.  Built before the exp/log tables, whose
             # fill calls _mul_raw when x is not primitive.
@@ -913,19 +914,9 @@ class ExtField:
 
     def _mul_raw(self, a, b):
         """Uncounted product by the packed kernel of this characteristic."""
-        k = self.k
         if self._char2:
-            r = _clmul(a, b)
-            # r = low + h*x^k with deg h <= k - 2: each byte of h is
-            # reduced by one lookup in its fold table.
-            h = r >> k
-            if h:
-                r ^= h << k
-                for fold in self._fold:
-                    r ^= fold[h & 255]
-                    h >>= 8
-            return r
-        q = self.q
+            return self._reduce(_clmul(a, b))
+        k, q = self.k, self.q
         da, db = _to_digits(a, q, k), _to_digits(b, q, k)
         prod = [0] * (2 * k - 1)
         for i, ai in enumerate(da):
@@ -941,6 +932,18 @@ class ExtField:
                 for j, rj in enumerate(red, i - k):
                     prod[j] += c * rj
         return _from_digits([prod[j] % q for j in range(k)], q)
+
+    def _reduce(self, r):
+        """r mod p for q = 2 and deg r <= 2k - 2: one fold-table lookup
+        per byte of the high half h, r = low + h*x^k."""
+        k = self.k
+        h = r >> k
+        if h:
+            r ^= h << k
+            for fold in self._fold:
+                r ^= fold[h & 255]
+                h >>= 8
+        return r
 
     def mul(self, a, b):
         if _open_counters:
@@ -1002,32 +1005,52 @@ class ExtField:
             return self._exp[self.order - 1 - log[a]]
         return self._inv_raw(a)
 
-    def _inv_raw(self, a):
-        """Uncounted inverse by the extended Euclidean algorithm.
-
-        For q = 2 it is the binary form (Hankerson, Menezes and Vanstone,
-        Guide to Elliptic Curve Cryptography, 2.48) with g1*a = u and
-        g2*a = v mod p throughout, from u = a and v = p, as two
-        alternating loops with no swap: one reduces v by shifts of u
-        until v is the shorter, the other u by shifts of v, each
-        keeping its side's bit length.  Their gcd is 1, so neither side
-        reaches 0 while the other is not 1, and the inverse is the g of
-        whichever side first reaches 1."""
+    def div(self, a, b):
+        """a / b, charged as ``mul(a, inv(b))``, a = 0 included; b = 0
+        raises before any charge."""
+        if not b:
+            raise ZeroDivisionError("division by zero in F_{q^k}")
+        if _open_counters:
+            _charge("ext_inv")
+            _charge("ext_mul")
+        if not a:
+            return 0
+        log = self._log
+        if log is not None:
+            return self._exp[log[a] + self.order - 1 - log[b]]
         if self._char2:
-            u, v, g1, g2 = a, self._bits, 1, 0
-            lu, lv = u.bit_length(), v.bit_length()
-            while u != 1:
-                while lv >= lu:
-                    v ^= u << lv - lu
-                    g2 ^= g1 << lv - lu
-                    lv = v.bit_length()
-                if v == 1:
-                    return g2
-                while lu >= lv:
-                    u ^= v << lu - lv
-                    g1 ^= g2 << lu - lv
-                    lu = u.bit_length()
-            return g1
+            return self._div_raw(a, b)
+        return self._mul_raw(a, self._inv_raw(b))
+
+    def _div_raw(self, a, b):
+        """Uncounted a / b for packed q = 2: the binary extended Euclid
+        (Hankerson, Menezes and Vanstone 2004, 2.48) started at g1 = a,
+        with g1*b = u*a and g2*b = v*a mod p from u = b and v = p, as
+        two alternating loops with no swap, each reducing its side by
+        shifts of the other.  The gcd is 1, so neither side reaches 0
+        before the other reaches 1, whose g is a / b: a times the
+        inverse's g, of degree at most 2k - 2, so one fold reduces it."""
+        u, v, g1, g2 = b, self._bits, a, 0
+        lu, lv = u.bit_length(), v.bit_length()
+        while u != 1:
+            while lv >= lu:
+                v ^= u << lv - lu
+                g2 ^= g1 << lv - lu
+                lv = v.bit_length()
+            if v == 1:
+                g1 = g2
+                break
+            while lu >= lv:
+                u ^= v << lu - lv
+                g1 ^= g2 << lu - lv
+                lu = u.bit_length()
+        return self._reduce(g1)
+
+    def _inv_raw(self, a):
+        """Uncounted inverse: for q = 2 the division 1 / a, for odd q
+        the extended Euclidean algorithm on digit lists."""
+        if self._char2:
+            return self._div_raw(1, a)
         q = self.q
         r0, r1 = list(self.modulus), _poly_trim(_to_digits(a, q, self.k))
         s0, s1 = [], [1]

@@ -14,10 +14,10 @@ import spreadcodes.spread as spread_module
 
 from spreadcodes.channel import (ChannelSpec, corrupt, random_codeword,
                                  simulate, trial_rng)
-from spreadcodes.decoder import (AffinePencil, ReceivedSpace,
+from spreadcodes.decoder import (AffinePencil, DecodeResult, ReceivedSpace,
                                  REASON_DIMENSION, REASON_NO_CODEWORD,
-                                 _nonsingular_core, candidate_roots, decode,
-                                 decode_pair)
+                                 _interpolated_point, _nonsingular_core,
+                                 candidate_roots, decode, decode_pair)
 from spreadcodes.cli import main as cli_main
 from spreadcodes.gf import ExtField, OpCount, PrimeField, is_element
 from spreadcodes.linalg import Matrix, hstack, rank, vstack
@@ -28,7 +28,8 @@ from spreadcodes.spread import (SpreadCode, Subspace, format_subspace,
 from paper_reference import _pencil_point, mu_characterization
 from props import (all_subspaces, dense_point, dense_step,
                    fast_general_agreement, interpolated_point,
-                   list_interpolated_point, oracle_agreement_cases,
+                   list_interpolated_point, list_interpolation,
+                   oracle_agreement_cases,
                    oracle_agreement_exhaustive, oracle_agreement_sampled,
                    pair_point, pencil_pair_point, random_element,
                    random_matrix, root_evaluation_trials)
@@ -448,6 +449,60 @@ class TestInterpolation:
                 seen[inside, isinstance(mu, str)] += 1
         assert seen[True, False] >= 10 and seen[False, True] >= 5
 
+    @pytest.mark.parametrize("qkr", [(2, 5, 2), (2, 9, 2)])
+    def test_list_oracle_on_table_fields(self, qkr):
+        # The interpolation on the list row handles of a table field
+        # against the list oracle: the same answer at the same OpCount
+        # at every cell the interpolation runs.
+        code = small_code(qkr)
+        k = code.k
+        compared = 0
+        for e in range(k + 1):
+            for eps in range(k):
+                rng = trial_rng(29, e, eps)
+                cw = random_codeword(code, rng)
+                received = corrupt(cw, ChannelSpec(eps, e), code, rng)
+                d = received.dim
+                R0, R1 = received.blocks
+                if d < 5 or 2 * min(rank(R0), rank(R1)) <= d - 1:
+                    continue
+                args = (R0, R1, d, code)
+                with OpCount() as handled:
+                    mu = interpolated_point(*args)
+                with OpCount() as listed:
+                    assert list_interpolated_point(*args) == mu
+                assert repr(handled) == repr(listed)
+                compared += 1
+        assert compared >= 10
+
+    @pytest.mark.parametrize("qk", [(2, 5), (2, 9), (2, 17), (2, 24)])
+    def test_constructed_interpolation_cases(self, qk):
+        # Points that force each branch of the interpolation, followed by
+        # random ones, against the list oracle (answer and OpCount):
+        # both values nonzero at equal degrees, at degree 0 and again at
+        # degree 1; both values zero at a point; and x, then y, dropped
+        # at degree t after t + 1 independent points on its own side.
+        q, k = qk
+        ext = SpreadCode(q, k, 2).ext
+        rnd = random.Random(k)
+        g = ext.gen()
+        for t in (0, 1, 2, 3):
+            basis = [1 << i for i in range(t + 1)]
+            zeros = [0] * (t + 1)
+            heads = [([1], [g]), ([1, 0, g], [0, 1, g]), ([0], [0]),
+                     (basis, zeros), (zeros, basis)]
+            for a, b in heads:
+                for _ in range(4):
+                    n = 2 * t + 1 + rnd.randrange(4) - len(a)
+                    tail = [[rnd.randrange(ext.order) for _ in range(n)]
+                            for _ in "ab"]
+                    xa, yb = a + tail[0], b + tail[1]
+                    with OpCount() as handled:
+                        mu = _interpolated_point(xa, yb, t, ext)
+                    with OpCount() as listed:
+                        assert list_interpolation(xa, yb, t, ext) == mu
+                    assert repr(handled) == repr(listed)
+
     def test_every_five_dimensional_space(self):
         # The 63 hyperplanes of F_2^6: both pair steps give the same
         # outcome, which is brute force's.
@@ -485,6 +540,119 @@ class TestInterpolation:
         assume(5 <= sub.dim <= n - 1)
         received = ReceivedSpace(sub, k)
         assert decode(received, code) == dense_decode(received, code)
+
+
+class TestPairAcceptance:
+    """For r = 2, decode accepts on the pair's own rank test,
+    2 rank(R_j M(mu) - R_i) <= d - 1, and runs no distance check.  A
+    solved pair has dim(W + C) = k + rank(R_j M - R_i), so
+    dist(W, C) = k - d + 2 rank(R_j M - R_i); a pinned block is the
+    case M = 0, at distance at most k - 1; a membership pair is C."""
+
+    CODES = [(2, 5, 2), (2, 9, 2), (3, 4, 2), (5, 3, 2)]
+
+    @staticmethod
+    def cells(k):
+        # Every (errors, erasures) with a nonempty received space, inside
+        # the radius k - 1 and beyond it.
+        return [(e, eps) for e in range(k + 1) for eps in range(k + 1)
+                if k - eps + e >= 1]
+
+    @pytest.mark.parametrize("qkr", CODES)
+    def test_no_distance_check(self, qkr):
+        code = small_code(qkr)
+        k = code.k
+        trials = 1 if k > 5 else 3
+        members = []
+        membership = decoder_module._membership_point
+
+        def recorded(code, A):
+            mu = membership(code, A)
+            members.append(mu is not None)
+            return mu
+
+        def refused(*args):
+            raise AssertionError("r = 2 decode ran a distance check")
+
+        # Random codewords, and the two whose other block is zero, which
+        # keeps that block pinned inside the radius.
+        sent = [lambda rng: random_codeword(code, rng)] * trials + [
+            lambda rng: code.encode((1, 0)), lambda rng: code.encode((0, 1))]
+        seen = collections.Counter()
+        for e, eps in self.cells(k):
+            for t, codeword in enumerate(sent):
+                rng = trial_rng(31, e, eps, t)
+                received = corrupt(codeword(rng), ChannelSpec(eps, e), code,
+                                   rng)
+                best, nearest = brute_force_decode(received, code)
+                members.clear()
+                with mock.patch.object(decoder_module, "subspace_distance",
+                                       refused), \
+                        mock.patch.object(decoder_module, "_membership_point",
+                                          recorded):
+                    result = decode(received, code)
+                if best < k:
+                    assert result.ok and result.codeword == nearest[0]
+                else:
+                    assert not result.ok
+                d = received.dim
+                pinned = any(2 * rank(b) <= d - 1 for b in received.blocks)
+                seen["pinned" if pinned else "member" if any(members)
+                     else "solved", result.ok] += 1
+        assert seen["pinned", True] and seen["member", True]
+        assert seen["solved", True] and seen["solved", False]
+
+    @pytest.mark.parametrize("qkr", [(2, 5, 2), (3, 4, 2), (5, 3, 2)])
+    def test_every_answer_of_the_pair_step(self, qkr):
+        # Whatever mu the pair step returns, decode accepts exactly when
+        # the codeword [1 : mu] lies within distance k - 1, the boundary
+        # 2 rank = d included, which no solver answer reached in sampling.
+        code = small_code(qkr)
+        k = code.k
+        seen = collections.Counter()
+        for e, eps in self.cells(k):
+            received = corrupt(random_codeword(code, trial_rng(41, e, eps)),
+                               ChannelSpec(eps, e), code, trial_rng(43, e, eps))
+            d = received.dim
+            R0, R1 = received.blocks
+            if d >= 2 * k or 2 * min(rank(R0), rank(R1)) <= d - 1 or (
+                    R0 == code.identity_block
+                    and code.element_of(R1) is not None):
+                continue
+            read = decoder_module._pair_step(code, d)[0]
+            for mu in code.ext.elements():
+                step = (read, lambda *args: mu)
+                with mock.patch.object(decoder_module, "_pair_step",
+                                       lambda *args: step):
+                    result = decode(received, code)
+                cw = code.encode((1, mu))
+                dist = subspace_distance(received.subspace, cw.subspace)
+                assert result == (DecodeResult(cw) if dist < k else
+                                  DecodeResult(None, REASON_NO_CODEWORD))
+                seen["boundary" if dist == k else dist < k] += 1
+        assert seen["boundary"] and seen[True] and seen[False]
+
+    @pytest.mark.parametrize("qkr", CODES)
+    def test_distance_identity(self, qkr):
+        # dist(W, C) = k - d + 2 rank(R_0 M - R_1) for C = rowspace(I M),
+        # W a channel output with blocks (R_0 R_1), mu = 0 included.
+        code = small_code(qkr)
+        k, ext = code.k, code.ext
+        I = code.identity_block
+        checked = 0
+        for e, eps in self.cells(k):
+            rng = trial_rng(37, e, eps)
+            received = corrupt(random_codeword(code, rng),
+                               ChannelSpec(eps, e), code, rng)
+            R0, R1 = received.blocks
+            d = received.dim
+            for mu in (0, 1, int(rng.integers(ext.order))):
+                M = code.matrix_rep(mu)
+                C = Subspace.from_generators(hstack(I, M))
+                assert subspace_distance(received.subspace, C) == (
+                    k - d + 2 * rank(R0 @ M - R1))
+                checked += 1
+        assert checked >= 3 * len(self.cells(k))
 
 
 class TestSoundness:
@@ -575,8 +743,8 @@ class TestLargeCharacteristic:
 class TestWorkDoneOnce:
     """The pair path reuses what its caller holds: one rank per input
     block, the raw blocks of the received RREF with no re-canonicalized
-    pair and no inverse, one early-exit rank per solved pair for r > 2,
-    the lead block read once, and one distance check per answer, built
+    pair and no inverse, one early-exit rank per solved pair, the lead
+    block read once, and for r > 2 one distance check per answer, built
     from the blocks the decode holds with no encode, whichever block has
     the higher rank."""
 
@@ -631,8 +799,7 @@ class TestWorkDoneOnce:
         # One RREF for the pair; the answer's block matrix is already in
         # RREF.
         assert calls == collections.Counter(
-            {"base rank": 2, "from_generators": 1, "encode": 0,
-             "distance": 1})
+            {"base rank": 3, "from_generators": 1, "encode": 0})
 
     def test_decode_two_blocks(self, monkeypatch):
         code, cw, low, high = self.swap_case()
@@ -641,9 +808,9 @@ class TestWorkDoneOnce:
         calls = self.tally(monkeypatch)
         result = decode(received, code)
         assert result.ok and result.codeword == cw
-        # For r = 2 the final check is the early exit: no extra rank.
+        # For r = 2 the pair's own rank is the final check: no distance.
         assert calls == collections.Counter(
-            {"base rank": 2, "encode": 0, "distance": 1})
+            {"base rank": 3, "encode": 0})
 
     @pytest.mark.parametrize("qkr,seed", [((2, 3, 3), 4), ((3, 3, 4), 2)])
     def test_decode_many_blocks(self, monkeypatch, qkr, seed):

@@ -11,7 +11,8 @@ per-entry ``add`` and ``mul`` of the same field, and so are the row
 handles of ``ExtField.rows`` (load, pop, axpy and, for q = 2,
 ``square_plus`` with and without its tail of g*y entries, also against
 the oracle).  The packed q = 2 inverse is checked at its edge cases as
-well as on random elements.  Packed q = 2 row kernels
+well as on random elements, and division ``div`` against ``mul`` by
+``inv`` on each kernel, packed odd q at (3,11) included.  Packed q = 2 row kernels
 hold a row as one int with a slot of 64*ceil((2k - 1)/64) bits per
 entry: (2,32) is the last field with one-word slots, (2,64) the last
 whose elements fit one 64-bit word, (2,65) the first whose elements do
@@ -234,6 +235,35 @@ def test_inverse_edge_cases(k, modulus):
         inv = ext.inv(a)
         assert ext.digits(inv) == ref.inv(ext.digits(a))
         assert ext.mul(a, inv) == ext.one
+
+
+DIVISION_FIELDS = [(2, 9, None), (3, 5, None), (2, 17, None),
+                   (2, 24, None), (2, 64, None), (2, 65, None),
+                   pytest.param(2, 24, DENSE_24, id="2-24-dense"),
+                   (3, 11, None)]
+
+
+@pytest.mark.parametrize("q,k,modulus", DIVISION_FIELDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_division(q, k, modulus, data):
+    # div(a, b) is mul(a, inv(b)), value and charge, on the table, packed
+    # q = 2 and packed odd-q kernels: at a = 0, b = 1, a = b, and the
+    # all-ones a over x, the longest quotient before its fold.
+    ext, _ = fields(q, k, modulus)
+    a = data.draw(element_values(ext))
+    b = data.draw(element_values(ext, nonzero=True))
+    for a, b in ((a, b), (0, b), (a, 1), (b, b), (ext.order - 1, ext.gen())):
+        with OpCount() as divided:
+            got = ext.div(a, b)
+        with OpCount() as composed:
+            want = ext.mul(a, ext.inv(b))
+        assert got == want
+        assert repr(divided) == repr(composed)
+    with OpCount() as refused:
+        with pytest.raises(ZeroDivisionError):
+            ext.div(a, 0)
+    assert repr(refused) == repr(OpCount())
 
 
 SLOTTED = [*((k, None) for q, k in PACKED_FIELDS if q == 2), (129, None),

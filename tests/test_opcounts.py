@@ -7,15 +7,17 @@ decode counts (all four OpCount fields, summed over the trials) and the
 ``SimRecord.line()`` output, as measured with the rank-metric pair
 step on the raw received blocks (Koetter interpolation for q = 2 and a
 received dimension of 5 or more, the dense Welch-Berlekamp solve
-otherwise), an early-exit F_q rank per solved pair for r > 2, the row
+otherwise), an F_q rank of R_j M(mu) - R_i per solved pair, the row
 kernel ``axpy`` behind elimination (the back pass of ``rref`` included)
 and matrix products, which charges nothing for a product by 0 or +-1,
 elimination that inverts no pivot of +-1, ``matrix_rep`` built row by
 row, an ``encode`` that does not re-reduce its block matrix, and a
 decoded codeword assembled from the blocks the decode already holds,
-with one distance check per decode.  (3, 3, 4) gives the multi-pair
-loop of an odd-q code a gate, and (5, 2, 3) the q >= 5 path, where
-products by coefficients other than 0 and +-1 are charged.  The same
+with one distance check per decode for r > 2; for r = 2 the pair's
+rank is the acceptance test.  (3, 3, 4) gives the multi-pair loop of an
+odd-q code a gate, and (5, 2, 3) and (5, 3, 2) the q >= 5 paths for
+r > 2 and r = 2, where products by coefficients other than 0 and +-1
+are charged.  The same
 four counts are pinned for building each code.  No count may rise,
 and a cell whose decode runs the q = 2 interpolation must read exactly
 its pin.
@@ -51,6 +53,9 @@ PINNED_COUNTS = {
                 (0, 1): (24, 10, 39, 4), (1, 0): (154, 33, 34, 8)},
     (2, 5, 3): {(2, 2): (367, 44, 0, 0), (3, 3): (297, 37, 0, 0)},
     (2, 24, 2): {(10, 11): (3649, 130, 0, 0)},
+    (5, 3, 2): {(0, 0): (0, 0, 23, 6), (1, 1): (111, 17, 38, 5),
+                (2, 0): (238, 30, 41, 8), (0, 2): (13, 6, 15, 0),
+                (2, 2): (108, 18, 42, 8)},
 }
 
 # Cells at d >= 5 over F_2, whose pair steps run the interpolation: a
