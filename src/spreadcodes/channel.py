@@ -43,10 +43,6 @@ class ChannelSpec(Record):
     def __init__(self, erasures: int, errors: int):
         self._set(erasures, errors)
 
-    @property
-    def target_distance(self) -> int:
-        return self.errors + self.erasures
-
 
 def trial_rng(seed: int, *key: int):
     """Independent numpy Generator for one labeled trial of a master

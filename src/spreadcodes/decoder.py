@@ -3,7 +3,7 @@
 The received space W, of dimension d, is kept as the blocks R_1 ... R_r
 of its RREF basis.  :func:`decode` pins blocks of rank at most (d-1)/2
 to zero; each other block i is found by one pair step against the first
-high-rank block j, which always leads.  The step reads the d rows
+high-rank block j, which always leads.  The first step reads the d rows
 (u | v) of the raw blocks (R_j R_i) as pairs of field elements
 a = phi(u), b = phi(v), where phi reads a row as the base-q digits of
 a field element.  Over F_2 a matrix holds each row as an int with
@@ -51,15 +51,25 @@ columns of the dense solve cost nothing, and for t <= 1 the dense
 system is at most 4 x 4; in both cases the dense solve stays, and it
 is cheaper there in counted ops.
 
-The lead block R_j is read once, and only if a pair step runs.  The
-codeword is built from the blocks the decode holds, with no encode, and
-accepted only within distance k - 1 of W, so out-of-contract inputs
-fail rather than miscorrect.  A pair whose answer leaves
-2 rank(R_j M(mu) - R_i) above d - 1 ends the decode.  For r = 2 that is
-the whole acceptance test: W + C is C plus the rows (0, u (R_i - R_j M)),
-so dist(W, C) = k - d + 2 rank(R_j M - R_i), which a pinned block (M = 0)
-keeps below k, and a membership pair is C.  For r > 2 the codeword
-takes one final distance check.  A space of dimension 2k or more lies
+The codeword C is built from the blocks the decode holds, with no
+encode, and accepted only within distance k - 1 of W, so
+out-of-contract inputs fail rather than miscorrect.  W + C is C plus
+the rows of X = (X_i), i != j, X_i = R_j M_i - R_i (R_i for a pinned
+block, 0 for a membership pair), so dist(W, C) = k - d + 2 rank(X).
+The decode reads the X_i one at a time, pinned blocks first, and keeps
+the rows u W for a basis u of the left kernel of those read: d - rho
+rows for their stacked rank rho.  Within the radius those rows hold
+W's intersection with C and at most t - rho error dimensions, and
+d - rho > 2 (t - rho), so the next pair step on them at t' = t - rho is
+exact: the blocks of a spread codeword form an interleaved Gabidulin
+code, whose error space all pairs share (Loidreau and Overbeck 2006;
+Sidorenko, Jiang and Bossert 2011).  At t' = 0 the step is one
+division.  One elimination of (X_i | rows) over the columns of X_i
+gives its rank and the next rows (``linalg._kernel_split``); the last
+block needs only its rank.  The decode ends once 2 rho > d - 1 and
+otherwise accepts, with no distance check; for r = 2 the one pair's
+rank decides.  The lead block R_j is read only if a pair
+step runs, once per set of rows.  A space of dimension 2k or more lies
 at distance k or more from every codeword and is refused at once.
 
 :func:`decode_pair` is :func:`decode` on a two-block space.  No code in
@@ -88,9 +98,10 @@ counts (see :class:`spreadcodes.gf.OpCount`) tally independently.
 
 from __future__ import annotations
 
-from .linalg import Matrix, Record, _eliminate, hstack, minor, rank, rref
-from .linalg import disjoint_pivot_tuples
-from .spread import Codeword, SpreadCode, Subspace, subspace_distance
+from .gf import _from_digits
+from .linalg import Matrix, Record, _eliminate, _kernel_split, hstack, minor
+from .linalg import disjoint_pivot_tuples, rank, rref
+from .spread import Codeword, SpreadCode, Subspace
 
 REASON_NO_CODEWORD = "no codeword within distance"
 # Only the pencil search returns it; kept because bench/tracing.py counts it.
@@ -289,15 +300,41 @@ def _nonsingular_core(A: Matrix, code: SpreadCode):
     return REASON_NO_CODEWORD
 
 
-def _pair_step(code: SpreadCode, d: int):
-    """The pair step at received dimension d, as (read, solve): read(R)
-    gives the points phi(u) of the rows u of R for interpolation (q = 2,
-    t >= 2), else their Moore rows u S[:, :t+1] for the dense solve, and
-    solve(a, b, t, ext) on those of (Rj Ri) gives mu, or the reason."""
+def _pair_step(code: SpreadCode, d: int, t: int):
+    """The pair step on d rows at t, as (read, solve): read(R) gives the
+    points of the rows of R, and solve(a, b, t, ext) on those of (Rj Ri)
+    gives mu, or the reason.  A step on all d0 rows has t = (d0-1)/2, so
+    d <= 2t + 2; one on the d0 - rho kernel rows has t = t0 - rho.  The
+    solver is chosen at (q, d, t) from counted ops:
+
+    * t = 0 on more than two rows, which only kernel rows give: one
+      division on the points phi(u), :func:`_divided_point`, free at a
+      row with a = 1, where the dense solve also clears every row;
+    * q = 2 and d >= 5: the interpolation on the points phi(u), which on
+      kernel rows at t = 1 also beats the dense solve;
+    * else the dense solve on the Moore rows u S[:, :t+1].
+
+    At t = 0 and d <= 2, which a step on all rows also has, the dense
+    solve stays."""
+    if t == 0 and d > 2:
+        if code.q == 2:
+            return (lambda R: R.bits), _divided_point
+        q = code.q
+        return (lambda R: [_from_digits(u, q) for u in R.data]), _divided_point
     if code.q == 2 and d >= 5:
         return (lambda R: R.bits), _interpolated_point
-    ext, S = code.ext, code.diagonalizer.columns_slice(0, (d - 1) // 2 + 1)
+    ext, S = code.ext, code.diagonalizer.columns_slice(0, t + 1)
     return (lambda R: (R.lift(ext) @ S).data), _dense_point
+
+
+def _divided_point(a: list, b: list, t: int, ext):
+    """The pair step at t = 0: within the radius every point is clean,
+    b = mu a, so mu = b/a at a row with a = 1 where there is one, at no
+    cost, else at the first a != 0.  Some a is nonzero: the rows span a
+    space of dimension d - rho > d - rank(R_j).  The rank test that
+    follows checks every other point."""
+    n = a.index(1) if 1 in a else next(n for n, x in enumerate(a) if x)
+    return b[n] if a[n] == 1 else ext.div(b[n], a[n])
 
 
 def _interpolated_point(a: list, b: list, t: int, ext):
@@ -398,10 +435,10 @@ def decode(received: ReceivedSpace, code: SpreadCode) -> DecodeResult:
     Block ranks at most (d-1)/2 pin the matching codeword blocks to
     zero; the first block above that threshold is the identity
     position, and each remaining high-rank block is recovered by a pair
-    step against it.  Any pair-step failure, and any assembled answer
-    at distance k or more, is a failure.  A space over a field other
-    than the code's base field is a ValueError, raised before any block
-    is read.
+    step against it, on the rows that the blocks before it proved
+    clean.  Any pair-step failure, and any answer at distance k or
+    more, is a failure.  A space over a field other than the code's
+    base field is a ValueError, raised before any block is read.
     """
     d = received.dim
     k, r = code.k, code.r
@@ -412,7 +449,8 @@ def decode(received: ReceivedSpace, code: SpreadCode) -> DecodeResult:
         return _fail(REASON_DIMENSION)
     blocks = received.blocks
     ranks = [rank(b) for b in blocks]
-    high = [i for i, t in enumerate(ranks) if 2 * t > d - 1]
+    t = (d - 1) // 2
+    high = [i for i, s in enumerate(ranks) if s > t]
     if not high:
         return _fail(REASON_NO_CODEWORD)
     j, ext = high[0], code.ext
@@ -420,22 +458,42 @@ def decode(received: ReceivedSpace, code: SpreadCode) -> DecodeResult:
     # Normalized as built: the blocks before j are pinned, point[j] is 1.
     point, reps = [ext.zero] * r, [code.zero_block] * r
     point[j], reps[j] = ext.one, I
-    read, solve = _pair_step(code, d)
-    lead = None
-    for i in high[1:]:
-        M = Ri = blocks[i]
-        mu = _membership_point(code, Ri) if Rj == I else None
-        if mu is None:
+    # X_i = R_j M_i - R_i, and X_i = R_i for a pinned block, pinned
+    # blocks first.  rows is None while rho = 0, for all d rows.
+    order = [i for i, s in enumerate(ranks) if s <= t] + high[1:]
+    last = order[-1]
+    rho, rows, lead = 0, None, None
+    for i in order:
+        if ranks[i] > t:
+            M = blocks[i]
+            mu = _membership_point(code, M) if Rj == I else None
+            if mu is not None:      # X_i = 0
+                point[i], reps[i] = mu, M
+                continue
             if lead is None:
-                lead = read(Rj)
-            mu = solve(lead, read(Ri), (d - 1) // 2, ext)
+                Rl = Rj if rows is None else rows.columns_slice(j * k,
+                                                                (j + 1) * k)
+                read, solve = _pair_step(code, d - rho, t - rho)
+                lead = read(Rl)
+            Ri = M if rows is None else rows.columns_slice(i * k, (i + 1) * k)
+            mu = solve(lead, read(Ri), t - rho, ext)
             if isinstance(mu, str):
                 return _fail(mu)
-            M = code.matrix_rep(mu)
-            if 2 * rank(Rj @ M - Ri) > d - 1:
-                return _fail(REASON_NO_CODEWORD)
-        point[i], reps[i] = mu, M
-    cw = code._codeword(point, reps)
-    if r > 2 and subspace_distance(sub, cw.subspace) >= k:
-        return _fail(REASON_NO_CODEWORD)
-    return DecodeResult(cw)
+            point[i] = mu
+            reps[i] = M = code.matrix_rep(mu)
+            X = Rl @ M - Ri
+        elif rows is None:
+            if i == last:
+                break               # rho = rank(R_i) <= t
+            X = blocks[i]
+        else:
+            X = rows.columns_slice(i * k, (i + 1) * k)
+        if i == last:
+            rho += rank(X)
+        else:
+            s, kept = _kernel_split(X, sub.basis if rows is None else rows)
+            if s:
+                rho, rows, lead = rho + s, kept, None
+        if rho > t:
+            return _fail(REASON_NO_CODEWORD)
+    return DecodeResult(code._codeword(point, reps))

@@ -13,7 +13,8 @@ every operation returns a fresh matrix, so they can be shared freely
 between threads.
 
 One elimination loop, :func:`_eliminate`, serves :func:`rref`,
-:func:`det`, :func:`inverse` and :func:`rank`.  Its row updates, the
+:func:`det`, :func:`inverse`, :func:`rank` and the decoder's
+:func:`_kernel_split`.  Its row updates, the
 back pass of :func:`rref`, every product ``A @ B`` (each output row a
 sum of rows of B scaled by the entries of A), and ``A + B``, ``A - B``
 and ``-A`` (one update by +-1 per row) run through the field's row
@@ -30,7 +31,8 @@ ints on first read only; every other field holds ``data`` itself.  :func:`rref` 
 :func:`hstack`, :func:`vstack`, ``columns_slice``, equality and hashing
 run on the ints, where every row update is one XOR and nothing is
 charged.  One reduction gives :func:`rank`; :func:`rref` runs it again,
-backward over that basis.  Only :func:`det` runs the loop over F_2.
+backward over that basis, and :func:`_kernel_split` runs it with its
+pivots in the leading columns.  Only :func:`det` runs the loop over F_2.
 
 Row and column tuples for minors are 1-based and order-sensitive: the
 minor of rows (2, 1) is the negative of the minor of rows (1, 2), and a
@@ -188,11 +190,6 @@ class Matrix:
         return Matrix._of_rows(f, [[f.mul(value, a) for a in row]
                                    for row in self.data], self.ncols)
 
-    def transpose(self) -> "Matrix":
-        # zip(*rows) of no rows gives no columns, not ncols empty ones.
-        cols = zip(*self.data) if self.data else [()] * self.ncols
-        return Matrix._of_rows(self.field, cols, self.nrows)
-
     def submatrix(self, rows, cols) -> "Matrix":
         """Submatrix at 0-based index sequences, kept in the given order."""
         return Matrix._of_rows(self.field, [[self.data[i][j] for j in cols]
@@ -217,10 +214,6 @@ class Matrix:
         return Matrix._of_rows(self.field,
                                [row[start:stop] for row in self.data],
                                len(cols))
-
-    def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(a == z for row in self.data for a in row)
 
     def is_diagonal(self) -> bool:
         z = self.field.zero
@@ -421,6 +414,43 @@ def _echelon_gf2(xs) -> list:
         if x:
             basis.append((x & -x, x))
     return basis
+
+
+def _split_gf2(xs, width: int) -> tuple:
+    """The reduction of :func:`_echelon_gf2` on rows x | y << width,
+    with pivots in the low ``width`` bits only: the rank of the parts x,
+    and the parts y of the rows whose x it clears.  Each such row is its
+    own input row plus earlier ones, so those y are the images u Y of a
+    basis u of the left kernel of X, the x as a matrix."""
+    mask = (1 << width) - 1
+    basis, kernel = [], []
+    for x in xs:
+        for low, b in basis:
+            if x & low:
+                x ^= b
+        low = x & mask
+        if low:
+            basis.append((low & -low, x))
+        else:
+            kernel.append(x >> width)
+    return len(basis), kernel
+
+
+def _kernel_split(X: Matrix, Y: Matrix) -> tuple:
+    """rank(X), and the rows u Y for a basis u of the left kernel of X,
+    as a matrix, from one forward elimination of (X | Y) over the
+    columns of X.  A zero X gives Y itself."""
+    f, k = X.field, X.ncols
+    if _is_gf2(f):
+        if not any(X.bits):
+            return 0, Y
+        s, rows = _split_gf2(hstack(X, Y).bits, k)
+        return s, Matrix._of_bits(f, rows, Y.ncols)
+    if not any(map(any, X.data)):
+        return 0, Y
+    R = [list(row) for row in hstack(X, Y).data]
+    s = len(_eliminate(f, R, k)[0])
+    return s, Matrix._of_rows(f, [row[k:] for row in R[s:]], Y.ncols)
 
 
 def _rref_gf2(M: Matrix) -> RrefResult:

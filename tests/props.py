@@ -36,6 +36,13 @@ def random_matrix(rnd: random.Random, field, nrows: int, ncols: int) -> Matrix:
                           for _ in range(nrows)])
 
 
+def transpose(M: Matrix) -> Matrix:
+    """The transpose of M; an n x 0 matrix gives 0 x n."""
+    # zip(*rows) of no rows gives no columns, not ncols empty ones.
+    cols = zip(*M.data) if M.data else [()] * M.ncols
+    return Matrix._of_rows(M.field, cols, M.nrows)
+
+
 def all_subspaces(q: int, n: int, dims) -> list[Subspace]:
     """Every subspace of F_q^n whose dimension lies in dims, one per
     RREF basis: each set of pivot columns with every free entry (right
@@ -273,8 +280,9 @@ def pair_point(Rj: Matrix, Ri: Matrix, d: int, code: SpreadCode, step=None):
     received space of dimension d: mu of the pair codeword [1 : mu], or
     the failure reason.  ``step`` is a (read, solve) pair as
     ``_pair_step`` gives it, by default decode's own."""
-    read, solve = step or _pair_step(code, d)
-    return solve(read(Rj), read(Ri), (d - 1) // 2, code.ext)
+    t = (d - 1) // 2
+    read, solve = step or _pair_step(code, d, t)
+    return solve(read(Rj), read(Ri), t, code.ext)
 
 
 def interpolated_point(Rj: Matrix, Ri: Matrix, d: int, code: SpreadCode):
@@ -323,11 +331,11 @@ def list_interpolated_point(Rj: Matrix, Ri: Matrix, d: int,
     return pair_point(Rj, Ri, d, code, (points, list_interpolation))
 
 
-def dense_step(code: SpreadCode, d: int):
-    """(read, solve) of the dense solve at dimension d, whatever q and d
-    are: each row u becomes its Moore row (a, a^q, ..., a^(q^t)) for
-    a = phi(u), by Frobenius powers rather than by the columns of S."""
-    ext, t = code.ext, (d - 1) // 2
+def dense_step(code: SpreadCode, d: int, t: int):
+    """(read, solve) of the dense solve on d points at t, whatever q, d
+    and t are: each row u becomes its Moore row (a, a^q, ..., a^(q^t))
+    for a = phi(u), by Frobenius powers rather than by the columns of S."""
+    ext = code.ext
 
     def moore_rows(R):
         return [tuple(ext.frobenius(ext.element(u), j) for j in range(t + 1))
@@ -337,7 +345,7 @@ def dense_step(code: SpreadCode, d: int):
 
 def dense_point(Rj: Matrix, Ri: Matrix, d: int, code: SpreadCode):
     """The dense Welch-Berlekamp solver on the Moore rows of (Rj Ri)."""
-    return pair_point(Rj, Ri, d, code, dense_step(code, d))
+    return pair_point(Rj, Ri, d, code, dense_step(code, d, (d - 1) // 2))
 
 
 def checked_point(code: SpreadCode, received: Subspace, point) -> DecodeResult:

@@ -32,7 +32,7 @@ from props import (all_subspaces, dense_point, dense_step,
                    oracle_agreement_cases,
                    oracle_agreement_exhaustive, oracle_agreement_sampled,
                    pair_point, pencil_pair_point, random_element,
-                   random_matrix, root_evaluation_trials)
+                   random_matrix, root_evaluation_trials, transpose)
 
 
 @functools.cache
@@ -204,7 +204,7 @@ class TestNonsingularPath:
             for v in range(1, 8):
                 urow = [(u >> i) & 1 for i in range(3)]
                 vrow = [(v >> i) & 1 for i in range(3)]
-                E = Matrix(code32.base, [urow]).transpose() @ Matrix(
+                E = transpose(Matrix(code32.base, [urow])) @ Matrix(
                     code32.base, [vrow])
                 R2 = P2 + E
                 if rank(R2) == 3:
@@ -544,7 +544,8 @@ class TestInterpolation:
 
 class TestPairAcceptance:
     """For r = 2, decode accepts on the pair's own rank test,
-    2 rank(R_j M(mu) - R_i) <= d - 1, and runs no distance check.  A
+    2 rank(R_j M(mu) - R_i) <= d - 1, and runs no distance check: the
+    decoder does not even import one.  A
     solved pair has dim(W + C) = k + rank(R_j M - R_i), so
     dist(W, C) = k - d + 2 rank(R_j M - R_i); a pinned block is the
     case M = 0, at distance at most k - 1; a membership pair is C."""
@@ -574,6 +575,8 @@ class TestPairAcceptance:
         def refused(*args):
             raise AssertionError("r = 2 decode ran a distance check")
 
+        assert not hasattr(decoder_module, "subspace_distance")
+
         # Random codewords, and the two whose other block is zero, which
         # keeps that block pinned inside the radius.
         sent = [lambda rng: random_codeword(code, rng)] * trials + [
@@ -586,7 +589,7 @@ class TestPairAcceptance:
                                    rng)
                 best, nearest = brute_force_decode(received, code)
                 members.clear()
-                with mock.patch.object(decoder_module, "subspace_distance",
+                with mock.patch.object(spread_module, "subspace_distance",
                                        refused), \
                         mock.patch.object(decoder_module, "_membership_point",
                                           recorded):
@@ -619,7 +622,7 @@ class TestPairAcceptance:
                     R0 == code.identity_block
                     and code.element_of(R1) is not None):
                 continue
-            read = decoder_module._pair_step(code, d)[0]
+            read = decoder_module._pair_step(code, d, (d - 1) // 2)[0]
             for mu in code.ext.elements():
                 step = (read, lambda *args: mu)
                 with mock.patch.object(decoder_module, "_pair_step",
@@ -653,6 +656,146 @@ class TestPairAcceptance:
                     k - d + 2 * rank(R0 @ M - R1))
                 checked += 1
         assert checked >= 3 * len(self.cells(k))
+
+
+class TestKernelSteps:
+    """For r > 2, every pair step after the first runs on the rows u of
+    W's basis with u X_i = 0 for each block i read before it, where
+    X_i = R_j M(mu_i) - R_i, and X_i = R_i for a pinned block, at
+    t' = t - rho for the rank rho of those X_i stacked.  The decode
+    accepts on 2 rho <= d - 1 over all the blocks, as
+    dist(W, C) = k - d + 2 rank(hstack_i X_i), and runs no distance
+    check."""
+
+    CODES = [(2, 3, 3), (2, 4, 4), (3, 3, 4), (5, 2, 3)]
+
+    @staticmethod
+    def recording_steps(monkeypatch):
+        """Patch _pair_step to record the number of rows of each step."""
+        rows = []
+        real_step = decoder_module._pair_step
+
+        def step(code, d, t):
+            rows.append(d)
+            return real_step(code, d, t)
+
+        monkeypatch.setattr(decoder_module, "_pair_step", step)
+        return rows
+
+    @pytest.mark.parametrize("qkr", CODES)
+    def test_brute_force_agreement_in_every_cell(self, monkeypatch, qkr):
+        # Every (errors, erasures) with a nonempty received space, inside
+        # the radius k - 1 and beyond it.
+        code = small_code(qkr)
+        k = code.k
+        trials = 1 if code.size > 10 ** 4 else 3
+        rows = self.recording_steps(monkeypatch)
+        seen = collections.Counter()
+        for e in range(k + 1):
+            for eps in range(k + 1):
+                if k - eps + e < 1:
+                    continue
+                for i in range(trials):
+                    rng = trial_rng(53, e, eps, i)
+                    received = corrupt(random_codeword(code, rng),
+                                       ChannelSpec(eps, e), code, rng)
+                    best, nearest = brute_force_decode(received, code)
+                    rows.clear()
+                    result = decode(received, code)
+                    if best < k:
+                        assert result == DecodeResult(nearest[0])
+                    else:
+                        assert not result.ok and result.reason in (
+                            REASON_NO_CODEWORD, REASON_DIMENSION)
+                    restricted = any(n < received.dim for n in rows)
+                    seen[best < k, restricted] += 1
+        assert seen[True, True] and seen[True, False]
+        assert seen[False, True] + seen[False, False]
+
+    @pytest.mark.parametrize("qkr", CODES + [(2, 5, 4)])
+    def test_distance_identity(self, qkr):
+        # dist(W, C) = k - d + 2 rank(hstack_i X_i) for the codeword C of
+        # a point led by block j, X_i = R_j M(v_i) - R_i over i != j, W a
+        # channel output, the point the sent one or another.
+        code = small_code(qkr)
+        k = code.k
+        checked = 0
+        for e in range(k + 1):
+            for eps in range(k):
+                rng = trial_rng(59, e, eps)
+                sent = random_codeword(code, rng)
+                received = corrupt(sent, ChannelSpec(eps, e), code, rng)
+                blocks, d = received.blocks, received.dim
+                other = random_codeword(code, rng).point
+                lead = list(other)
+                lead[:2] = (0, 1)
+                for point in (sent.point, other, tuple(lead)):
+                    cw = code.encode(point)
+                    j = next(i for i, v in enumerate(cw.point) if v)
+                    X = hstack(*(blocks[j] @ code.matrix_rep(v) - blocks[i]
+                                 for i, v in enumerate(cw.point) if i != j))
+                    assert subspace_distance(received.subspace,
+                                             cw.subspace) == k - d + 2 * rank(X)
+                    checked += 1
+        assert checked == 3 * (k + 1) * k
+
+    @staticmethod
+    def late_errors(code, block, e, eps, seed):
+        """A codeword with no zero coordinate and a received space: k - eps
+        of its rows and e error rows whose only nonzero block is
+        ``block``, of rank e there."""
+        k, n, ext = code.k, code.n, code.ext
+        rnd = random.Random(seed)
+        while True:
+            cw = code.encode([1] + [rnd.randrange(1, ext.order)
+                                    for _ in range(code.r - 1)])
+            kept = random_matrix(rnd, code.base, k - eps, k)
+            E = random_matrix(rnd, code.base, e, k)
+            errors = [[0] * block * k + list(row) + [0] * (n - (block + 1) * k)
+                      for row in E.data]
+            sub = Subspace.from_generators(vstack(
+                kept @ cw.subspace.basis, Matrix(code.base, errors)))
+            if rank(kept) == k - eps and rank(E) == e:
+                assert sub.dim == k - eps + e
+                return cw, ReceivedSpace(sub, k)
+
+    @pytest.mark.parametrize("qkr,block", [((2, 3, 4), 2), ((2, 3, 4), 3),
+                                           ((3, 2, 4), 3), ((2, 4, 5), 3),
+                                           ((2, 8, 8), 5)])
+    def test_errors_invisible_to_the_first_pair(self, monkeypatch, qkr,
+                                                block):
+        # Errors whose only nonzero block is a later one leave the first
+        # pair's X zero, so the pair steps before that block run on all
+        # d rows and those after it on the d - e rows it proved clean.
+        # Inside the radius the sent codeword comes back; beyond it the
+        # answer is brute force's.
+        code = small_code(qkr)
+        k = code.k
+        rows = self.recording_steps(monkeypatch)
+        seen = collections.Counter()
+        for e in range(1, k + 1):
+            for eps in range(max(0, e - 1), k):
+                seed = 100 * e + eps
+                cw, received = self.late_errors(code, block, e, eps, seed)
+                d, t = received.dim, (received.dim - 1) // 2
+                blocks = received.blocks
+                X1 = blocks[0] @ code.matrix_rep(cw.point[1]) - blocks[1]
+                assert rank(X1) == 0
+                rows.clear()
+                result = decode(received, code)
+                if e <= t:
+                    assert result == DecodeResult(cw)
+                    after = block + 1 < code.r
+                    assert rows[0] == d
+                    assert (rows[-1] == d - e) == after
+                    seen["inside", after] += 1
+                elif code.size <= 10 ** 4:
+                    best, nearest = brute_force_decode(received, code)
+                    assert result == (DecodeResult(nearest[0]) if best < k
+                                      else DecodeResult(None,
+                                                        REASON_NO_CODEWORD))
+                    seen["beyond"] += 1
+        assert seen["inside", block + 1 < code.r]
 
 
 class TestSoundness:
@@ -743,8 +886,8 @@ class TestLargeCharacteristic:
 class TestWorkDoneOnce:
     """The pair path reuses what its caller holds: one rank per input
     block, the raw blocks of the received RREF with no re-canonicalized
-    pair and no inverse, one early-exit rank per solved pair, the lead
-    block read once, and for r > 2 one distance check per answer, built
+    pair and no inverse, one kernel split per block X_i but the last
+    and one rank for the last, no distance check, and an answer built
     from the blocks the decode holds with no encode, whichever block has
     the higher rank."""
 
@@ -766,8 +909,8 @@ class TestWorkDoneOnce:
             return real_rank(M)
 
         monkeypatch.setattr(decoder_module, "rank", rank_of_blocks)
-        monkeypatch.setattr(decoder_module, "subspace_distance", counted(
-            "distance", decoder_module.subspace_distance))
+        monkeypatch.setattr(decoder_module, "_kernel_split", counted(
+            "kernel", decoder_module._kernel_split))
         monkeypatch.setattr(SpreadCode, "encode",
                             counted("encode", SpreadCode.encode))
         monkeypatch.setattr(Subspace, "from_generators", classmethod(
@@ -815,9 +958,10 @@ class TestWorkDoneOnce:
     @pytest.mark.parametrize("qkr,seed", [((2, 3, 3), 4), ((3, 3, 4), 2)])
     def test_decode_many_blocks(self, monkeypatch, qkr, seed):
         # Every block is above the rank threshold and the first is not
-        # the largest, so r - 1 pair steps run on the raw blocks, each
-        # followed by one early-exit rank; none encodes or
-        # canonicalizes, and one check against the received space ends.
+        # the largest, so r - 1 pair steps run on rows of the raw
+        # blocks, each followed by one kernel split, the last by one
+        # rank instead; none encodes or canonicalizes, and no check
+        # against the received space ends.
         code = SpreadCode(*qkr)
         rng = trial_rng(seed)
         cw = random_codeword(code, rng)
@@ -828,12 +972,13 @@ class TestWorkDoneOnce:
         result = decode(received, code)
         assert result.ok and result.codeword == cw
         assert calls == collections.Counter(
-            {"base rank": 2 * code.r - 1, "encode": 0, "distance": 1})
+            {"base rank": code.r + 1, "kernel": code.r - 2, "encode": 0})
 
     def test_decode_pivots_in_first_block(self, monkeypatch):
         # Block 0 has full rank, so it holds every pivot of the received
         # RREF and is I: each pair (0, i) takes the membership test
-        # first, then the solve and its early-exit rank.
+        # first, then the solve and its kernel split, or for the last
+        # block its rank.
         code = SpreadCode(3, 3, 4)
         rng = trial_rng(10)
         cw = random_codeword(code, rng)
@@ -851,7 +996,7 @@ class TestWorkDoneOnce:
         result = decode(received, code)
         assert result.ok and result.codeword == cw
         assert calls == collections.Counter(
-            {"base rank": 4 + 3, "encode": 0, "distance": 1})
+            {"base rank": 4 + 1, "kernel": 2, "encode": 0})
         assert membership == [None] * 3
 
     @pytest.mark.parametrize("qkr,dense", [((2, 5, 2), False),
@@ -946,7 +1091,8 @@ class TestWorkDoneOnce:
                                                          qkr):
         # Per decode: no encode and no normalize_point; one matrix_rep
         # per membership test and at most one per solved pair; the lead
-        # block read once, and only when a pair is solved.
+        # block read once per set of rows the pair steps run on, and
+        # only when a pair is solved: once for r = 2.
         code = small_code(qkr)
         calls = collections.Counter()
 
@@ -963,8 +1109,9 @@ class TestWorkDoneOnce:
             "membership", decoder_module._membership_point))
         real_step = decoder_module._pair_step
 
-        def step(code, d):
-            read, solve = real_step(code, d)
+        def step(code, d, t):
+            calls["step"] += 1
+            read, solve = real_step(code, d, t)
             return counted("read", read), counted("solve", solve)
 
         monkeypatch.setattr(decoder_module, "_pair_step", step)
@@ -975,7 +1122,10 @@ class TestWorkDoneOnce:
             assert calls["encode"] == calls["normalize_point"] == 0
             assert (calls["matrix_rep"] - calls["membership"]
                     <= calls["solve"])
-            assert calls["read"] == calls["solve"] + (calls["solve"] > 0)
+            assert calls["read"] == calls["solve"] + calls["step"]
+            assert (calls["step"] <= calls["solve"] if code.r > 2
+                    else calls["step"] == calls["solve"] <= 1)
+            assert calls["solve"] > 0 or not calls["step"]
             solved += calls["solve"]
         assert solved
 

@@ -14,7 +14,7 @@ from spreadcodes.spread import Subspace
 from paper_reference import nondiagonal_rank
 from props import (matched_extension_trials, minor_expansion_trials,
                    factor_relation_trials, pivot_postcondition_trials,
-                   random_element, random_matrix)
+                   random_element, random_matrix, transpose)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -74,8 +74,8 @@ def assert_packed_matches_generic(M) -> bool:
     assert res.matrix.data == ref.matrix.data
     assert (res.rank, res.pivot_cols) == (ref.rank, ref.pivot_cols)
     assert rank(M) == ref.rank
-    assert (M @ M.transpose()).data == (L @ L.transpose()).data
-    assert (M.transpose() @ M).data == (L.transpose() @ L).data
+    assert (M @ transpose(M)).data == (L @ transpose(L)).data
+    assert (transpose(M) @ M).data == (transpose(L) @ L).data
     if M.nrows != M.ncols:
         return False
     try:
@@ -159,7 +159,7 @@ class TestKernel:
             with OpCount() as c:
                 r = rank(M)
                 res = rref(M)
-                M @ M.transpose()
+                M @ transpose(M)
             assert (c.base_mul, c.base_inv) == (0, 0)
             assert res.rank == r
             assert_reduced(res, field)
@@ -373,10 +373,10 @@ class TestEmptyWidth:
         assert rank(Z) == 0
         assert self.shape(Z.submatrix([], [0, 2])) == (0, 2)
         assert self.shape(Z.columns_slice(1, 3)) == (0, 2)
-        assert self.shape(Z.transpose()) == (3, 0)
-        assert self.shape(Matrix.zeros(field, 2, 0).transpose()) == (0, 2)
+        assert self.shape(transpose(Z)) == (3, 0)
+        assert self.shape(transpose(Matrix.zeros(field, 2, 0))) == (0, 2)
         assert self.shape(hstack(Z, Matrix.zeros(field, 0, 2))) == (0, 5)
-        assert Z.transpose() @ Z == Matrix.zeros(field, 3, 3)
+        assert transpose(Z) @ Z == Matrix.zeros(field, 3, 3)
         assert self.shape(Matrix.zeros(field, 0, 1) @ M) == (0, 3)
         assert self.shape(Z + Z) == self.shape(-Z) == (0, 3)
 
@@ -479,8 +479,8 @@ class TestBitRows:
                 self.assert_holds(M - N, (tuple(F2.axpy(a, 1, b))
                                           for a, b in zip(rows, other)), n)
                 T = tuple(zip(*rows)) if rows else ((),) * n
-                self.assert_holds(M.transpose(), T, m)
-                self.assert_holds(M.transpose() @ N,
+                self.assert_holds(transpose(M), T, m)
+                self.assert_holds(transpose(M) @ N,
                                   tuple_product(T, other, n), n)
                 B = self.draw(rnd, n, m)
                 self.assert_holds(M @ self.of(B, m),
