@@ -20,24 +20,27 @@ MRD code).  With t = floor((d-1)/2), one linear Welch-Berlekamp system
 
     sum_{j=0..t} N_j a^(q^j) + sum_{j=1..t} V_j b^(q^j) = b
 
-over all d rows gives mu = N_0.  Within distance k - 1 of a codeword,
-Q(x) = mu x - V(mu x) - N(x) has q-degree at most t and vanishes on
-the images a of W's intersection with the codeword, a space of
-dimension above t, so Q = 0 and every solution has N_0 = mu.  The Moore
-columns a^(q^j) are u S[:, j] for the eigenvector matrix S of the
-companion matrix, a product that costs nothing for q = 2 and 3.  A
-space led by I is tested for exact membership first.
+over the rows it reads gives mu = N_0: the first 2t + 1 for q <= 3 and
+t >= 1, else all d (see below).  Within distance k - 1 of a codeword C,
+W holds at most t error dimensions, so the span W' of the rows read
+meets C in a space of dimension above t.  Q(x) = mu x - V(mu x) - N(x)
+has q-degree at most t and vanishes on the images a of W' ∩ C, so
+Q = 0 and every solution has N_0 = mu.  The Moore columns a^(q^j) are
+u S[:, j] for the eigenvector matrix S of the companion matrix, a
+product that costs nothing for q = 2 and 3.  A space led by I is
+tested for exact membership first.
 
-Forward elimination of that dense d x (2t+2) system costs about d^3/3
-ext ops.  For q = 2 and t >= 2 (d >= 5) the pair step instead finds the
-least bivariate linearized Q(x, y) = N(x) + V(y) of q-degree at most t
-that vanishes on the d points by Koetter's interpolation in its
-linearized form (Koetter and Kschischang 2008; Loidreau's
-Welch-Berlekamp-like decoder, 2006, is the same algorithm), in about d^2
-ext ops: :func:`_interpolated_point`.  Within the radius that Q is
-c L(y - mu x) for the subspace polynomial L of the error values, so
-mu = -N_0 / V_0.  It builds no Moore matrix: in characteristic 2 the
-update s^q - D^(q-1) s of a value v is v (v + D), one counted product.
+Forward elimination of that dense s x (2t+2) system, on s = 2t + 1
+rows or d, costs about s^3/3 ext ops.  For q = 2 and t >= 2 (d >= 5)
+the pair step instead finds the least bivariate linearized
+Q(x, y) = N(x) + V(y) of q-degree at most t that vanishes on the d
+points by Koetter's interpolation in its linearized form (Koetter
+and Kschischang 2008; Loidreau's Welch-Berlekamp-like decoder, 2006,
+is the same algorithm), in about d^2 ext ops:
+:func:`_interpolated_point`.  Within the radius that Q is c L(y - mu x)
+for the subspace polynomial L of the error values, so mu = -N_0 / V_0.
+It builds no Moore matrix: in characteristic 2 the update
+s^q - D^(q-1) s of a value v is v (v + D), one counted product.
 The two live polynomials are two row handles of the field
 (``ExtField.rows``: a slotted int on a packed F_{2^k}, a list on a
 table field), each loaded once with its values ahead and then N_0 and
@@ -51,26 +54,39 @@ columns of the dense solve cost nothing, and for t <= 1 the dense
 system is at most 4 x 4; in both cases the dense solve stays, and it
 is cheaper there in counted ops.
 
+The rows the dense solve drops are not lost: the rank test below reads
+every row, so no answer is accepted on fewer rows, and a spurious mu
+that the shorter system gives beyond the radius fails it.  Over F_2 and
+F_3 such a mu costs no counted op, as ``matrix_rep`` and ``R_j @ M``
+multiply only by 0 or +-1.  For q >= 5 they charge products by other
+digits, so there the dense solve reads all d rows, as do the
+interpolation, whose final division would run before the rank test
+rejects, and the step at t = 0, which looks for a row with a = 1 among
+all rows.
+
 The codeword C is built from the blocks the decode holds, with no
 encode, and accepted only within distance k - 1 of W, so
 out-of-contract inputs fail rather than miscorrect.  W + C is C plus
 the rows of X = (X_i), i != j, X_i = R_j M_i - R_i (R_i for a pinned
 block, 0 for a membership pair), so dist(W, C) = k - d + 2 rank(X).
 The decode reads the X_i one at a time, pinned blocks first, and keeps
-the rows u W for a basis u of the left kernel of those read: d - rho
-rows for their stacked rank rho.  Within the radius those rows hold
-W's intersection with C and at most t - rho error dimensions, and
-d - rho > 2 (t - rho), so the next pair step on them at t' = t - rho is
-exact: the blocks of a spread codeword form an interleaved Gabidulin
-code, whose error space all pairs share (Loidreau and Overbeck 2006;
-Sidorenko, Jiang and Bossert 2011).  At t' = 0 the step is one
-division.  One elimination of (X_i | rows) over the columns of X_i
-gives its rank and the next rows (``linalg._kernel_split``); the last
-block needs only its rank.  The decode ends once 2 rho > d - 1 and
-otherwise accepts, with no distance check; for r = 2 the one pair's
-rank decides.  The lead block R_j is read only if a pair
-step runs, once per set of rows.  A space of dimension 2k or more lies
-at distance k or more from every codeword and is refused at once.
+the rows u W for a basis u of the left kernel of those read, d - rho
+rows for their stacked rank rho, with the columns of the blocks read
+set to zero, as no later step reads them.  Within the radius the rows
+u W hold W's intersection with C and at most t - rho error dimensions,
+and d - rho > 2 (t - rho), so the next pair step on them at
+t' = t - rho is exact: the blocks of a spread codeword form an
+interleaved Gabidulin code, whose error space all pairs share (Loidreau
+and Overbeck 2006; Sidorenko, Jiang and Bossert 2011).  At t' = 0 the
+step is one division.  One elimination of (X_i | rows) over the
+columns of X_i, with block i of the rows set to zero so that no row
+update multiplies there, gives its rank and the next rows
+(``linalg._kernel_split``); the last block needs only its rank.  The
+decode ends once 2 rho > d - 1 and otherwise accepts, with no distance
+check; for r = 2 the one pair's rank decides.  The lead block R_j is
+read only if a pair step runs, once per set of rows.  A space of
+dimension 2k or more lies at distance k or more from every codeword and
+is refused at once.
 
 :func:`decode_pair` is :func:`decode` on a two-block space.  No code in
 the package calls it and the package does not export it; it stays here
@@ -312,10 +328,15 @@ def _pair_step(code: SpreadCode, d: int, t: int):
       row with a = 1, where the dense solve also clears every row;
     * q = 2 and d >= 5: the interpolation on the points phi(u), which on
       kernel rows at t = 1 also beats the dense solve;
-    * else the dense solve on the Moore rows u S[:, :t+1].
+    * else the dense solve on the Moore rows u S[:, :t+1], read off
+      only the first 2t + 1 rows for q <= 3 and t >= 1: within the
+      radius any 2t + 1 of the rows fix mu, and :func:`decode` ranks
+      X_i on all of them.  For q >= 5 it reads all d rows, as a
+      spurious mu from fewer rows would pay for ``matrix_rep`` and
+      ``R_j @ M`` before the rank rejects it.
 
     At t = 0 and d <= 2, which a step on all rows also has, the dense
-    solve stays."""
+    solve stays, on all rows."""
     if t == 0 and d > 2:
         if code.q == 2:
             return (lambda R: R.bits), _divided_point
@@ -324,7 +345,10 @@ def _pair_step(code: SpreadCode, d: int, t: int):
     if code.q == 2 and d >= 5:
         return (lambda R: R.bits), _interpolated_point
     ext, S = code.ext, code.diagonalizer.columns_slice(0, t + 1)
-    return (lambda R: (R.lift(ext) @ S).data), _dense_point
+    if code.q > 3 or t == 0:
+        return (lambda R: (R.lift(ext) @ S).data), _dense_point
+    n = 2 * t + 1
+    return (lambda R: (R._top(n).lift(ext) @ S).data), _dense_point
 
 
 def _divided_point(a: list, b: list, t: int, ext):
@@ -398,11 +422,14 @@ def _interpolated_point(a: list, b: list, t: int, ext):
 
 def _dense_point(a: tuple, b: tuple, t: int, ext):
     """The pair step as one dense Welch-Berlekamp solve on the Moore rows
-    a, b of (Rj Ri): mu of the pair codeword [1 : mu], or the failure
-    reason.  Row l of the system lists
-    the Moore entries b^(q^1..q^t), a^(q^1..q^t), a, then b; after
-    forward elimination N_0 is fixed exactly when the column of a holds
-    the last pivot."""
+    a, b of (Rj Ri) that :func:`_pair_step` reads, the first 2t + 1 for
+    q <= 3 and t >= 1, else all: mu of the pair codeword [1 : mu], or
+    the failure reason.  Row l of the system lists the Moore entries
+    b^(q^1..q^t), a^(q^1..q^t), a, then b; after forward elimination
+    N_0 is fixed exactly when the column of a holds the last pivot.  On
+    2t + 1 rows beyond the radius the mu found may be spurious; the
+    rank of X_i on every row, which follows, rejects it.  A zero
+    right-hand side gives mu = 0 with no division."""
     rows = [list(y[1:] + x[1:] + (x[0], y[0])) for x, y in zip(a, b)]
     pivots, _ = _eliminate(ext, rows, 2 * t + 2)
     col, inv = pivots[-1]
@@ -411,6 +438,8 @@ def _dense_point(a: tuple, b: tuple, t: int, ext):
         # N_0 free.  Either way no codeword is within the radius.
         return REASON_NO_CODEWORD
     pivot, rhs = rows[len(pivots) - 1][col:]
+    if not rhs:
+        return rhs
     if inv is None:
         inv = ext.inv(pivot)
     return rhs if inv == ext.one else ext.mul(rhs, inv)
@@ -491,7 +520,8 @@ def decode(received: ReceivedSpace, code: SpreadCode) -> DecodeResult:
         if i == last:
             rho += rank(X)
         else:
-            s, kept = _kernel_split(X, sub.basis if rows is None else rows)
+            s, kept = _kernel_split(X, sub.basis if rows is None else rows,
+                                    i * k)
             if s:
                 rho, rows, lead = rho + s, kept, None
         if rho > t:

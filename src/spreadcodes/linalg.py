@@ -436,19 +436,26 @@ def _split_gf2(xs, width: int) -> tuple:
     return len(basis), kernel
 
 
-def _kernel_split(X: Matrix, Y: Matrix) -> tuple:
-    """rank(X), and the rows u Y for a basis u of the left kernel of X,
-    as a matrix, from one forward elimination of (X | Y) over the
-    columns of X.  A zero X gives Y itself."""
+def _kernel_split(X: Matrix, Y: Matrix, at: int) -> tuple:
+    """rank(X), and the rows u Y' for a basis u of the left kernel of X,
+    as a matrix, from one forward elimination of (X | Y') over the
+    columns of X, where Y' is Y with its k = X.ncols columns from ``at``
+    on set to zero: the block X was made from, which the caller reads
+    no more, so the row updates charge no product there.  A zero X
+    gives (0, None): every row is in its left kernel, and the caller
+    keeps the rows it holds."""
     f, k = X.field, X.ncols
     if _is_gf2(f):
         if not any(X.bits):
-            return 0, Y
-        s, rows = _split_gf2(hstack(X, Y).bits, k)
+            return 0, None
+        keep = ~(((1 << k) - 1) << at)
+        s, rows = _split_gf2([x | (y & keep) << k
+                              for x, y in zip(X.bits, Y.bits)], k)
         return s, Matrix._of_bits(f, rows, Y.ncols)
     if not any(map(any, X.data)):
-        return 0, Y
-    R = [list(row) for row in hstack(X, Y).data]
+        return 0, None
+    zeros = [f.zero] * k
+    R = [[*x, *y[:at], *zeros, *y[at + k:]] for x, y in zip(X.data, Y.data)]
     s = len(_eliminate(f, R, k)[0])
     return s, Matrix._of_rows(f, [row[k:] for row in R[s:]], Y.ncols)
 

@@ -11,6 +11,11 @@ at distance k - 1 and just beyond the radius must stay within
   as much: the Moore rows ``R.lift(ext) @ S`` charge a product for
   every digit other than 0 and +-1.
 
+For q = 3 the dense solve reads only the s = 2t + 1 rows it needs, so
+per solved pair it must also stay within s^3/3 + C3S*s^2.  At odd d,
+s = d; at even d, s = d - 1, and the cells at distance k - 2 give every
+code of the q = 3 grid inputs of both parities inside the radius.
+
 The whole decode must also stay within one such pair step plus CB ext
 ops for each of the r - 2 blocks after the first pair.  At distance
 k - 1 the channel's e errors fill the radius t = (d-1)/2, and the first
@@ -37,6 +42,10 @@ INPUTS = 4
 C2 = 5.0
 C3 = 0.6
 C5 = 1.3
+# Measured worst c of the law in s, rounded up: 0.667 at (3, 6, 2),
+# d = 4, s = 3 (15 ext ops).  A dense solve on all d rows read 1.667
+# there, and up to 1.116 at (3, 18, 2), d = 16.
+C3S = 0.7
 # Measured worst ext ops per block beyond one pair step, rounded up:
 # 1.95 at (3, 5, 16), d = 5; 1.93 at (2, 8, 16) and (2, 8, 32), d = 7.
 CB = 2.0
@@ -60,6 +69,13 @@ def cells(k):
     return [(k - 1 - h, h), (h, k - 1 - h), (k - h, h)]
 
 
+def cells_both_parities(k):
+    """:func:`cells` and two splits of distance k - 2, inside the
+    radius, whose d has the other parity than at distance k - 1."""
+    h = k // 2
+    return cells(k) + [(k - 2 - h, h), (k - 1 - h, h - 1)]
+
+
 def bound(q, d):
     if q == 2:
         return d * d + C2 * d
@@ -68,11 +84,11 @@ def bound(q, d):
     return 2 * d ** 3 / 3 + C5 * d * d
 
 
-def decodes(code):
+def decodes(code, cells_of=cells):
     """(cell, input, d, ext ops) of each seeded input's decode, which
     must return the sent codeword inside the radius."""
     k = code.k
-    for e, eps in cells(k):
+    for e, eps in cells_of(k):
         for i in range(INPUTS):
             rng = trial_rng(SEED, e, eps, i)
             cw = random_codeword(code, rng)
@@ -90,6 +106,16 @@ def test_ext_ops_per_pair_step(qkr):
     for cell, i, d, ops in decodes(SpreadCode(*qkr)):
         assert ops / (r - 1) <= bound(q, d), (
             f"cell {cell} input {i}: {ops} ext ops at d = {d}")
+
+
+@pytest.mark.parametrize("qkr", [c for c in DECODE_GRID if c[0] == 3],
+                         ids=str)
+def test_ext_ops_per_pair_step_in_solved_rows(qkr):
+    r = qkr[2]
+    for cell, i, d, ops in decodes(SpreadCode(*qkr), cells_both_parities):
+        s = 2 * ((d - 1) // 2) + 1
+        assert ops / (r - 1) <= s ** 3 / 3 + C3S * s * s, (
+            f"cell {cell} input {i}: {ops} ext ops at d = {d}, s = {s}")
 
 
 @pytest.mark.parametrize("qkr", DECODE_GRID, ids=str)

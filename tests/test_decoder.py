@@ -797,6 +797,178 @@ class TestKernelSteps:
                     seen["beyond"] += 1
         assert seen["inside", block + 1 < code.r]
 
+    @pytest.mark.parametrize("qkr,seed", [((2, 3, 3), 4), ((3, 3, 4), 2),
+                                          ((5, 3, 3), 1)])
+    def test_kept_rows_are_zero_in_blocks_read(self, monkeypatch, qkr,
+                                               seed):
+        # Every block is above the rank threshold, so block 0 leads and
+        # the others are read in turn.  Each split zeroes the columns of
+        # the block it reads, so the rows kept are zero in every block
+        # read so far, and no later row update multiplies there.
+        code = SpreadCode(*qkr)
+        k, r = code.k, code.r
+        rng = trial_rng(seed)
+        cw = random_codeword(code, rng)
+        received = corrupt(cw, ChannelSpec(erasures=1, errors=1), code, rng)
+        assert min(rank(b) for b in received.blocks) > (received.dim - 1) / 2
+        read, kept_rows = [], []
+        real_split = decoder_module._kernel_split
+
+        def split(X, Y, at):
+            read.append(at // k)
+            s, kept = real_split(X, Y, at)
+            if kept is not None:
+                kept_rows.append((len(read), kept))
+            return s, kept
+
+        monkeypatch.setattr(decoder_module, "_kernel_split", split)
+        assert decode(received, code) == DecodeResult(cw)
+        assert read == list(range(1, r - 1)) and kept_rows
+        for n, kept in kept_rows:
+            zero = Matrix.zeros(code.base, kept.nrows, k)
+            assert all(kept.columns_slice(b * k, (b + 1) * k) == zero
+                       for b in read[:n])
+
+
+class TestShortenedSolve:
+    """Over q <= 3 at t' >= 1 the dense solve reads only the first
+    2t' + 1 of the step's rows; the q = 2 interpolation, every q >= 5
+    step and every t' = 0 step read all of them.  The rank of
+    X_i = R_j M(mu) - R_i is still taken on every row, so an answer the
+    shortened solve finds is accepted only within the radius."""
+
+    @staticmethod
+    def recording_solves(monkeypatch):
+        """Patch _pair_step and the solvers to record, for each solve,
+        the solver's name, the step's rows and t', and the row counts of
+        the two point lists it receives."""
+        solves = []
+        step = []
+        real_step = decoder_module._pair_step
+
+        def pair_step(code, d, t):
+            step[:] = [d, t]
+            return real_step(code, d, t)
+
+        def recorded(name, fn):
+            def solve(a, b, t, ext):
+                mu = fn(a, b, t, ext)
+                solves.append((name, *step, len(a), len(b), mu))
+                return mu
+            return solve
+
+        monkeypatch.setattr(decoder_module, "_pair_step", pair_step)
+        for name in ("_dense_point", "_interpolated_point", "_divided_point"):
+            monkeypatch.setattr(decoder_module, name, recorded(
+                name, getattr(decoder_module, name)))
+        return solves
+
+    @pytest.mark.parametrize("qkr", [(3, 3, 2), (3, 4, 2), (3, 3, 4),
+                                     (2, 4, 4)])
+    def test_brute_force_agreement_in_every_cell(self, monkeypatch, qkr):
+        # Every (errors, erasures) with a nonempty received space, inside
+        # the radius k - 1 and beyond it.  Some decodes inside the radius
+        # run a shortened solve, and beyond it some shortened solve
+        # returns a mu that the rank on all rows rejects.
+        code = small_code(qkr)
+        k = code.k
+        trials = 1 if code.size > 10 ** 4 else 3
+        solves = self.recording_solves(monkeypatch)
+        seen = collections.Counter()
+        for e in range(k + 1):
+            for eps in range(k + 1):
+                if k - eps + e < 1:
+                    continue
+                for i in range(trials):
+                    rng = trial_rng(61, e, eps, i)
+                    received = corrupt(random_codeword(code, rng),
+                                       ChannelSpec(eps, e), code, rng)
+                    best, nearest = brute_force_decode(received, code)
+                    solves.clear()
+                    result = decode(received, code)
+                    if best < k:
+                        assert result == DecodeResult(nearest[0])
+                    else:
+                        assert not result.ok and result.reason in (
+                            REASON_NO_CODEWORD, REASON_DIMENSION)
+                    short = [s for s in solves if s[3] < s[1]]
+                    seen[best < k, bool(short)] += 1
+                    if best >= k and any(not isinstance(s[-1], str)
+                                         for s in short):
+                        seen["rejected"] += 1
+        assert seen[True, True] and seen[True, False]
+        assert seen["rejected"]
+
+    @pytest.mark.parametrize("qkr", [(2, 5, 2), (2, 3, 3), (2, 8, 8),
+                                     (3, 3, 2), (3, 5, 4), (5, 2, 3),
+                                     (5, 4, 2), (7, 3, 2)])
+    def test_rows_each_solve_reads(self, monkeypatch, qkr):
+        code = small_code(qkr)
+        k = code.k
+        solves = self.recording_solves(monkeypatch)
+        for e in range(k + 1):
+            for eps in range(k + 1):
+                if k - eps + e < 1:
+                    continue
+                for i in range(2):
+                    rng = trial_rng(67, e, eps, i)
+                    decode(corrupt(random_codeword(code, rng),
+                                   ChannelSpec(eps, e), code, rng), code)
+        kinds = set()
+        for name, d, t, na, nb, _ in solves:
+            assert na == nb
+            if name == "_dense_point" and code.q <= 3 and t >= 1:
+                assert na == 2 * t + 1
+                kinds.add("short" if d > na else "odd")
+            else:
+                assert na == d
+                kinds.add(name if t else "t = 0")
+        if code.q <= 3:
+            assert "short" in kinds
+        else:
+            assert "_dense_point" in kinds
+        if code.q == 2 and k >= 3:
+            assert "_interpolated_point" in kinds
+        assert "t = 0" in kinds
+
+    @pytest.mark.parametrize("qk", [(2, 4), (3, 4), (3, 5)])
+    def test_error_only_in_a_dropped_row(self, monkeypatch, qk):
+        # W holds the rows of C led by e_0, e_1, e_2 and the error row
+        # (e_3 | v), v not row 3 of M(mu): its RREF is those four rows,
+        # d = 4, t = 1, so the solve reads the three clean rows only.
+        # The rank test on all four rows sees the error, rank 1, and the
+        # answer is brute force's: C, at distance k + 4 - 6.
+        q, k = qk
+        code = small_code((q, k, 2))
+        rnd = random.Random(q * k)
+        mu = rnd.randrange(2, code.ext.order)
+        M = code.matrix_rep(mu)
+        v = list(M.row(3))
+        p = rnd.randrange(k)
+        v[p] = (v[p] + 1) % q
+        rows = [[int(a == b) for b in range(k)] + list(M.row(a))
+                for a in range(3)]
+        rows.append([int(b == 3) for b in range(k)] + v)
+        sub = Subspace(Matrix(code.base, rows))
+        assert sub.basis == Matrix(code.base, rows)
+        received = ReceivedSpace(sub, k)
+        cw = code.encode((1, mu))
+        best, nearest = brute_force_decode(received, code)
+        assert (best, nearest) == (k - 2, [cw])
+        solves = self.recording_solves(monkeypatch)
+        ranks = []
+        real_rank = decoder_module.rank
+
+        def recorded_rank(X):
+            ranks.append((X.nrows, real_rank(X)))
+            return ranks[-1][1]
+
+        monkeypatch.setattr(decoder_module, "rank", recorded_rank)
+        assert decode(received, code) == DecodeResult(cw)
+        assert [s[:5] for s in solves] == [("_dense_point", 4, 1, 3, 3)]
+        assert solves[0][-1] == mu
+        assert ranks[-1] == (4, 1)
+
 
 class TestSoundness:
     @pytest.mark.parametrize("q,k,r", [(2, 2, 2), (2, 3, 2), (3, 2, 2),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spreadcodes.gf import ExtField, OpCount, PrimeField, find_irreducible
-from spreadcodes.linalg import (Matrix, _eliminate, det,
+from spreadcodes.linalg import (Matrix, _eliminate, _kernel_split, det,
                                 disjoint_pivot_tuples, format_matrix, hstack,
                                 inverse, minor, parse_matrix, rank, rref,
                                 vstack)
@@ -130,6 +130,37 @@ class TestKernel:
             for _ in range(25):
                 M = sparse_matrix(rnd, field, n, n)
                 assert det(M) == leibniz_det(M)
+
+    @pytest.mark.parametrize("field", [F2, F3, F5])
+    def test_kernel_split_against_rank(self, field):
+        # For Y holding X in its columns at..at+k, the rows kept are
+        # u Y with those columns zero, for a basis u of the left kernel
+        # of X: d - rank(X) of them, zero at at..at+k, and each with
+        # zeros prepended lies in the row space of (X | Y).
+        rnd = random.Random(31 * field.q)
+        seen = 0
+        for d in range(1, 6):
+            for _ in range(20):
+                k, left = rnd.randrange(1, 4), rnd.randrange(3)
+                Y = sparse_matrix(rnd, field, d, left + k + 2)
+                X = Y.columns_slice(left, left + k)
+                s, kept = _kernel_split(X, Y, left)
+                assert s == rank(X)
+                if not s:
+                    assert kept is None
+                    continue
+                seen += 1
+                assert (kept.nrows, kept.ncols) == (d - s, Y.ncols)
+                assert kept.columns_slice(left, left + k) == Matrix.zeros(
+                    field, d - s, k)
+                if d > s:
+                    assert rank(kept) == rank(Y) - rank(X)
+                    zero = Matrix.zeros(field, d - s, k)
+                    XY = hstack(X, Y.columns_slice(0, left),
+                                Matrix.zeros(field, d, k),
+                                Y.columns_slice(left + k, Y.ncols))
+                    assert rank(vstack(XY, hstack(zero, kept))) == rank(XY)
+        assert seen > 50
 
     @pytest.mark.parametrize("field", KERNEL_FIELDS)
     def test_inverse_exactly_when_det_nonzero(self, field):

@@ -7,22 +7,31 @@ decode counts (all four OpCount fields, summed over the trials) and the
 ``SimRecord.line()`` output, as measured with the rank-metric pair
 step on the raw received blocks (Koetter interpolation for q = 2 and 5
 or more rows, one division at t = 0 on more than two rows, the dense
-Welch-Berlekamp solve otherwise), an F_q rank of the last block
-R_j M(mu) - R_i, the row kernel ``axpy`` behind elimination (the back
-pass of ``rref`` included) and matrix products, which charges nothing
-for a product by 0 or +-1, elimination that inverts no pivot of +-1,
-``matrix_rep`` built row by row, an ``encode`` that does not re-reduce
-its block matrix, and a decoded codeword assembled from the blocks the
-decode already holds.  For r > 2 each pair step after the first runs
+Welch-Berlekamp solve otherwise, which for q <= 3 and t >= 1 reads only
+the first 2t + 1 rows and skips the division for a zero right-hand
+side), an F_q rank of the last block R_j M(mu) - R_i, the row kernel
+``axpy`` behind elimination (the back pass of ``rref`` included) and
+matrix products, which charges nothing for a product by 0 or +-1,
+elimination that inverts no pivot of +-1, ``matrix_rep`` built row by
+row, an ``encode`` that does not re-reduce its block matrix, and a
+decoded codeword assembled from the blocks the decode already holds.
+For r > 2 each pair step after the first runs
 on the rows that the blocks before it proved clean, at t - rho for
-their stacked rank rho, found by one elimination per block, and no
-distance check runs: for every r that rank is the acceptance test.
+their stacked rank rho, found by one elimination per block that sets
+the columns of the block it reads to zero, so that its row updates
+multiply only in the lead block and the blocks still to be read, and no
+distance check runs: for every r that rank, taken on all the rows, is
+the acceptance test.
 (3, 3, 4) gives the multi-pair loop of an odd-q code a gate, (2, 8, 8)
 a code of many blocks, and (5, 2, 3) and (5, 3, 2) the q >= 5 paths
 for r > 2 and r = 2, where products by coefficients other than 0 and
-+-1 are charged.  The same four counts are pinned for building each
-code.  No count may rise, and a cell whose decode runs the q = 2
-interpolation must read exactly its pin.
++-1 are charged.  (3, 5, 4) is pinned at the cells of the benchmark's
+cli-q3k5r4 workload.  The cells of (5, 4, 2) and (7, 3, 2) lie beyond
+the radius at even d, where a dense solve on 2t + 1 rows would return a
+spurious mu whose ``matrix_rep`` and ``R_j @ M`` are charged for q >= 5:
+they hold those steps to all their rows.  The same four counts are
+pinned for building each code.  No count may rise, and a cell whose
+decode runs the q = 2 interpolation must read exactly its pin.
 Success and failure tallies must not change at all; for (2, 5, 2),
 (3, 3, 2) and (2, 3, 3) they are the ones first pinned on the
 digit-tuple element implementation (commit 67d2df8).
@@ -39,7 +48,7 @@ TRIALS = 6
 # (q, k, r) -> {(errors, erasures): (ext_mul, ext_inv, base_mul, base_inv)}
 PINNED_COUNTS = {
     (2, 5, 2): {(0, 0): (0, 0, 0, 0), (2, 2): (182, 21, 0, 0),
-                (1, 3): (63, 17, 0, 0), (2, 3): (118, 17, 0, 0),
+                (1, 3): (63, 17, 0, 0), (2, 3): (71, 17, 0, 0),
                 (3, 3): (231, 28, 0, 0)},
     (3, 3, 2): {(0, 0): (0, 0, 0, 0), (1, 1): (58, 15, 0, 0),
                 (0, 2): (6, 6, 0, 0), (1, 2): (10, 4, 0, 0),
@@ -61,6 +70,12 @@ PINNED_COUNTS = {
     (5, 3, 2): {(0, 0): (0, 0, 23, 6), (1, 1): (111, 17, 38, 5),
                 (2, 0): (238, 30, 41, 8), (0, 2): (13, 6, 15, 0),
                 (2, 2): (108, 18, 42, 8)},
+    (3, 5, 4): {(0, 0): (0, 0, 0, 0), (1, 2): (80, 28, 0, 0),
+                (2, 2): (322, 42, 0, 0), (0, 1): (192, 33, 0, 0),
+                (3, 3): (294, 29, 0, 0), (3, 2): (279, 30, 0, 0)},
+    (5, 4, 2): {(3, 1): (425, 30, 19, 5), (2, 2): (188, 18, 23, 7),
+                (4, 2): (400, 29, 15, 5)},
+    (7, 3, 2): {(2, 1): (169, 18, 16, 6), (3, 2): (148, 16, 8, 3)},
 }
 
 # Cells at d >= 5 over F_2, whose pair steps run the interpolation: a
@@ -76,7 +91,7 @@ INTERPOLATION_CELLS = [((2, 5, 2), (2, 2)), ((2, 5, 2), (3, 3)),
 
 PINNED_LINES = {
     (2, 5, 2): ["0 0 6 6 0 0.00 0", "1 3 6 6 0 13.33 15",
-                "2 2 6 6 0 33.83 48", "2 3 6 0 6 22.50 23",
+                "2 2 6 6 0 33.83 48", "2 3 6 0 6 14.67 15",
                 "3 3 6 0 6 43.17 47"],
     (3, 3, 2): ["0 0 6 6 0 0.00 0", "0 2 6 6 0 2.00 2",
                 "1 1 6 6 0 12.17 15", "1 2 6 0 6 2.33 3",
