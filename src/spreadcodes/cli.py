@@ -4,7 +4,8 @@ Subcommands: ``params`` (code parameters), ``encode`` (projective point
 file to subspace file), ``decode`` (subspace file to codeword file),
 ``simulate`` (seeded channel statistics), ``bench`` (the ``simulate``
 operation counts for one erasure, across block sizes), the rows of
-``COMMANDS``; a call builds only the subparser argv[0] names, else all.
+``COMMANDS``.  When argv[0] names a command, a call builds that command's
+parser alone; otherwise the top-level parser over all five.
 
 Exit codes: 0 success, 1 usage or input error, 2 decoding failure.
 
@@ -43,8 +44,20 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # Set on a one-command parser (see build_parser), which reads argv
+    # with the command first, as the top-level parser does.
+    command = None
+
     def error(self, message):  # input errors must exit 1, not argparse's 2
         raise UsageError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.command is None:
+            return super().parse_known_args(args, namespace)
+        args = sys.argv[1:] if args is None else args
+        namespace = argparse.Namespace() if namespace is None else namespace
+        namespace.command = self.command
+        return super().parse_known_args(args[1:], namespace)
 
 
 def _uint(s: str) -> int:
@@ -209,20 +222,29 @@ _FLAGS = {"--q", "--k", "--r", "--p"}.union(
 
 
 def build_parser(argv=()) -> _Parser:
-    """The parser for argv: only the subparser argv[0] names, or all five."""
+    """The parser for argv.  When argv[0] names a command it is that
+    command's parser alone, the one the top-level parser would hand the
+    rest of argv to; otherwise the top-level parser over all five."""
+    if argv and argv[0] in COMMANDS:
+        parser = _Parser(prog=f"spreadcodes {argv[0]}")
+        parser.command = argv[0]
+        return _add_command(parser, argv[0])
     parser = _Parser(prog="spreadcodes",
                      description="spread codes over F_q: construction, "
                                  "encoding, decoding and simulation")
     sub = parser.add_subparsers(dest="command", required=True)
-    names = argv[:1] if argv and argv[0] in COMMANDS else COMMANDS
-    for name in names:
-        help_line, func, flags, k_list = COMMANDS[name]
-        p = sub.add_parser(name, help=help_line)
-        _add_code_flags(p, k_list)
-        for flag, kwargs in flags:
-            p.add_argument(flag, **kwargs)
-        p.set_defaults(func=func)
+    for name, (help_line, *_) in COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_line), name)
     return parser
+
+
+def _add_command(p: _Parser, name: str) -> _Parser:
+    _, func, flags, k_list = COMMANDS[name]
+    _add_code_flags(p, k_list)
+    for flag, kwargs in flags:
+        p.add_argument(flag, **kwargs)
+    p.set_defaults(func=func)
+    return p
 
 
 def main(argv=None) -> int:

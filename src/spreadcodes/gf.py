@@ -19,7 +19,9 @@ The default modulus of F_{q^k} is the first monic irreducible of degree
 k in a fixed candidate order (:func:`find_irreducible`).  Each candidate
 is tested by Ben-Or's gcd test, on bit patterns for q = 2 and on
 coefficient lists for odd q, in at most O(k^3 log q) base operations,
-where trial division needs up to q^(k/2) divisions.
+where trial division needs up to q^(k/2) divisions.  For odd q a
+three-point sieve runs first: a candidate with a root at 0, 1 or -1 is
+reducible and skipped, at O(k) per candidate.
 
 Extension-field multiplication uses one of three kernels, fixed when
 the field is built:
@@ -415,7 +417,10 @@ def find_irreducible(q: int, k: int) -> tuple[int, ...]:
     highest non-leading coefficient down, so e.g. x^3+x+1 precedes
     x^3+x^2+1 over F_2; for q = 2 that is the order of the bit patterns
     as ints.  Deterministic; returns the full coefficient tuple
-    (p_0, ..., p_{k-1}, 1).
+    (p_0, ..., p_{k-1}, 1).  For odd q a candidate with a root at 0, 1
+    or -1 is skipped before Ben-Or's test (:func:`_root_free`): it is
+    reducible, so the result is the same, and the sieve costs O(k) per
+    candidate whatever q is.
     """
     if not is_prime(q):
         raise ValueError(f"field order must be prime, got {q}")
@@ -426,9 +431,17 @@ def find_irreducible(q: int, k: int) -> tuple[int, ...]:
         return tuple(_to_digits(p, 2, k + 1))
     for high_first in itertools.product(range(q), repeat=k):
         coeffs = tuple(reversed(high_first)) + (1,)
-        if poly_is_irreducible(coeffs, q):
+        if _root_free(coeffs, q) and poly_is_irreducible(coeffs, q):
             return coeffs
     raise RuntimeError("no irreducible polynomial found")  # unreachable
+
+
+def _root_free(p, q: int) -> bool:
+    """Whether none of 0, 1 and -1 is a root of p over F_q: the sieve of
+    the odd-q search, O(k) whatever q is.  A root gives p a linear
+    factor, so a p of degree >= 2 that fails is reducible."""
+    even, odd = sum(p[::2]), sum(p[1::2])
+    return bool(p[0] and (even + odd) % q and (even - odd) % q)
 
 
 def _prime_factors(n: int):
@@ -705,86 +718,97 @@ class ExtField:
         so that a sum of two logs needs no reduction, and log[g^i] = i.
         For odd q also zech[d] = log(1 + g^d), or -1 where 1 + g^d = 0.
 
-        Multiplying by x is a shift plus a fold of the top digit, so the
-        fill walks by x.  It first walks the powers of x from 1 until it
-        returns to 1; the walk's length m is the order of x.  When m is
-        n = q^k - 1, x is primitive: g = x and the walk is exp[:n].
+        The fill walks by x (:meth:`_walks`), from 1 until it returns to
+        1; the walk's length m is the order of x.  When m is
+        n = q^k - 1, x is primitive: g = x and exp[:n] is the walk.
         Otherwise g is the least primitive element (tested by powers)
-        and the tables are filled along the c = n / m cosets of the
-        subgroup <x>: coset 0 is the walk, coset b starts at g^b and
-        steps by x.  g^c generates <x>, so it is x^s for s its index in
-        the walk, x = g^(c*w) with w = s^-1 mod m, and
-        g^b * x^j = g^(b + c*j*w)."""
-        q, k = self.q, self.k
-        n = self.order - 1
-        if self._char2:
-            bits = self._bits
-
-            def times_x(e):
-                e <<= 1
-                return e ^ bits if e >> k else e
-        else:
-            # e = low + t*x^(k-1) gives e*x = low*x + t*(x^k mod p).  Digit
-            # 0 of low*x is 0, so t*red_0 lands as it is; for each higher
-            # nonzero red_j, rows[t] holds the change of the whole int for
-            # every value d of its digit j.
-            top, red = q ** (k - 1), self._red
-            low0 = [t * red[0] % q for t in range(q)]
-            rows = [[(q ** j, [((d + t * r) % q - d) * q ** j
-                               for d in range(q)])
-                     for j, r in enumerate(red) if j and r]
-                    for t in range(q)]
-
-            def times_x(e):
-                t, s = divmod(e, top)
-                if not t:
-                    return s * q
-                s = s * q + low0[t]
-                for qj, row in rows[t]:
-                    s += row[s // qj % q]
-                return s
-
-        def orbit(e):                          # e, e*x, e*x^2, ... until e
-            out = [e]
-            f = times_x(e)
-            while f != e:
-                out.append(f)
-                f = times_x(f)
-            return out
-
-        walk = orbit(1)
+        and exp is filled along the c = n / m cosets of the subgroup
+        <x>: coset b is the walk from g^b.  g^c generates <x>, so it is
+        x^s for s its index in the walk, and g^(b + c*i) is
+        g^b * x^(i*s mod m), entry i*s mod m of coset b's walk."""
+        q, order = self.q, self.order
+        n = order - 1
+        [walk] = self._walks([1])
         m = len(walk)                          # the order of x
         c = n // m
-        g, w = q, 1
-        if c > 1:
+        if c == 1:
+            exp = walk
+        else:
             primes = list(_prime_factors(n))
             # x is not primitive, so the search starts after it.
-            g = next(g for g in range(q + 1, self.order)
+            g = next(g for g in range(q + 1, order)
                      if all(self._pow_raw(g, n // p) != 1 for p in primes))
-            w = pow(walk.index(self._pow_raw(g, c)), -1, m)
-        step = c * w
-        exp = array(_TYPECODE, [0]) * (2 * n)
-        log = array(_TYPECODE, [0]) * self.order
-        start = 1
-        for b in range(c):
-            if b:
-                start = self._mul_raw(start, g)
-                walk = orbit(start)
-            a = b
-            for e in walk:             # e = g^a, a = b + c*(j*w mod m)
-                exp[a] = exp[a + n] = e
-                log[e] = a
-                a += step
-                if a >= n:
-                    a -= n
-        self._exp, self._log = exp, log
+            s = walk.index(self._pow_raw(g, c))
+            starts = [g]
+            for _ in range(c - 2):
+                starts.append(self._mul_raw(starts[-1], g))
+            exp = [0] * n
+            perm = [i * s % m for i in range(m)]
+            for b, walk in enumerate([walk] + self._walks(starts)):
+                exp[b::c] = map(walk.__getitem__, perm)
+        log = [0] * order
+        for a, e in enumerate(exp):
+            log[e] = a
         if not self._char2:
             self._half = half = n // 2         # g^(n/2) = -1
-            # 1 + e changes only the lowest digit of e.
-            self._zech = array(_TYPECODE, (
-                -1 if d == half else
-                log[e + 1 if e % q != q - 1 else e - (q - 1)]
-                for d, e in enumerate(exp[:n])))
+            # 1 + e changes only the lowest digit of e: plus1[e] = 1 + e.
+            # At d = half, 1 + e = 0, whose log entry 0 is not a log.
+            plus1 = list(range(1, order + 1))
+            plus1[q - 1::q] = range(0, order, q)
+            zech = [log[plus1[e]] for e in exp]
+            zech[half] = -1
+            self._zech = array(_TYPECODE, zech)
+        self._exp = array(_TYPECODE, exp * 2)
+        self._log = array(_TYPECODE, log)
+
+    def _walks(self, starts) -> list:
+        """For each start e, the walk e, e*x, e*x^2, ... mod p until it
+        returns to e: an orbit of multiplication by x, each step inline.
+        For q = 2 a step is a shift and, when the top bit is set, an XOR
+        of the modulus.  For odd q, e = s + t*x^(k-1) gives
+        e*x = s*x + t*(x^k mod p) digit by digit: digit 0 of s*x is 0, so
+        t*red_0 lands as it is, and digit j >= 1 of s*x is digit j - 1
+        of s.  fixes[t] holds, for each j >= 1 with red_j != 0, the pair
+        (q^(j-1), the change of the int for each value of that digit),
+        with t*red_0 added into the first pair, which reads digit 0 of s
+        when no red_j is nonzero."""
+        q, k, char2 = self.q, self.k, self._char2
+        if char2:
+            top, bits = 1 << k, self._bits
+        else:
+            top, red, fixes = q ** (k - 1), self._red, [None]
+            for t in range(1, q):
+                fix = [(q ** (j - 1), [((d + t * r) % q - d) * q ** j
+                                       for d in range(q)])
+                       for j, r in enumerate(red) if j and r] or [(1, [0] * q)]
+                qj, row = fix[0]
+                fix[0] = qj, [v + t * red[0] % q for v in row]
+                fixes.append(fix)
+        walks = []
+        for e in starts:
+            out, f = [e], e
+            if char2:
+                while True:
+                    f <<= 1
+                    if f & top:
+                        f ^= bits
+                    if f == e:
+                        break
+                    out.append(f)
+            else:
+                while True:
+                    if f < top:
+                        f *= q
+                    else:
+                        t, s = divmod(f, top)
+                        f = s * q
+                        for qj, row in fixes[t]:
+                            f += row[s // qj % q]
+                    if f == e:
+                        break
+                    out.append(f)
+            walks.append(out)
+        return walks
 
     def _x_steps(self, a: int, n: int) -> list:
         """For q = 2: a, a*x, ..., a*x^(n-1) mod p for n >= 1, each step

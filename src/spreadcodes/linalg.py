@@ -603,9 +603,21 @@ def parse_matrix_lines(field, lines) -> Matrix:
             raise ValueError(f"line {lineno}: expected {ncols * width} "
                              f"digits, found {len(digits)}")
         try:
-            rows.append([field.from_str(" ".join(digits[c:c + width]))
+            rows.append(_parse_base_row(field, digits) if width == 1 else
+                        [field.from_str(" ".join(digits[c:c + width]))
                          for c in range(0, len(digits), width)])
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
-    # from_str has checked every digit and the loop every row width.
+    # Every digit is checked, and the loop has checked every row width.
     return Matrix._of_rows(field, rows, ncols)
+
+
+def _parse_base_row(field, digits) -> list:
+    """A base-field row from its digit tokens: one check of the whole
+    line, and ``from_str`` token by token only to name a bad digit."""
+    text = "".join(digits)
+    if text.isascii() and text.isdigit():
+        row = list(map(int, digits))
+        if max(row) < field.q:
+            return row
+    return list(map(field.from_str, digits))

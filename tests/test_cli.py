@@ -411,9 +411,24 @@ class TestParser:
 
     def test_named_command_builds_one_subparser(self, tmp_path, capsys,
                                                 monkeypatch):
+        # One ArgumentParser, the command's own, and no subparsers
+        # action; an unknown command still builds all five.
         ref = SpreadCode(2, 2, 2)
         space = tmp_path / "space.txt"
         space.write_text(format_subspace(ref, ref.encode((1, 0)).subspace))
+        built = []
+
+        def counting(cls):
+            init = cls.__init__
+
+            def counting_init(self, *args, **kwargs):
+                built.append((cls.__name__, kwargs.get("prog")))
+                init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting_init)
+
+        counting(argparse.ArgumentParser)
+        counting(argparse._SubParsersAction)
         names = []
         add_parser = argparse._SubParsersAction.add_parser
 
@@ -425,10 +440,51 @@ class TestParser:
                             counting_add_parser)
         code, _, _ = run(capsys, "decode", "--q", "2", "--k", "2",
                          "--r", "2", "--in", str(space))
-        assert code == 0 and names == ["decode"]
-        names.clear()
+        assert code == 0
+        assert built == [("ArgumentParser", "spreadcodes decode")]
+        assert names == []
         run(capsys, "foo")
         assert names == list(HELP_LINES)
+
+    @pytest.mark.parametrize("command", list(HELP_LINES))
+    def test_one_command_parser_acts_as_the_full_one(self, tmp_path, capsys,
+                                                     monkeypatch, command):
+        ref = SpreadCode(3, 2, 2)
+        point, space = tmp_path / "point.txt", tmp_path / "space.txt"
+        point.write_text("1 2\n0 1\n")
+        space.write_text(format_subspace(ref, ref.encode(((1, 2), (0, 1)))
+                                         .subspace))
+        valid = {
+            "params": ["--q", "3", "--k", "2"],
+            "encode": ["--q", "3", "--k", "2", "--in", str(point)],
+            "decode": ["--q", "3", "--k", "2", "--in", str(space)],
+            "simulate": ["--q", "2", "--k", "3", "--trials", "3",
+                         "--errors", "1"],
+            "bench": ["--q", "2", "--k", "2,3", "--trials", "2"],
+        }[command]
+        argvs = [
+            valid,
+            valid[2:],                              # --q missing
+            valid + ["--r", "x2"],                  # a bad number
+            valid + ["--bogus", "1"],               # an unknown flag
+            valid + ["extra"],                      # an extra positional
+            valid + ["--tr", "2"],                  # an abbreviated flag
+            ["-h"],
+        ]
+
+        def outcome(argv):
+            try:
+                code = main([command, *argv])
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            return code, out.out, out.err
+
+        one = [outcome(argv) for argv in argvs]
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda argv=(): full())
+        assert [outcome(argv) for argv in argvs] == one
+        assert one[0][0] == 0 and one[1][0] == one[2][0] == 1
 
     @pytest.mark.parametrize("argv,want", [
         (["params", "--q", "3", "--k", "5", "--r", "4", "--p", "1", "2"],

@@ -5,6 +5,7 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spreadcodes import gf
 from spreadcodes.gf import (ExtField, OpCount, PrimeField, find_irreducible,
@@ -189,6 +190,19 @@ def monic_polynomials(q, max_order):
         k += 1
 
 
+def first_irreducible_by_ben_or(q, k):
+    """The odd-q search with no sieve: every candidate, in the search's
+    order, through Ben-Or's test."""
+    for high_first in itertools.product(range(q), repeat=k):
+        cand = tuple(reversed(high_first)) + (1,)
+        if poly_is_irreducible(cand, q):
+            return cand
+
+
+SIEVED_SEARCHES = [(q, k) for q in (3, 5, 7, 11, 13) for k in range(2, 13)
+                   if q ** k <= 1 << 20] + [(3, 20), (65521, 2), (1619, 3)]
+
+
 class TestIrreducibilityTest:
     @pytest.mark.parametrize("q", [2, 3, 5, 7])
     def test_agrees_with_trial_division(self, q):
@@ -230,6 +244,22 @@ class TestIrreducibilityTest:
         monkeypatch.setattr(gf, name, counting)
         assert find_irreducible(q, k) == full_modulus(k, low)
         assert calls <= bound
+
+    @pytest.mark.parametrize("q,k", SIEVED_SEARCHES)
+    def test_sieve_keeps_the_modulus(self, q, k):
+        assert find_irreducible(q, k) == first_irreducible_by_ben_or(q, k)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.sampled_from([3, 5, 7, 11, 13, 1619]).flatmap(
+        lambda q: st.tuples(st.just(q), st.lists(
+            st.integers(0, q - 1), min_size=2, max_size=7))))
+    def test_sieve_passes_every_irreducible(self, case):
+        q, low = case
+        p = tuple(low) + (1,)
+        assert gf._root_free(p, q) == all(poly_eval(p, x, q)
+                                          for x in (0, 1, q - 1))
+        if poly_is_irreducible(p, q):
+            assert gf._root_free(p, q)
 
     def test_binary_search_keeps_the_list_form_moduli(self):
         found = {k: find_irreducible(2, k) for k in Q2_MODULI}
@@ -431,6 +461,54 @@ ODD_TABLE_DIGESTS = {
 }
 
 
+def tables_by_raw_walk(ext):
+    """exp, log and zech of an odd-q table field by their definitions,
+    from products by ``_mul_raw``: g is x when walking by x from 1
+    meets every nonzero element, else the least element of order n;
+    exp[i] = g^i, log[g^i] = i, and zech[d] = log(1 + g^d), or -1 where
+    1 + g^d = 0."""
+    q, order = ext.q, ext.order
+    n = order - 1
+
+    def walk(g):
+        out = [1]
+        for _ in range(n - 1):
+            out.append(ext._mul_raw(out[-1], g))
+        return out
+
+    def primitive(g):
+        return all(gf._power(ext._mul_raw, g, n // p) != 1
+                   for p in range(2, n + 1) if n % p == 0 and is_prime(p))
+
+    exp = walk(q)
+    if len(set(exp)) < n:
+        exp = walk(next(g for g in range(q + 1, order) if primitive(g)))
+    log = [0] * order
+    for i, e in enumerate(exp):
+        log[e] = i
+    zech = [log[ext._digitwise(e, 1, 1)] if e != q - 1 else -1
+            for e in exp]
+    return exp, log, zech
+
+
+# Every default odd-q table field with q <= 13, then moduli whose x is
+# not primitive (cosets c = n / ord(x) in the comment), then primitive
+# ones whose x^k mod p has every digit nonzero.
+ODD_ORACLE_FIELDS = [
+    (q, find_irreducible(q, k)) for q in (3, 5, 7, 11, 13)
+    for k in range(2, 11) if q ** k <= gf.TABLE_LIMIT] + [
+    (3, (1, 1, 1, 1, 1)),          # c = 16
+    (3, (2, 2, 1, 2, 0, 1)),       # c = 22
+    (5, (1, 1, 1)),                # c = 8
+    (5, (4, 1, 0, 1)),             # c = 4
+    (7, (3, 0, 0, 1)),             # c = 38
+    (11, (1, 1, 1)),               # c = 40
+    (13, (1, 3, 1)),               # c = 24
+    (3, (1, 2, 1, 1, 1, 1)),
+    (5, (3, 1, 1, 1)),
+]
+
+
 class TestTableBuild:
     # (q, k, modulus or None for the default, cosets c = (q^k - 1) / ord(x))
     CASES = [
@@ -500,6 +578,15 @@ class TestTableBuild:
         for table in (ext._exp, ext._log, ext._zech):
             h.update(",".join(map(str, table)).encode() + b";")
         assert h.hexdigest()[:16] == ODD_TABLE_DIGESTS[q, k]
+
+    @pytest.mark.parametrize("q,modulus", ODD_ORACLE_FIELDS)
+    def test_odd_tables_match_the_raw_walk(self, q, modulus):
+        ext = ExtField(PrimeField(q), modulus)
+        exp, log, zech = tables_by_raw_walk(ext)
+        n = ext.order - 1
+        assert list(ext._exp) == exp + exp
+        assert list(ext._log) == log
+        assert list(ext._zech) == zech and ext._half == n // 2
 
     @pytest.mark.parametrize("width", [0, 1, 4, 5, 13, 24])
     def test_packed_row_kernel_by_top_window(self, width):
