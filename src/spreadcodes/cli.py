@@ -4,8 +4,9 @@ Subcommands: ``params`` (code parameters), ``encode`` (projective point
 file to subspace file), ``decode`` (subspace file to codeword file),
 ``simulate`` (seeded channel statistics), ``bench`` (the ``simulate``
 operation counts for one erasure, across block sizes), the rows of
-``COMMANDS``.  When argv[0] names a command, a call builds that command's
-parser alone; otherwise the top-level parser over all five.
+``COMMANDS``, which also declares every flag once.  A well-formed call
+is read straight off that table, with no parser; help and every usage
+error import argparse, which builds its parser from the same table.
 
 Exit codes: 0 success, 1 usage or input error, 2 decoding failure.
 
@@ -25,8 +26,8 @@ Limits, checked before any output or field work: q^k <= 2^32, r <= 64
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from .channel import simulate
 from .decoder import ReceivedSpace, decode
@@ -41,43 +42,6 @@ MAX_TRIALS = 100_000
 
 class UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    # Set on a one-command parser (see build_parser), which reads argv
-    # with the command first, as the top-level parser does.
-    command = None
-
-    def error(self, message):  # input errors must exit 1, not argparse's 2
-        raise UsageError(message)
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self.command is None:
-            return super().parse_known_args(args, namespace)
-        args = sys.argv[1:] if args is None else args
-        namespace = argparse.Namespace() if namespace is None else namespace
-        namespace.command = self.command
-        return super().parse_known_args(args[1:], namespace)
-
-
-def _uint(s: str) -> int:
-    """A number flag: ASCII digits 0-9 only, as in every input file."""
-    try:
-        return parse_uint(s)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-def _add_code_flags(p, k_list: bool = False):
-    p.add_argument("--q", type=_uint, required=True, help="base field order")
-    if k_list:
-        p.add_argument("--k", type=str, required=True,
-                       help="comma-separated block sizes, e.g. 3,5,7,9")
-    else:
-        p.add_argument("--k", type=_uint, required=True, help="block size")
-    p.add_argument("--r", type=_uint, default=2, help="number of blocks")
-    p.add_argument("--p", type=_uint, nargs="+", default=None,
-                   help="modulus coefficients p_0 ... p_{k-1}")
 
 
 def _check_code(q: int, k: int, r: int):
@@ -197,54 +161,102 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-_IO = (("--in", dict(dest="infile", required=True)),
-       ("--out", dict(dest="outfile", default=None)))
+# Each flag as (name, keywords): its dest (the name without "--" unless
+# given), converter (none: the text itself), arity (one value unless
+# nargs="+"), whether it is required, its default and its help.  Both
+# _read_args and argparse's add_argument read these keywords.
+_Q = ("--q", dict(type=parse_uint, required=True, help="base field order"))
+_R_P = (("--r", dict(type=parse_uint, default=2, help="number of blocks")),
+        ("--p", dict(type=parse_uint, nargs="+", default=None,
+                     help="modulus coefficients p_0 ... p_{k-1}")))
+_CODE = (_Q, ("--k", dict(type=parse_uint, required=True, help="block size")),
+         *_R_P)
+_FILES = (*_CODE, ("--in", dict(dest="infile", required=True)),
+          ("--out", dict(dest="outfile", default=None)))
+_SEED = ("--seed", dict(type=parse_uint, default=0))
 
-# name: (help line, handler, flags after the code flags, --k is a list)
+# name: (help line, handler, flags in help order)
 COMMANDS = {
-    "params": ("print code parameters", _cmd_params, (), False),
-    "encode": ("encode a projective point file", _cmd_encode, _IO, False),
-    "decode": ("decode a subspace file", _cmd_decode, _IO, False),
+    "params": ("print code parameters", _cmd_params, _CODE),
+    "encode": ("encode a projective point file", _cmd_encode, _FILES),
+    "decode": ("decode a subspace file", _cmd_decode, _FILES),
     "simulate": ("seeded channel statistics", _cmd_simulate, (
-        ("--trials", dict(type=_uint, required=True)),
-        ("--errors", dict(type=_uint, default=0)),
-        ("--erasures", dict(type=_uint, default=0)),
-        ("--seed", dict(type=_uint, default=0))), False),
+        *_CODE, ("--trials", dict(type=parse_uint, required=True)),
+        ("--errors", dict(type=parse_uint, default=0)),
+        ("--erasures", dict(type=parse_uint, default=0)), _SEED)),
     "bench": ("operation-count table over block sizes", _cmd_bench, (
-        ("--trials", dict(type=_uint, default=10)),
-        ("--seed", dict(type=_uint, default=0))), True),
+        _Q, ("--k", dict(type=str, required=True,
+                         help="comma-separated block sizes, e.g. 3,5,7,9")),
+        *_R_P, ("--trials", dict(type=parse_uint, default=10)), _SEED)),
 }
 
 
-# Every flag some command takes: the code flags, then each row's own.
-_FLAGS = {"--q", "--k", "--r", "--p"}.union(
-    flag for _, _, flags, _ in COMMANDS.values() for flag, _ in flags)
+# Every flag some command takes.
+_FLAGS = {flag for _, _, flags in COMMANDS.values() for flag, _ in flags}
 
 
-def build_parser(argv=()) -> _Parser:
-    """The parser for argv.  When argv[0] names a command it is that
-    command's parser alone, the one the top-level parser would hand the
-    rest of argv to; otherwise the top-level parser over all five."""
-    if argv and argv[0] in COMMANDS:
-        parser = _Parser(prog=f"spreadcodes {argv[0]}")
-        parser.command = argv[0]
-        return _add_command(parser, argv[0])
-    parser = _Parser(prog="spreadcodes",
-                     description="spread codes over F_q: construction, "
-                                 "encoding, decoding and simulation")
+def _read_args(argv):
+    """The namespace argparse would give argv, read straight off the
+    table, or None when argv is not in the one plain form taken here:
+    the command, then each of its flags at most once by its full name,
+    with one value (--p one or more), no value starting with "-", every
+    number in digits 0-9 and every required flag given.  build_parser()
+    answers the rest: help, usage errors and every other form."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, func, flags = COMMANDS[argv[0]]
+    left = dict(flags)
+    args = SimpleNamespace(command=argv[0], func=func)
+    i = 1
+    while i < len(argv):
+        kw = left.pop(argv[i], None)
+        j = i + 1
+        while j < len(argv) and not argv[j].startswith("-"):
+            j += 1
+        if kw is None or j == i + 1 or (j > i + 2 and "nargs" not in kw):
+            return None
+        try:
+            values = [kw.get("type", str)(v) for v in argv[i + 1:j]]
+        except ValueError:
+            return None
+        setattr(args, kw.get("dest", argv[i][2:]),
+                values if "nargs" in kw else values[0])
+        i = j
+    for name, kw in left.items():
+        if kw.get("required"):
+            return None
+        setattr(args, kw.get("dest", name[2:]), kw.get("default"))
+    return args
+
+
+def build_parser():
+    """The argparse parser over all five commands, built from the same
+    table.  Only help and usage errors reach it, so only they import
+    argparse."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):  # input errors must exit 1, not 2
+            raise UsageError(message)
+
+    def uint(s: str) -> int:
+        try:
+            return parse_uint(s)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
+    parser = Parser(prog="spreadcodes",
+                    description="spread codes over F_q: construction, "
+                                "encoding, decoding and simulation")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, *_) in COMMANDS.items():
-        _add_command(sub.add_parser(name, help=help_line), name)
+    for name, (help_line, func, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for flag, kwargs in flags:
+            if kwargs.get("type") is parse_uint:
+                kwargs = {**kwargs, "type": uint}
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
-
-
-def _add_command(p: _Parser, name: str) -> _Parser:
-    _, func, flags, k_list = COMMANDS[name]
-    _add_code_flags(p, k_list)
-    for flag, kwargs in flags:
-        p.add_argument(flag, **kwargs)
-    p.set_defaults(func=func)
-    return p
 
 
 def main(argv=None) -> int:
@@ -256,7 +268,9 @@ def main(argv=None) -> int:
         if len(first) > 2 and any(f.startswith(first) for f in _FLAGS):
             raise UsageError(f"the command comes first: {first} goes after "
                              f"one of {', '.join(COMMANDS)}")
-        args = build_parser(argv).parse_args(argv)
+        args = _read_args(argv)
+        if args is None:
+            args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from spreadcodes.channel import (ChannelSpec, corrupt, random_codeword,
                                  simulate, trial_rng)
@@ -336,6 +337,23 @@ def test_decoding_process_leaves_numpy_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_decoding_process_leaves_argparse_unloaded(tmp_path):
+    # Only help and usage errors build a parser, so a valid one-shot
+    # decode does not pay for importing argparse.
+    src = Path(__file__).resolve().parents[1] / "src"
+    ref = SpreadCode(2, 2, 2)
+    space = tmp_path / "space.txt"
+    space.write_text(format_subspace(ref, ref.encode((1, 0)).subspace))
+    argv = ["decode", "--q", "2", "--k", "2", "--in", str(space),
+            "--out", str(tmp_path / "out.txt")]
+    probe = ("import sys; from spreadcodes.cli import main; "
+             f"print(main({argv!r}), 'argparse' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.split() == ["0", "False"]
+
+
 HELP_LINES = {
     "params": "print code parameters",
     "encode": "encode a projective point file",
@@ -343,6 +361,24 @@ HELP_LINES = {
     "simulate": "seeded channel statistics",
     "bench": "operation-count table over block sizes",
 }
+
+
+def valid_calls(tmp_path):
+    """A valid argv after the command, for each command, over files
+    written in tmp_path."""
+    ref = SpreadCode(3, 2, 2)
+    point, space = tmp_path / "point.txt", tmp_path / "space.txt"
+    point.write_text("1 2\n0 1\n")
+    space.write_text(format_subspace(ref, ref.encode(((1, 2), (0, 1)))
+                                     .subspace))
+    return {
+        "params": ["--q", "3", "--k", "2"],
+        "encode": ["--q", "3", "--k", "2", "--in", str(point)],
+        "decode": ["--q", "3", "--k", "2", "--in", str(space)],
+        "simulate": ["--q", "2", "--k", "3", "--trials", "3",
+                     "--errors", "1"],
+        "bench": ["--q", "2", "--k", "2,3", "--trials", "2"],
+    }
 
 
 def help_text(capsys, parser, argv):
@@ -411,57 +447,33 @@ class TestParser:
 
     def test_named_command_builds_one_subparser(self, tmp_path, capsys,
                                                 monkeypatch):
-        # One ArgumentParser, the command's own, and no subparsers
-        # action; an unknown command still builds all five.
-        ref = SpreadCode(2, 2, 2)
-        space = tmp_path / "space.txt"
-        space.write_text(format_subspace(ref, ref.encode((1, 0)).subspace))
+        # A valid call of any command constructs no ArgumentParser; a
+        # usage error builds the full parser, with all five subparsers.
         built = []
+        init = argparse.ArgumentParser.__init__
 
-        def counting(cls):
-            init = cls.__init__
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
 
-            def counting_init(self, *args, **kwargs):
-                built.append((cls.__name__, kwargs.get("prog")))
-                init(self, *args, **kwargs)
-
-            monkeypatch.setattr(cls, "__init__", counting_init)
-
-        counting(argparse.ArgumentParser)
-        counting(argparse._SubParsersAction)
-        names = []
-        add_parser = argparse._SubParsersAction.add_parser
-
-        def counting_add_parser(self, name, **kwargs):
-            names.append(name)
-            return add_parser(self, name, **kwargs)
-
-        monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
-                            counting_add_parser)
-        code, _, _ = run(capsys, "decode", "--q", "2", "--k", "2",
-                         "--r", "2", "--in", str(space))
-        assert code == 0
-        assert built == [("ArgumentParser", "spreadcodes decode")]
-        assert names == []
-        run(capsys, "foo")
-        assert names == list(HELP_LINES)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            counting_init)
+        for command, argv in valid_calls(tmp_path).items():
+            assert run(capsys, command, *argv)[0] == 0
+        assert built == []
+        for argv in (["decode", "--q", "3"], ["foo"]):
+            assert run(capsys, *argv)[0] == 1
+            assert built == ["spreadcodes", *(f"spreadcodes {name}"
+                                              for name in HELP_LINES)]
+            built.clear()
 
     @pytest.mark.parametrize("command", list(HELP_LINES))
     def test_one_command_parser_acts_as_the_full_one(self, tmp_path, capsys,
                                                      monkeypatch, command):
-        ref = SpreadCode(3, 2, 2)
-        point, space = tmp_path / "point.txt", tmp_path / "space.txt"
-        point.write_text("1 2\n0 1\n")
-        space.write_text(format_subspace(ref, ref.encode(((1, 2), (0, 1)))
-                                         .subspace))
-        valid = {
-            "params": ["--q", "3", "--k", "2"],
-            "encode": ["--q", "3", "--k", "2", "--in", str(point)],
-            "decode": ["--q", "3", "--k", "2", "--in", str(space)],
-            "simulate": ["--q", "2", "--k", "3", "--trials", "3",
-                         "--errors", "1"],
-            "bench": ["--q", "2", "--k", "2,3", "--trials", "2"],
-        }[command]
+        # Every argv answers alike with the plain reader and with the
+        # reader declining, so that argparse parses it.
+        valid = valid_calls(tmp_path)[command]
+        out = tmp_path / "out.txt"
         argvs = [
             valid,
             valid[2:],                              # --q missing
@@ -470,21 +482,23 @@ class TestParser:
             valid + ["extra"],                      # an extra positional
             valid + ["--tr", "2"],                  # an abbreviated flag
             ["-h"],
+            valid + ["--out", str(out)],            # an output file
         ]
 
         def outcome(argv):
+            out.unlink(missing_ok=True)
             try:
                 code = main([command, *argv])
             except SystemExit as exc:
                 code = exc.code
-            out = capsys.readouterr()
-            return code, out.out, out.err
+            std = capsys.readouterr()
+            written = out.read_bytes() if out.exists() else None
+            return code, std.out, std.err, written
 
-        one = [outcome(argv) for argv in argvs]
-        full = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda argv=(): full())
-        assert [outcome(argv) for argv in argvs] == one
-        assert one[0][0] == 0 and one[1][0] == one[2][0] == 1
+        plain = [outcome(argv) for argv in argvs]
+        monkeypatch.setattr(cli, "_read_args", lambda argv: None)
+        assert [outcome(argv) for argv in argvs] == plain
+        assert plain[0][0] == 0 and plain[1][0] == plain[2][0] == 1
 
     @pytest.mark.parametrize("argv,want", [
         (["params", "--q", "3", "--k", "5", "--r", "4", "--p", "1", "2"],
@@ -515,9 +529,65 @@ class TestParser:
               seed=0)),
     ])
     def test_flags_keep_their_dests_defaults_and_types(self, argv, want):
-        func = getattr(cli, f"_cmd_{argv[0]}")
-        for parser in (cli.build_parser(argv), cli.build_parser()):
-            assert vars(parser.parse_args(argv)) == {**want, "func": func}
+        want = {**want, "func": getattr(cli, f"_cmd_{argv[0]}")}
+        assert vars(cli._read_args(argv)) == want
+        assert vars(cli.build_parser().parse_args(argv)) == want
+
+
+DIGITS = st.integers(0, 20).map(str)
+VALUES = st.one_of(DIGITS, st.sampled_from(
+    ["", "-1", "-", "\u0663", "0_2", "3,5"]))
+
+
+@st.composite
+def cli_argvs(draw):
+    """A well-formed call: a command, then its flags in any order, each
+    optional one maybe left out, each with digits as its values.  Up
+    to two edits follow: a flag dropped, repeated, cut to a prefix or
+    written --flag=v; -h or -- put in; a value added, dropped or
+    replaced by an odd one; another of the command's flags added."""
+    command = draw(st.sampled_from(list(cli.COMMANDS)))
+    flags = cli.COMMANDS[command][2]
+    calls = [[flag, *draw(st.lists(DIGITS, min_size=1,
+                                   max_size=3 if "nargs" in kwargs else 1))]
+             for flag, kwargs in draw(st.permutations(flags))
+             if kwargs.get("required") or draw(st.booleans())]
+    for _ in range(draw(st.integers(0, 2))):
+        edit = draw(st.integers(0, 8))
+        i = draw(st.integers(0, len(calls) - 1))
+        flag, *values = call = calls[i]
+        if edit == 0:
+            del calls[i]
+        elif edit == 1:
+            calls.insert(i, [flag, draw(DIGITS)])
+        elif edit == 2 and len(flag) > 2:
+            call[0] = flag[:draw(st.integers(2, len(flag) - 1))]
+        elif edit == 3 and values:
+            calls[i] = [f"{flag}={values[0]}", *values[1:]]
+        elif edit == 4:
+            calls.insert(draw(st.integers(0, len(calls))),
+                         [draw(st.sampled_from(["-h", "--"]))])
+        elif edit == 5:
+            call.append(draw(VALUES))
+        elif edit == 6:
+            del call[1:]
+        elif edit == 7 and values:
+            call[draw(st.integers(1, len(values)))] = draw(VALUES)
+        elif edit == 8:
+            calls.append([draw(st.sampled_from(flags))[0], draw(VALUES)])
+        if not calls:
+            break
+    return [command, *(token for call in calls for token in call)]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(cli_argvs())
+@example(["decode", "--q", "3", "--k", "2", "--in", "-h"])
+@example(["encode", "--q", "3", "--k", "2", "--in", "a", "--out", "--tr"])
+def test_reader_answers_only_as_argparse_would(argv):
+    args = cli._read_args(argv)
+    if args is not None:
+        assert vars(cli.build_parser().parse_args(argv)) == vars(args)
 
 
 def test_module_entry_point(tmp_path):
