@@ -28,7 +28,7 @@ it.
 from __future__ import annotations
 
 from .decoder import ReceivedSpace, decode
-from .gf import OpCount, _from_digits, is_element
+from .gf import OpCount, is_element
 from .linalg import Matrix, Record, rank, vstack
 from .spread import Codeword, SpreadCode, Subspace
 
@@ -81,10 +81,8 @@ def _draw(rng, field, *shapes) -> list:
 
 def random_codeword(code: SpreadCode, rng) -> Codeword:
     """Uniformly random codeword, via a uniform nonzero projective point."""
-    q = code.q
     while True:
-        M, = _draw(rng, code.base, (code.r, code.k))
-        coords = M.bits if q == 2 else [_from_digits(row, q) for row in M.data]
+        coords = _draw(rng, code.base, (code.r, code.k))[0].row_elements
         if any(coords):
             return code.encode(coords)
 

@@ -6,12 +6,13 @@ to zero; each other block i is found by one pair step against the first
 high-rank block j, which always leads.  The first step reads the d rows
 (u | v) of the raw blocks (R_j R_i) as pairs of field elements
 a = phi(u), b = phi(v), where phi reads a row as the base-q digits of
-a field element.  Over F_2 a matrix holds each row as an int with
-column j at bit j (:mod:`spreadcodes.linalg`), so block j of a basis
-row is a shift and a mask of it, and that int is phi(u) itself.  The
-rows are read unchecked: they come from a received space that
-:func:`decode` has matched to the code's base field, and every entry
-was checked when its matrix was built.
+a field element, through the one reader ``Matrix.row_elements``
+(:mod:`spreadcodes.linalg`).  Over F_2 a matrix holds each row as an
+int with column j at bit j, so block j of a basis row is a shift and a
+mask of it, and that int is phi(u) itself.  The rows are read
+unchecked: they come from a received space that :func:`decode` has
+matched to the code's base field, and every entry was checked when its
+matrix was built.
 The pair codeword [1 : mu] holds the rows (u, u M(mu)), and
 phi(u M(mu)) = mu phi(u), so finding mu decodes a one-dimensional
 Gabidulin code whose evaluation points are the a (Gabidulin 1985; Silva,
@@ -114,7 +115,6 @@ counts (see :class:`spreadcodes.gf.OpCount`) tally independently.
 
 from __future__ import annotations
 
-from .gf import _from_digits
 from .linalg import Matrix, Record, _eliminate, _kernel_split, hstack, minor
 from .linalg import disjoint_pivot_tuples, rank, rref
 from .spread import Codeword, SpreadCode, Subspace
@@ -131,8 +131,9 @@ class ReceivedSpace(Record):
     __slots__ = ("subspace", "k")
 
     def __init__(self, subspace: Subspace, k: int):
-        if k < 1:
-            raise ValueError(f"block size must be at least 1, got {k}")
+        if type(k) is not int or k < 1:
+            raise ValueError(f"block size must be an int of at least 1, "
+                             f"got {k!r}")
         if subspace.dim < 1:
             raise ValueError("received space must have dimension at least 1")
         if subspace.ambient % k:
@@ -338,16 +339,11 @@ def _pair_step(code: SpreadCode, d: int, t: int):
     At t = 0 and d <= 2, which a step on all rows also has, the dense
     solve stays, on all rows."""
     if t == 0 and d > 2:
-        if code.q == 2:
-            return (lambda R: R.bits), _divided_point
-        q = code.q
-        return (lambda R: [_from_digits(u, q) for u in R.data]), _divided_point
+        return (lambda R: R.row_elements), _divided_point
     if code.q == 2 and d >= 5:
-        return (lambda R: R.bits), _interpolated_point
+        return (lambda R: R.row_elements), _interpolated_point
     ext, S = code.ext, code.diagonalizer.columns_slice(0, t + 1)
-    if code.q > 3 or t == 0:
-        return (lambda R: (R.lift(ext) @ S).data), _dense_point
-    n = 2 * t + 1
+    n = d if code.q > 3 or t == 0 else 2 * t + 1
     return (lambda R: (R._top(n).lift(ext) @ S).data), _dense_point
 
 
@@ -487,31 +483,31 @@ def decode(received: ReceivedSpace, code: SpreadCode) -> DecodeResult:
     # Normalized as built: the blocks before j are pinned, point[j] is 1.
     point, reps = [ext.zero] * r, [code.zero_block] * r
     point[j], reps[j] = ext.one, I
+    member = len(high) > 1 and Rj == I
     # X_i = R_j M_i - R_i, and X_i = R_i for a pinned block, pinned
-    # blocks first.  rows is None while rho = 0, for all d rows.
+    # blocks first.  rows are the received basis while rho = 0.
     order = [i for i, s in enumerate(ranks) if s <= t] + high[1:]
     last = order[-1]
-    rho, rows, lead = 0, None, None
+    rho, rows, lead = 0, sub.basis, None
     for i in order:
         if ranks[i] > t:
             M = blocks[i]
-            mu = _membership_point(code, M) if Rj == I else None
+            mu = _membership_point(code, M) if member else None
             if mu is not None:      # X_i = 0
                 point[i], reps[i] = mu, M
                 continue
             if lead is None:
-                Rl = Rj if rows is None else rows.columns_slice(j * k,
-                                                                (j + 1) * k)
+                Rl = rows.columns_slice(j * k, (j + 1) * k) if rho else Rj
                 read, solve = _pair_step(code, d - rho, t - rho)
                 lead = read(Rl)
-            Ri = M if rows is None else rows.columns_slice(i * k, (i + 1) * k)
+            Ri = rows.columns_slice(i * k, (i + 1) * k) if rho else M
             mu = solve(lead, read(Ri), t - rho, ext)
             if isinstance(mu, str):
                 return _fail(mu)
             point[i] = mu
             reps[i] = M = code.matrix_rep(mu)
             X = Rl @ M - Ri
-        elif rows is None:
+        elif not rho:
             if i == last:
                 break               # rho = rank(R_i) <= t
             X = blocks[i]
@@ -520,8 +516,7 @@ def decode(received: ReceivedSpace, code: SpreadCode) -> DecodeResult:
         if i == last:
             rho += rank(X)
         else:
-            s, kept = _kernel_split(X, sub.basis if rows is None else rows,
-                                    i * k)
+            s, kept = _kernel_split(X, rows, i * k)
             if s:
                 rho, rows, lead = rho + s, kept, None
         if rho > t:

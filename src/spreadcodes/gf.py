@@ -168,7 +168,9 @@ def _charge(kind: str, n: int = 1) -> None:
 
 
 def is_prime(n: int) -> bool:
-    return next(_prime_factors(n), None) == n
+    """Whether n is a prime plain int (not a bool); False for any other
+    value, as for :func:`is_element`."""
+    return type(n) is int and next(_prime_factors(n), None) == n
 
 
 def _power(mul, a, e: int):
@@ -224,7 +226,7 @@ class PrimeField:
 
     def __init__(self, q: int):
         if not is_prime(q):
-            raise ValueError(f"field order must be prime, got {q}")
+            raise ValueError(f"field order must be a prime int, got {q!r}")
         self.q = q
         self.zero = 0
         self.one = 1
@@ -423,9 +425,10 @@ def find_irreducible(q: int, k: int) -> tuple[int, ...]:
     candidate whatever q is.
     """
     if not is_prime(q):
-        raise ValueError(f"field order must be prime, got {q}")
-    if k < 2:
-        raise ValueError("extension degree must be at least 2")
+        raise ValueError(f"field order must be a prime int, got {q!r}")
+    if type(k) is not int or k < 2:
+        raise ValueError(f"extension degree must be an int of at least 2, "
+                         f"got {k!r}")
     if q == 2:
         p = next(filter(_gf2_is_irreducible, range(1 << k, 2 << k)))
         return tuple(_to_digits(p, 2, k + 1))

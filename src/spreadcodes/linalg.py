@@ -22,17 +22,22 @@ kernel ``axpy``.  The kernel charges nothing for a product by 0 or
 +-1, so a product with a base-field matrix of 0/+-1 entries, such as a
 lifted F_2 or F_3 matrix, costs no multiplication at all.
 
-Over F_2 a matrix holds its rows as ints, ``bits``, with column j at
-bit j, so a row is read as a field element of F_{2^k} with no
-conversion, and the slice of block j of a row is a shift and a mask.
-A matrix that a kernel made builds the tuples of ``data`` from those
-ints on first read only; every other field holds ``data`` itself.  :func:`rref` (and so
-:func:`inverse`), :func:`rank`, ``A @ B``, ``+``, ``-``,
-:func:`hstack`, :func:`vstack`, ``columns_slice``, equality and hashing
-run on the ints, where every row update is one XOR and nothing is
-charged.  One reduction gives :func:`rank`; :func:`rref` runs it again,
-backward over that basis, and :func:`_kernel_split` runs it with its
-pivots in the leading columns.  Only :func:`det` runs the loop over F_2.
+``Matrix.row_elements`` is the package's one reader of base-field rows
+as field elements: row u is read as phi(u), the element of F_{q^k}
+whose base-q digits, lowest first, it holds.  Over F_2 a matrix holds
+its rows as ints, ``bits``, with column j at bit j, so that reader is
+``bits`` itself, and the slice of block j of a row is a shift and a
+mask.  A matrix that a kernel made builds the tuples of ``data`` from
+those ints on first read only; every other field holds ``data``
+itself.  :func:`rref` (and so :func:`inverse`), :func:`rank`, ``A @ B``,
+``+``, ``-``, :func:`hstack`, :func:`vstack`, ``columns_slice``,
+equality and hashing run on the ints, where every row update is one
+XOR and nothing is charged.  One reduction, :func:`_echelon_gf2`, with
+its pivots in the low bits it is given, gives :func:`rank`;
+:func:`rref` runs it again, backward over that basis, and
+:func:`_kernel_split` runs it with its pivots in the leading columns
+and keeps the rows it clears there.  Only :func:`det` runs the loop
+over F_2.
 
 Row and column tuples for minors are 1-based and order-sensitive: the
 minor of rows (2, 1) is the negative of the minor of rows (1, 2), and a
@@ -197,6 +202,17 @@ class Matrix:
 
     def row(self, i: int) -> tuple:
         return self.data[i]
+
+    @property
+    def row_elements(self) -> tuple:
+        """Each row of a base-field matrix read as the field element
+        phi(u) whose base-q digits, lowest first, it holds, unchecked:
+        every entry was checked when its matrix was built.  Over F_2
+        that is ``bits`` itself."""
+        if _is_gf2(self.field):
+            return self.bits
+        q = self.field.q
+        return tuple(_from_digits(row, q) for row in self.data)
 
     def _top(self, n: int) -> "Matrix":
         """The first n rows."""
@@ -400,28 +416,17 @@ def _is_gf2(f) -> bool:
     return isinstance(f, PrimeField) and f.q == 2
 
 
-def _echelon_gf2(xs) -> list:
-    """The one reduction over F_2, on rows as ints: each row is reduced
-    by the basis rows before it, keyed by their pivot bit (the lowest),
-    and what is left of it, if anything, joins the basis.  No basis row
-    holds the pivot of an earlier one, so the basis length is the
-    rank."""
-    basis = []
-    for x in xs:
-        for low, b in basis:
-            if x & low:
-                x ^= b
-        if x:
-            basis.append((x & -x, x))
-    return basis
-
-
-def _split_gf2(xs, width: int) -> tuple:
-    """The reduction of :func:`_echelon_gf2` on rows x | y << width,
-    with pivots in the low ``width`` bits only: the rank of the parts x,
-    and the parts y of the rows whose x it clears.  Each such row is its
-    own input row plus earlier ones, so those y are the images u Y of a
-    basis u of the left kernel of X, the x as a matrix."""
+def _echelon_gf2(xs, width: int) -> tuple:
+    """The one reduction over F_2, on rows as ints, with pivots in the
+    low ``width`` bits only: each row is reduced by the basis rows
+    before it, keyed by their pivot bit (the lowest), and joins the
+    basis if anything is left of it in those bits; else the bits above
+    them join the kernel.  No basis row holds the pivot of an earlier
+    one, so the basis length is the rank of the low parts.  Each kernel
+    row is its own input row plus earlier ones, so for rows x | y <<
+    width the kernel holds the images u Y of a basis u of the left
+    kernel of X, the x as a matrix.  With ``width`` the row width the
+    kernel holds only zeros."""
     mask = (1 << width) - 1
     basis, kernel = [], []
     for x in xs:
@@ -433,7 +438,7 @@ def _split_gf2(xs, width: int) -> tuple:
             basis.append((low & -low, x))
         else:
             kernel.append(x >> width)
-    return len(basis), kernel
+    return basis, kernel
 
 
 def _kernel_split(X: Matrix, Y: Matrix, at: int) -> tuple:
@@ -449,9 +454,9 @@ def _kernel_split(X: Matrix, Y: Matrix, at: int) -> tuple:
         if not any(X.bits):
             return 0, None
         keep = ~(((1 << k) - 1) << at)
-        s, rows = _split_gf2([x | (y & keep) << k
-                              for x, y in zip(X.bits, Y.bits)], k)
-        return s, Matrix._of_bits(f, rows, Y.ncols)
+        basis, rows = _echelon_gf2([x | (y & keep) << k
+                                    for x, y in zip(X.bits, Y.bits)], k)
+        return len(basis), Matrix._of_bits(f, rows, Y.ncols)
     if not any(map(any, X.data)):
         return 0, None
     zeros = [f.zero] * k
@@ -464,10 +469,11 @@ def _rref_gf2(M: Matrix) -> RrefResult:
     # The backward pass is the same reduction over the basis reversed:
     # each row is cleared at the pivots of the rows after it, which are
     # cleared already, and keeps its own pivot.  Then sort by pivot.
-    basis = _echelon_gf2(M.bits)
-    basis = sorted(_echelon_gf2([b for _, b in reversed(basis)]))
+    n = M.ncols
+    basis = _echelon_gf2(M.bits, n)[0]
+    basis = sorted(_echelon_gf2([b for _, b in reversed(basis)], n)[0])
     rows = [b for _, b in basis]
-    R = Matrix._of_bits(M.field, rows + [0] * (M.nrows - len(rows)), M.ncols)
+    R = Matrix._of_bits(M.field, rows + [0] * (M.nrows - len(rows)), n)
     return RrefResult(R, len(rows), tuple(low.bit_length()
                                           for low, _ in basis))
 
@@ -475,7 +481,7 @@ def _rref_gf2(M: Matrix) -> RrefResult:
 def rank(M: Matrix) -> int:
     f = M.field
     if _is_gf2(f):
-        return len(_echelon_gf2(M.bits))
+        return len(_echelon_gf2(M.bits, M.ncols)[0])
     return len(_eliminate(f, [list(row) for row in M.data], M.ncols)[0])
 
 

@@ -132,6 +132,9 @@ class SpreadCode:
     """
 
     def __init__(self, q: int, k: int, r: int, modulus=None):
+        for name, value in (("q", q), ("k", k), ("r", r)):
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if r < 2:
             raise ValueError("need at least two blocks")
         self.base = PrimeField(q)

@@ -4,12 +4,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spreadcodes.gf import ExtField, OpCount, PrimeField, find_irreducible
+from spreadcodes.gf import (ExtField, OpCount, PrimeField, _from_digits,
+                            find_irreducible)
 from spreadcodes.linalg import (Matrix, _eliminate, _kernel_split, det,
                                 disjoint_pivot_tuples, format_matrix, hstack,
                                 inverse, minor, parse_matrix, rank, rref,
                                 vstack)
-from spreadcodes.spread import Subspace
+from spreadcodes.spread import SpreadCode, Subspace
 
 from paper_reference import nondiagonal_rank
 from props import (matched_extension_trials, minor_expansion_trials,
@@ -443,6 +444,16 @@ def tuple_rref(rows, ncols):
             tuple(col + 1 for col, _ in pivots))
 
 
+def tuple_kernel_split(xs, ys, at, k):
+    """The split of :func:`_kernel_split` over F_2 on tuples, by the
+    generic loop ``_eliminate`` on (X | Y'), for X the rows xs of width
+    k and Y' the rows ys with their k columns from ``at`` on set to
+    zero: (rank of X, the rows u Y' for a basis u of its left kernel)."""
+    R = [[*x, *y[:at], *(0,) * k, *y[at + k:]] for x, y in zip(xs, ys)]
+    s = len(_eliminate(F2, R, k)[0])
+    return s, tuple(tuple(row[k:]) for row in R[s:])
+
+
 def tuple_product(A, B, ncols):
     out = []
     for arow in A:
@@ -528,6 +539,19 @@ class TestBitRows:
                 self.assert_holds(M.submatrix(pick_r, pick_c),
                                   (tuple(rows[i][j] for j in pick_c)
                                    for i in pick_r), len(pick_c))
+                # The kernel split of X against M, for X the block of M
+                # it reads, as in the decoder, and for a block of N.
+                for xs in (rows, other):
+                    xs = [row[lo:hi] for row in xs]
+                    s, kept = _kernel_split(self.of(xs, hi - lo), M, lo)
+                    want, ref = tuple_kernel_split(xs, rows, lo, hi - lo)
+                    assert s == want
+                    if not s:
+                        assert kept is None
+                        continue
+                    assert (kept.nrows, kept.ncols) == (m - s, n)
+                    assert not any(any(row[lo:hi]) for row in kept.data)
+                    assert tuple_rref(kept.data, n) == tuple_rref(ref, n)
             # Products by 0 and 1 are charged nothing, over F_2 as in
             # the row kernel.
             assert c.base_total == 0 and c.ext_total == 0
@@ -636,3 +660,38 @@ class TestMinorIdentities:
         checked, bad = matched_extension_trials(field, k, s, 60,
                                                 field.q * 31 + k)
         assert checked == 60 and bad == 0
+
+
+class TestRowElements:
+    """``Matrix.row_elements``, the one reader of base-field rows as
+    field elements, equals ``_from_digits`` of each row of ``data``, on
+    matrices built checked and made by a kernel, with no rows and wider
+    than 64 columns; and row i of ``matrix_rep(a)`` reads back as
+    a x^i."""
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 13])
+    @pytest.mark.parametrize("m,n", [(0, 0), (0, 7), (1, 1), (3, 4), (5, 64),
+                                     (3, 65), (2, 130)])
+    def test_matches_digits(self, q, m, n):
+        f = PrimeField(q)
+        rnd = random.Random(1000 * q + 10 * m + n)
+        M = sparse_matrix(rnd, f, m, n) if m else Matrix.zeros(f, 0, n)
+        want = tuple(_from_digits(row, q) for row in M.data)
+        assert M.row_elements == want
+        made = M - Matrix.zeros(f, m, n)     # unchecked, by the row kernel
+        assert made.row_elements == want
+        if m:
+            assert M.columns_slice(1, n).row_elements == tuple(
+                _from_digits(row[1:], q) for row in M.data)
+
+    @pytest.mark.parametrize("qkr", [(2, 5, 2), (2, 17, 2), (2, 67, 2),
+                                     (3, 3, 2), (3, 11, 2), (5, 2, 2),
+                                     (7, 3, 2), (13, 2, 2)])
+    def test_matrix_rep_rows_are_a_times_powers_of_x(self, qkr):
+        code = SpreadCode(*qkr)
+        ext, x = code.ext, code.alpha
+        rnd = random.Random(sum(qkr))
+        for a in [ext.zero, ext.one, x] + [random_element(rnd, ext)
+                                           for _ in range(5)]:
+            assert code.matrix_rep(a).row_elements == tuple(
+                ext.mul(a, ext.pow(x, i)) for i in range(code.k))

@@ -65,8 +65,12 @@ PINNED_COUNTS = {
     (2, 5, 3): {(2, 2): (150, 23, 0, 0), (3, 3): (231, 31, 0, 0)},
     (2, 8, 8): {(0, 0): (0, 0, 0, 0), (3, 3): (454, 63, 0, 0),
                 (1, 3): (636, 55, 0, 0), (2, 5): (278, 69, 0, 0),
-                (4, 3): (693, 82, 0, 0), (4, 4): (503, 37, 0, 0)},
+                (4, 3): (693, 82, 0, 0), (4, 4): (503, 37, 0, 0),
+                (0, 1): (1155, 7, 0, 0), (0, 3): (714, 42, 0, 0)},
     (2, 24, 2): {(10, 11): (3649, 130, 0, 0)},
+    (2, 16, 2): {(0, 1): (641, 5, 0, 0), (0, 5): (371, 5, 0, 0),
+                 (1, 1): (846, 15, 0, 0)},
+    (2, 9, 2): {(0, 1): (195, 3, 0, 0)},
     (5, 3, 2): {(0, 0): (0, 0, 23, 6), (1, 1): (111, 17, 38, 5),
                 (2, 0): (238, 30, 41, 8), (0, 2): (13, 6, 15, 0),
                 (2, 2): (108, 18, 42, 8)},
@@ -82,10 +86,16 @@ PINNED_COUNTS = {
 # refactor of it must leave their counts exactly at the pins.  (2, 5, 3)
 # and (2, 8, 8) are r > 2 codes, whose later pair steps run on fewer
 # rows, and (2, 24, 2) (10, 11) is the benchmark's build-q2k24r2 cell,
-# on slotted rows.
+# on slotted rows.  The erasure-only cells of (2, 16, 2), (2, 8, 8) and
+# (2, 9, 2), and (2, 16, 2) (1, 1), run it on clean or nearly clean
+# inputs, the common case of a network channel.
 INTERPOLATION_CELLS = [((2, 5, 2), (2, 2)), ((2, 5, 2), (3, 3)),
                        ((2, 5, 3), (2, 2)), ((2, 5, 3), (3, 3)),
                        ((2, 8, 8), (3, 3)), ((2, 8, 8), (4, 4)),
+                       ((2, 8, 8), (0, 1)), ((2, 8, 8), (0, 3)),
+                       ((2, 9, 2), (0, 1)),
+                       ((2, 16, 2), (0, 1)), ((2, 16, 2), (0, 5)),
+                       ((2, 16, 2), (1, 1)),
                        ((2, 17, 2), (8, 8)), ((2, 17, 2), (9, 8)),
                        ((2, 24, 2), (10, 11))]
 
