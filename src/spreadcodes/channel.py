@@ -28,7 +28,7 @@ it.
 from __future__ import annotations
 
 from .decoder import ReceivedSpace, decode
-from .gf import OpCount, is_element
+from .gf import OpCount, check_int, is_element
 from .linalg import Matrix, Record, rank, vstack
 from .spread import Codeword, SpreadCode, Subspace
 
@@ -47,8 +47,7 @@ class ChannelSpec(Record):
 def trial_rng(seed: int, *key: int):
     """Independent numpy Generator for one labeled trial of a master
     seed, a plain int (not a bool) of at least 0."""
-    if type(seed) is not int or seed < 0:
-        raise ValueError(f"seed must be an int of at least 0, got {seed!r}")
+    check_int("seed", seed, 0)
     import numpy as np
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
@@ -152,9 +151,7 @@ def simulate(code: SpreadCode, trials: int, cells, seed: int = 0) -> list[SimRec
     plus inversions per call.  Deterministic for a fixed seed; records
     come back sorted by cell.
     """
-    if type(trials) is not int or trials < 1:
-        raise ValueError("trials must be an int of at least 1, "
-                         f"got {trials!r}")
+    check_int("trials", trials, 1)
     cells = [(e, eps) for e, eps in cells]
     for e, eps in cells:
         _check_cell(code, e, eps)

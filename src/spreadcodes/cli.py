@@ -33,7 +33,7 @@ from .channel import simulate
 from .decoder import ReceivedSpace, decode
 from .gf import parse_uint
 from .linalg import numbered_lines
-from .spread import (MAX_R, SpreadCode, check_code_limits, format_subspace,
+from .spread import (SpreadCode, check_code_limits, format_subspace,
                      parse_subspace)
 
 

@@ -115,6 +115,7 @@ counts (see :class:`spreadcodes.gf.OpCount`) tally independently.
 
 from __future__ import annotations
 
+from .gf import check_int
 from .linalg import Matrix, Record, _eliminate, _kernel_split, hstack, minor
 from .linalg import disjoint_pivot_tuples, rank, rref
 from .spread import Codeword, SpreadCode, Subspace
@@ -131,9 +132,7 @@ class ReceivedSpace(Record):
     __slots__ = ("subspace", "k")
 
     def __init__(self, subspace: Subspace, k: int):
-        if type(k) is not int or k < 1:
-            raise ValueError(f"block size must be an int of at least 1, "
-                             f"got {k!r}")
+        check_int("block size", k, 1)
         if subspace.dim < 1:
             raise ValueError("received space must have dimension at least 1")
         if subspace.ambient % k:

@@ -13,7 +13,15 @@ digit: a plain int, not a bool, in range.  ``Matrix(field, rows)``,
 both forms of :meth:`ExtField.element` and :func:`check_coefficients`
 apply it to what a caller passes.  Values the package already holds,
 such as the rows of a checked matrix, are read without it, through
-``_from_digits``, the one reader of digits.
+``_from_digits``, the one reader of digits.  Beside it,
+:func:`check_int` is the one rule for an integer parameter, a plain
+int of at least some bound, with one message shape for every caller.
+
+:func:`is_prime` is a deterministic Miller-Rabin test on the first
+twelve primes as bases, exact for every n below ``PRIME_BOUND``
+(about 3.3*10^24) in O(log n) products per base; it refuses larger n.
+Trial division (``_prime_factors``) only factors q^k - 1 for the
+exp/log tables.
 
 The default modulus of F_{q^k} is the first monic irreducible of degree
 k in a fixed candidate order (:func:`find_irreducible`).  Each candidate
@@ -167,10 +175,40 @@ def _charge(kind: str, n: int = 1) -> None:
         setattr(c, kind, getattr(c, kind) + n)
 
 
+# The first twelve primes.  Miller-Rabin on these bases is exact for
+# every n below PRIME_BOUND, the least strong pseudoprime to all twelve
+# (Sorenson and Webster, *Strong pseudoprimes to twelve prime bases*,
+# Math. Comp. 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
     """Whether n is a prime plain int (not a bool); False for any other
-    value, as for :func:`is_element`."""
-    return type(n) is int and next(_prime_factors(n), None) == n
+    value, as for :func:`is_element`.  A deterministic Miller-Rabin test
+    on the bases ``_PRIME_BASES``, O(log n) products mod n per base; n at
+    or above PRIME_BOUND, where it is no longer exact, is a ValueError."""
+    if type(n) is not int or n < 2:
+        return False
+    if n >= PRIME_BOUND:
+        raise ValueError(f"is_prime decides only n below {PRIME_BOUND}, "
+                         f"got {n}")
+    s = ((n - 1) & (1 - n)).bit_length() - 1     # n - 1 = d * 2^s, d odd
+    for a in _PRIME_BASES:
+        # A prime n passes every base it does not divide, so n is
+        # decided here whichever base divides it.
+        if n % a == 0:
+            return n == a
+        x = pow(a, (n - 1) >> s, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
 
 
 def _power(mul, a, e: int):
@@ -201,6 +239,15 @@ def is_element(a, n: int) -> bool:
     (not a bool) in 0..n-1.  A float, a bool, None or a numpy scalar is
     not, whatever its value."""
     return type(a) is int and 0 <= a < n
+
+
+def check_int(what: str, value, low: int) -> None:
+    """The package's one rule for an integer parameter: a ValueError
+    naming ``what`` unless value is a plain int (not a bool) of at least
+    low."""
+    if type(value) is not int or value < low:
+        raise ValueError(f"{what} must be an int of at least {low}, "
+                         f"got {value!r}")
 
 
 def _parse_digit(s: str, q: int) -> int:
@@ -382,13 +429,13 @@ def poly_is_irreducible(p: tuple[int, ...], q: int) -> bool:
     - x is the product of the monic irreducibles of degree dividing i,
     so a monic p of degree k is irreducible iff gcd(x^(q^i) - x, p) = 1
     for i = 1 .. k/2.  Step i raises h = x^(q^(i-1)) mod p to the q-th
-    power by left-to-right square-and-multiply, O(log q) products mod
-    p, so a p with a small factor fails within the first steps.  For
-    q = 2 the test runs on ints (:func:`_gf2_is_irreducible`), for odd q
-    on coefficient lists.  The last answer of each form is kept, so the
-    ExtField built on the modulus that :func:`find_irreducible` has just
-    returned does not test it again, while a later search still runs in
-    full."""
+    power by the one square-and-multiply, :func:`_power`, O(log q)
+    products mod p, so a p with a small factor fails within the first
+    steps.  For q = 2 the test runs on ints
+    (:func:`_gf2_is_irreducible`), for odd q on coefficient lists.  The
+    last answer of each form is kept, so the ExtField built on the
+    modulus that :func:`find_irreducible` has just returned does not test
+    it again, while a later search still runs in full."""
     p = tuple(c % q for c in p)
     k = len(p) - 1
     if k < 1 or p[-1] != 1:
@@ -396,14 +443,12 @@ def poly_is_irreducible(p: tuple[int, ...], q: int) -> bool:
     if q == 2:
         return _gf2_is_irreducible(_from_digits(p, 2))
     p = list(p)
-    bits = bin(q)[3:]                  # q's bits after the leading 1
+
+    def mulmod(f, g):
+        return _poly_divmod(_poly_mul(f, g, q), p, q)[1]
     h = [0, 1]
     for _ in range(k // 2):
-        base = h
-        for bit in bits:
-            h = _poly_divmod(_poly_mul(h, h, q), p, q)[1]
-            if bit == "1":
-                h = _poly_divmod(_poly_mul(h, base, q), p, q)[1]
+        h = _power(mulmod, h, q)
         a, b = p, _poly_sub(h, [0, 1], q)
         while b:
             a, b = b, _poly_divmod(a, b, q)[1]
@@ -426,9 +471,7 @@ def find_irreducible(q: int, k: int) -> tuple[int, ...]:
     """
     if not is_prime(q):
         raise ValueError(f"field order must be a prime int, got {q!r}")
-    if type(k) is not int or k < 2:
-        raise ValueError(f"extension degree must be an int of at least 2, "
-                         f"got {k!r}")
+    check_int("extension degree", k, 2)
     if q == 2:
         p = next(filter(_gf2_is_irreducible, range(1 << k, 2 << k)))
         return tuple(_to_digits(p, 2, k + 1))
@@ -697,7 +740,7 @@ class ExtField:
         # for odd q as _red = digits of x^k mod p.
         self._bits = self._red = self._fold = None
         if self._char2:
-            self._bits = sum(c << i for i, c in enumerate(modulus))
+            self._bits = _from_digits(modulus, 2)
             # For the q = 2 _reduce: _fold[i][n] = n*x^(k+8i) mod p, one
             # table per byte of the high half of a product, which has at
             # most k - 1 bits.  Built before the exp/log tables, whose

@@ -21,8 +21,8 @@ from functools import cached_property
 
 from .gf import (ExtField, PrimeField, _from_digits, check_coefficients,
                  find_irreducible, is_prime, parse_uint)
-from .linalg import (Matrix, Record, hstack, inverse, numbered_lines,
-                     parse_matrix_lines, rank, rref, vstack)
+from .linalg import (Matrix, Record, format_matrix, hstack, inverse,
+                     numbered_lines, parse_matrix_lines, rank, rref, vstack)
 
 
 class Subspace:
@@ -342,7 +342,8 @@ def check_code_limits(q: int, k: int, r: int) -> None:
     ValueError names the value at fault."""
     if k < 2:
         raise ValueError("k must be at least 2")
-    # Checked before primality, which then trial-divides q <= 2^16 only.
+    # Checked before primality, so a q past is_prime's bound is refused
+    # by size, and the Miller-Rabin test sees q <= 2^16 only.
     # For q >= 2, k > 32 puts q^k above the limit without computing it.
     if k > 32 or q ** k > MAX_FIELD_ORDER:
         raise ValueError(f"q^k must be at most 2^32, got {q}^{k}")
@@ -368,7 +369,6 @@ def parse_header(line: str) -> tuple[int, ...]:
 
 
 def format_subspace(code: SpreadCode, sub: Subspace) -> str:
-    from .linalg import format_matrix
     return code.header() + "\n" + format_matrix(sub.basis)
 
 

@@ -10,8 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from spreadcodes.channel import (ChannelSpec, corrupt, random_codeword,
                                  simulate, trial_rng)
 from spreadcodes import cli
-from spreadcodes.cli import MAX_R, MAX_TRIALS, main
-from spreadcodes.spread import SpreadCode, format_subspace
+from spreadcodes.cli import MAX_TRIALS, main
+from spreadcodes.spread import MAX_R, SpreadCode, format_subspace
 
 
 def run(capsys, *argv):

@@ -449,6 +449,35 @@ class TestInterpolation:
                 seen[inside, isinstance(mu, str)] += 1
         assert seen[True, False] >= 10 and seen[False, True] >= 5
 
+    @pytest.mark.parametrize("qkr, stride, words",
+                             [((2, 33, 2), 2, 1), ((2, 65, 2), 3, 2)])
+    def test_slotted_handles_wider_than_a_word(self, qkr, stride, words):
+        # Slots of two words at k = 33, and at k = 65 entries of two
+        # words in slots of three: a few cells inside the radius, with no
+        # dense solve, which at these k is slow.  The interpolation on
+        # slotted rows gives the list oracle's answer at the same
+        # OpCount, and decode returns the sent codeword.
+        code = small_code(qkr)
+        ext, k = code.ext, code.k
+        assert (ext.rows.stride, ext.rows.words) == (stride, words)
+        for e, eps in ((0, 1), (k // 3, k // 3), (k // 2, 0)):
+            rng = trial_rng(31, e, eps)
+            cw = random_codeword(code, rng)
+            received = corrupt(cw, ChannelSpec(eps, e), code, rng)
+            d = received.dim
+            R0, R1 = received.blocks
+            assert d >= 5 and 2 * min(rank(R0), rank(R1)) > d - 1
+            args = (R0, R1, d, code)
+            with OpCount() as slotted:
+                mu = interpolated_point(*args)
+            with OpCount() as listed:
+                assert list_interpolated_point(*args) == mu
+            assert repr(slotted) == repr(listed)
+            point = cw.point
+            assert mu == ext.mul(point[1], ext.inv(point[0]))
+            result = decode(received, code)
+            assert result.ok and result.codeword == cw
+
     @pytest.mark.parametrize("qkr", [(2, 5, 2), (2, 9, 2)])
     def test_list_oracle_on_table_fields(self, qkr):
         # The interpolation on the list row handles of a table field

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -293,16 +294,42 @@ class TestPrimeField:
         assert not any(is_prime(m) for m in (-7, -2, -1))
         assert list(gf._prime_factors(65536)) == [2]
         assert list(gf._prime_factors(2 * 3 * 3 * 65521)) == [2, 3, 65521]
-        # The one trial division behind is_prime also factors by the sieve.
+        # The trial division that factors q^k - 1 agrees with the sieve.
         primes = [m for m in range(n) if sieve[m]]
         for m in range(2, 2000):
             assert list(gf._prime_factors(m)) == [
                 f for f in primes if f <= m and m % f == 0]
 
+    @pytest.mark.parametrize("n", [2047, 1373653, 25326001, 3215031751,
+                                   3825123056546413051, 252601])
+    def test_strong_pseudoprimes_are_composite(self, n):
+        # Each but the last is a strong pseudoprime to the first few prime
+        # bases; 3825123056546413051 passes every base but 37.  252601 =
+        # 41*61*101 is a Carmichael number prime to every base, which a
+        # Fermat test on the same bases would call prime.
+        assert is_prime(n) is False
+
+    def test_is_prime_refuses_past_its_bound(self):
+        # The least strong pseudoprime to all twelve bases.
+        bound = 3317044064679887385961981
+        assert gf.PRIME_BOUND == bound
+        for n in (bound, bound + 2, 1 << 100):
+            with pytest.raises(ValueError, match=str(bound)):
+                is_prime(n)
+
+    def test_is_prime_is_fast_on_a_61_bit_prime(self):
+        n = 2 ** 61 - 1
+        start = time.perf_counter()
+        assert is_prime(n)
+        middle = time.perf_counter()
+        assert PrimeField(n).q == n
+        end = time.perf_counter()
+        assert middle - start < 0.05 and end - middle < 0.05
+
     @pytest.mark.parametrize("n", [2 * 999983 ** 2, 3 * (2 ** 31 - 1) ** 2])
     def test_is_prime_stops_at_the_first_divisor(self, n):
-        # A composite with a large square cofactor is refused at its
-        # smallest prime; factoring it fully would trial-divide up to the
+        # A composite with a large square cofactor is refused within a
+        # few lines; factoring it fully would trial-divide up to the
         # cofactor's root.  A line budget stops a full factoring early.
         lines = 0
 
