@@ -18,7 +18,7 @@ such as the rows of a checked matrix, are read without it, through
 int of at least some bound, with one message shape for every caller.
 
 :func:`is_prime` is a deterministic Miller-Rabin test on the first
-twelve primes as bases, exact for every n below ``PRIME_BOUND``
+thirteen primes as bases, exact for every n below ``PRIME_BOUND``
 (about 3.3*10^24) in O(log n) products per base; it refuses larger n.
 Trial division (``_prime_factors``) only factors q^k - 1 for the
 exp/log tables.
@@ -175,11 +175,12 @@ def _charge(kind: str, n: int = 1) -> None:
         setattr(c, kind, getattr(c, kind) + n)
 
 
-# The first twelve primes.  Miller-Rabin on these bases is exact for
-# every n below PRIME_BOUND, the least strong pseudoprime to all twelve
-# (Sorenson and Webster, *Strong pseudoprimes to twelve prime bases*,
-# Math. Comp. 2017).
-_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first thirteen primes.  Miller-Rabin on these bases is exact for
+# every n below PRIME_BOUND, the least strong pseudoprime to all
+# thirteen (Sorenson and Webster, *Strong pseudoprimes to twelve prime
+# bases*, Math. Comp. 2017, which gives it with the least strong
+# pseudoprime to the first twelve, 318665857834031151167461).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_BOUND = 3_317_044_064_679_887_385_961_981
 
 

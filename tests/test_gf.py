@@ -301,16 +301,19 @@ class TestPrimeField:
                 f for f in primes if f <= m and m % f == 0]
 
     @pytest.mark.parametrize("n", [2047, 1373653, 25326001, 3215031751,
-                                   3825123056546413051, 252601])
+                                   3825123056546413051,
+                                   318665857834031151167461, 1152271])
     def test_strong_pseudoprimes_are_composite(self, n):
-        # Each but the last is a strong pseudoprime to the first few prime
-        # bases; 3825123056546413051 passes every base but 37.  252601 =
-        # 41*61*101 is a Carmichael number prime to every base, which a
-        # Fermat test on the same bases would call prime.
+        # Each but the last is the least strong pseudoprime to the first
+        # few prime bases: 3825123056546413051 passes every base but 37,
+        # and 318665857834031151167461 = 399165290221 * 798330580441
+        # every base but 41.  1152271 = 43*127*211 is a Carmichael number
+        # prime to every base, which a Fermat test on the same bases
+        # would call prime.
         assert is_prime(n) is False
 
     def test_is_prime_refuses_past_its_bound(self):
-        # The least strong pseudoprime to all twelve bases.
+        # The least strong pseudoprime to all thirteen bases, 2 to 41.
         bound = 3317044064679887385961981
         assert gf.PRIME_BOUND == bound
         for n in (bound, bound + 2, 1 << 100):
